@@ -20,10 +20,8 @@ from . import spectral, splitting
 from .core import (
     ConvergenceError,
     DigitString,
-    InvalidDigitError,
     LengthBudgetError,
     SearchBudgetError,
-    SplitDomainError,
     TokenString,
     fixed_point_search,
     iterate,
@@ -312,10 +310,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDigitError, SplitDomainError, SearchBudgetError, LengthBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, SearchBudgetError, LengthBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

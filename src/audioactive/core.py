@@ -13,6 +13,8 @@ one ASCII character per digit; larger alphabets are only supported through
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -203,17 +205,15 @@ def _step_text(text: str, base: int) -> str:
         return _array_to_text(_array_step(_text_to_array(text), base))
     cache = _NUMERAL_CACHE[base]
     out = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        j = i + 1
-        while j < n and text[j] == ch:
-            j += 1
-        rl = j - i
-        out.append(cache.get(rl) or _numeral(rl, base))
-        out.append(ch)
-        i = j
+    for i, j in _iter_runs(text):
+        out.append(cache.get(j - i) or _numeral(j - i, base))
+        out.append(text[i])
     return "".join(out)
+
+
+def _in_base(s: DigitString, base: int | None) -> DigitString:
+    """``s`` read in ``base`` (default: its own), validated as a DigitString."""
+    return s if base is None or base == s.base else DigitString(s.text, base)
 
 
 def lookandsay_step(s: DigitString, base: int | None = None) -> DigitString:
@@ -223,17 +223,8 @@ def lookandsay_step(s: DigitString, base: int | None = None) -> DigitString:
     effective base or :class:`InvalidDigitError` is raised, naming the first
     offending position.  The empty string maps to itself.
     """
-    b = s.base if base is None else base
-    _check_base(b)
-    if b < s.base:
-        bad = set(s.text) - _ALLOWED[b]
-        if bad:
-            pos = next(i for i, ch in enumerate(s.text) if ch in bad)
-            raise InvalidDigitError(
-                f"digit {s.text[pos]!r} at position {pos} is not valid in base {b}",
-                position=pos,
-            )
-    return DigitString(_step_text(s.text, b), b)
+    s = _in_base(s, base)
+    return DigitString(_step_text(s.text, s.base), s.base)
 
 
 def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> DigitString:
@@ -276,7 +267,7 @@ def iterate(s: DigitString, n: int, base: int | None = None) -> list[DigitString
     """The first ``n`` iterates of ``s`` including ``s`` itself (n+1 entries)."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    out = [s if base is None or base == s.base else DigitString(s.text, base)]
+    out = [_in_base(s, base)]
     for _ in range(n):
         out.append(lookandsay_step(out[-1]))
     return out
@@ -294,27 +285,72 @@ def iterate_tokens(t: TokenString, n: int) -> list[TokenString]:
 # ---------------------------------------------------------------------------
 # Base-3 run-bound predicates
 # ---------------------------------------------------------------------------
+#
+# Each run bound is a set of forbidden substrings: a run longer than its cap
+# contains cap+1 copies of its digit.
+
+_RUN_BOUNDED = ("00", "11111", "2222")  # 0-runs <= 1, 1-runs <= 4, 2-runs <= 3
+_ANCIENT = ("00", "1111", "2222")  # and 1-runs <= 3
+
+
+def _avoids(text: str, forbidden: tuple[str, ...]) -> bool:
+    return not any(f in text for f in forbidden)
+
+
+def _splittable(text: str) -> bool:
+    """The splitting domain: run-bounded and not ending in 1111.
+
+    A run of four 1s is thereby allowed only directly before a 0 or a 2,
+    which is how the fixed strings 11110 and 11112 occur embedded.
+    """
+    return _avoids(text, _RUN_BOUNDED) and not text.endswith("1111")
+
 
 def _require_base3(s: DigitString) -> None:
     if s.base != 3:
         raise ValueError(f"predicate is defined for base 3 only, got base {s.base}")
 
 
-_RUN_CAPS = {"0": 1, "1": 4, "2": 3}
-
-
 def is_run_bounded(s: DigitString) -> bool:
     """Base-3 run bounds: 0-runs <= 1, 1-runs <= 4, 2-runs <= 3."""
     _require_base3(s)
-    t = s.text
-    return all(j - i <= _RUN_CAPS[t[i]] for i, j in _iter_runs(t))
+    return _avoids(s.text, _RUN_BOUNDED)
 
 
 def is_ancient(s: DigitString) -> bool:
     """Run-bounded with no run of length 4 or more (so 1-runs <= 3 as well)."""
     _require_base3(s)
-    t = s.text
-    return all(j - i <= min(3, _RUN_CAPS[t[i]]) for i, j in _iter_runs(t))
+    return _avoids(s.text, _ANCIENT)
+
+
+# ---------------------------------------------------------------------------
+# Cutting after a 0
+# ---------------------------------------------------------------------------
+
+_ZERO_CUT = re.compile(r"0(?=[^0])")
+
+
+def _zero_cuts(text: str) -> list[int]:
+    """Positions just after a 0 that precedes a non-0; exact in every base.
+
+    The left part of such a cut keeps ending in 0 forever (the final run
+    digit survives each step) and the right part never grows a leading 0
+    (numerals have no leading zeros), so the two sides never interact.
+    """
+    return [m.end() for m in _ZERO_CUT.finditer(text)]
+
+
+def _pieces(text: str, cuts: Iterable[int]) -> list[str]:
+    """``text`` sliced at ascending positions; no pieces for the empty string."""
+    if not text:
+        return []
+    out = []
+    prev = 0
+    for p in cuts:
+        out.append(text[prev:p])
+        prev = p
+    out.append(text[prev:])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +358,7 @@ def is_ancient(s: DigitString) -> bool:
 # ---------------------------------------------------------------------------
 
 def fixed_point_search(
-    base: int, max_len: int, budget: int = 10**9, primitive_only: bool = True
+    base: int, max_len: int, budget: int = 10**5, primitive_only: bool = True
 ) -> list[DigitString]:
     """Exhaustive search for non-empty strings fixed by the step, sorted.
 
@@ -339,20 +375,22 @@ def fixed_point_search(
     text must agree on their common length.  That prefix test prunes the
     space down to a handful of candidates while still visiting every fixed
     string, because a genuine fixed point satisfies the prefix invariant at
-    each of its runs.
+    each of its runs.  ``budget`` caps the number of prefixes the search
+    visits (base 3 needs 2,589 for ``max_len`` 32); :class:`SearchBudgetError`
+    is raised as soon as it is passed.
     """
     _check_base(base)
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    space = sum(base**k for k in range(1, max_len + 1))
-    if space > budget:
-        raise SearchBudgetError(
-            f"search space of {space} strings exceeds budget of {budget}"
-        )
     found: list[str] = []
     digit_set = _DIGIT_CHARS[:base]
+    visited = 0
 
     def extend(cur: str, emitted: str, last: str) -> None:
+        nonlocal visited
+        visited += 1
+        if visited > budget:
+            raise SearchBudgetError(f"search visited more than {budget} prefixes")
         if cur and cur == emitted:
             found.append(cur)
         room = max_len - len(cur)
@@ -488,23 +526,6 @@ def _token_array_step(a: np.ndarray) -> np.ndarray:
 DEFAULT_LENGTH_BUDGET = 10**9
 
 
-def _zero_pieces(text: str) -> list[str]:
-    """Cut after every 0 that precedes a non-0; exact in every base.
-
-    The left part of such a cut keeps ending in 0 forever (the final run
-    digit survives each step) and the right part never grows a leading 0
-    (numerals have no leading zeros), so the two sides never interact.
-    """
-    pieces = []
-    prev = 0
-    for p in range(1, len(text)):
-        if text[p - 1] == "0" and text[p] != "0":
-            pieces.append(text[prev:p])
-            prev = p
-    pieces.append(text[prev:])
-    return pieces
-
-
 def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[int]:
     """Length sequence via a multiset of zero-separated pieces.
 
@@ -512,9 +533,10 @@ def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[in
     so iterates factor into a small recurring set of pieces; each distinct
     piece is stepped and re-cut once, and only the counts grow.
     """
-    pieces: dict[str, int] = {}
-    for piece in _zero_pieces(text):
-        pieces[piece] = pieces.get(piece, 0) + 1
+    def tally(t: str) -> list[tuple[str, int]]:
+        return list(Counter(_pieces(t, _zero_cuts(t))).items())
+
+    pieces = dict(tally(text))
     lengths = [len(text)]
     children: dict[str, list[tuple[str, int]]] = {}
     for n in range(iters):
@@ -522,11 +544,7 @@ def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[in
         for piece, count in pieces.items():
             subs = children.get(piece)
             if subs is None:
-                tally: dict[str, int] = {}
-                for sub in _zero_pieces(_step_text(piece, base)):
-                    tally[sub] = tally.get(sub, 0) + 1
-                subs = list(tally.items())
-                children[piece] = subs
+                subs = children[piece] = tally(_step_text(piece, base))
             for sub, mult in subs:
                 nxt[sub] = nxt.get(sub, 0) + mult * count
         pieces = nxt
@@ -558,10 +576,8 @@ def length_sequence(
         arr = np.asarray(seed.tokens, dtype=np.int64)
         stepper = _token_array_step
     else:
-        b = seed.base if base is None else base
-        _check_base(b)
-        if b < seed.base and set(seed.text) - _ALLOWED[b]:
-            raise InvalidDigitError(f"seed has digits not valid in base {b}")
+        seed = _in_base(seed, base)
+        b = seed.base
         if b <= 3:
             return _piece_lengths(seed.text, b, iters, max_length)
         arr = _text_to_array(seed.text)

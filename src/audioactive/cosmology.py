@@ -21,8 +21,8 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from . import particles
-from .core import ConvergenceError, DigitString, _step_text
-from .splitting import _conservative_factor, _factor, _require_domain, _splittable
+from .core import ConvergenceError, DigitString, _pieces, _splittable, _step_text, _zero_cuts
+from .splitting import _factor, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -306,7 +306,7 @@ def _common_multiset(text: str) -> dict[str, int] | None:
     each piece that lies in the splitting domain.
     """
     symbols: list[str] = []
-    for piece in _conservative_factor(text):
+    for piece in _pieces(text, _zero_cuts(text)):
         if piece in _PARTICLE_TEXTS:
             symbols.append(particles.identify(piece).symbol)
             continue

@@ -16,12 +16,13 @@ flf iff it is empty, starts with 0, or starts with 1 followed by one of
 "1" is NOT flf: its second iterate is 21.
 
 The characterization is proven on run-bounded strings; ``full`` mode is
-therefore gated on a domain check that admits every ancient string (all
-runs of length <= 3, at most one consecutive 0) plus runs of exactly four
-1s immediately followed by a 0 or a 2, which is how the fixed strings
-11110 and 11112 occur embedded in otherwise ancient material.  Everything
-else must use ``conservative`` mode, whose only rule (cut after a 0 that
-precedes a non-0) is valid for arbitrary strings.
+therefore gated on the splitting domain, stated as forbidden substrings:
+no ``00``, ``11111`` or ``2222``, and no final ``1111``.  That admits every
+ancient string (no ``00``, ``1111`` or ``2222``) plus runs of four 1s
+directly before a 0 or a 2, which is how the fixed strings 11110 and 11112
+occur embedded in otherwise ancient material.  Everything else must use
+``conservative`` mode, whose only rule (cut after a 0 that precedes a
+non-0) is valid for arbitrary strings.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import particles
-from .core import DigitString, SplitDomainError
+from .core import DigitString, SplitDomainError, _pieces, _splittable, _zero_cuts
 
 SplitMode = Literal["full", "conservative"]
 
@@ -114,34 +115,6 @@ def _cut_positions(t: str) -> list[int]:
     return out
 
 
-def _conservative_positions(t: str) -> list[int]:
-    return [p for p in range(1, len(t)) if t[p - 1] == "0" and t[p] != "0"]
-
-
-def _splittable(t: str) -> bool:
-    """Domain gate for full mode: ancient, or neutrino-embedded ancient."""
-    i, n = 0, len(t)
-    while i < n:
-        ch = t[i]
-        j = i + 1
-        while j < n and t[j] == ch:
-            j += 1
-        rl = j - i
-        if ch == "0":
-            if rl > 1:
-                return False
-        elif ch == "2":
-            if rl > 3:
-                return False
-        else:
-            # a run of four 1s is allowed only in 11110 / 11112 position
-            # (followed by something; maximal runs force that to be 0 or 2)
-            if rl > 4 or (rl == 4 and j >= n):
-                return False
-        i = j
-    return True
-
-
 def _factor(t: str) -> list[str]:
     """Fully factor ``t`` into irreducible segments.
 
@@ -159,31 +132,19 @@ def _factor(t: str) -> list[str]:
     if not cuts:
         return [t]
     out: list[str] = []
-    prev = 0
-    for p in cuts:
-        out.extend(_factor(t[prev:p]))
-        prev = p
-    out.extend(_factor(t[prev:]))
+    for piece in _pieces(t, cuts):
+        out += _factor(piece)
     return out
 
 
-def _conservative_factor(t: str) -> list[str]:
-    if not t:
-        return []
-    cuts = _conservative_positions(t)
-    pieces = []
-    prev = 0
-    for p in cuts:
-        pieces.append(t[prev:p])
-        prev = p
-    pieces.append(t[prev:])
-    return pieces
+def _base3_text(s: DigitString) -> str:
+    if s.base != 3:
+        raise SplitDomainError(f"splitting is defined for base 3 only, got base {s.base}")
+    return s.text
 
 
 def _require_domain(s: DigitString) -> str:
-    if s.base != 3:
-        raise SplitDomainError(f"splitting is defined for base 3 only, got base {s.base}")
-    if not _splittable(s.text):
+    if not _splittable(_base3_text(s)):
         raise SplitDomainError(
             f"{s.text!r} is outside the proven splitting domain "
             "(needs runs <= 3, with 1111 only directly before a 0 or 2); "
@@ -197,15 +158,12 @@ def _require_domain(s: DigitString) -> str:
 # ---------------------------------------------------------------------------
 
 def is_flf(s: DigitString) -> bool:
-    """Forever-leading-2-free test (syntactic).
+    """Forever-leading-2-free test (syntactic), gated on the splitting domain.
 
-    Only meaningful on strings within the splitting domain; in particular
-    the characterization needs leading 1-runs of length <= 4 (a leading run
-    of six 1s steps to 201..., which the pattern would miss).
+    Outside the domain the pattern is wrong (a leading run of six 1s steps
+    to 201...), so such strings raise :class:`SplitDomainError`.
     """
-    if s.base != 3:
-        raise SplitDomainError(f"flf is defined for base 3 only, got base {s.base}")
-    return _suffix_flf(s.text)
+    return _suffix_flf(_require_domain(s))
 
 
 def split_points(s: DigitString) -> list[int]:
@@ -215,9 +173,7 @@ def split_points(s: DigitString) -> list[int]:
 
 def split_points_conservative(s: DigitString) -> list[int]:
     """Positions where a 0 is followed by a non-0; valid for any string."""
-    if s.base != 3:
-        raise SplitDomainError(f"splitting is defined for base 3 only, got base {s.base}")
-    return _conservative_positions(s.text)
+    return _zero_cuts(_base3_text(s))
 
 
 def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
@@ -230,9 +186,8 @@ def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
     if mode == "full":
         texts = _factor(_require_domain(s))
     elif mode == "conservative":
-        if s.base != 3:
-            raise SplitDomainError(f"splitting is defined for base 3 only, got base {s.base}")
-        texts = _conservative_factor(s.text)
+        t = _base3_text(s)
+        texts = _pieces(t, _zero_cuts(t))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     segments = tuple(DigitString(t, 3) for t in texts)

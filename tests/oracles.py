@@ -6,7 +6,7 @@ package) so that the tests never check a computation against itself.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import groupby, product
 
 
 def reference_step(text: str, base: int) -> str:
@@ -64,6 +64,51 @@ def all_ancient_texts(max_len: int) -> list[str]:
 
     rec("", "", 0)
     return out
+
+
+def all_base3_texts(max_len: int) -> list[str]:
+    """Every base-3 string of length 0..max_len."""
+    return ["".join(tup) for n in range(max_len + 1) for tup in product("012", repeat=n)]
+
+
+# ---------------------------------------------------------------------------
+# Run bounds and the cut after a 0, read off the runs via groupby
+# ---------------------------------------------------------------------------
+
+RUN_BOUNDED_CAPS = {"0": 1, "1": 4, "2": 3}
+ANCIENT_CAPS = {"0": 1, "1": 3, "2": 3}
+
+
+def run_list(text: str) -> list[tuple[str, int]]:
+    return [(d, len(list(run))) for d, run in groupby(text)]
+
+
+def within_caps(text: str, caps: dict[str, int]) -> bool:
+    """Every run of a digit d is at most caps[d] long."""
+    return all(n <= caps[d] for d, n in run_list(text))
+
+
+def in_split_domain(text: str) -> bool:
+    """Run-bounded, and a run of four 1s is never the last run."""
+    rs = run_list(text)
+    return within_caps(text, RUN_BOUNDED_CAPS) and rs[-1:] != [("1", 4)]
+
+
+def zero_run_cuts(text: str) -> list[int]:
+    """The end of every run of 0s that another run follows."""
+    cuts = []
+    end = 0
+    for d, n in run_list(text)[:-1]:
+        end += n
+        if d == "0":
+            cuts.append(end)
+    return cuts
+
+
+def zero_run_pieces(text: str) -> list[str]:
+    """``text`` cut at ``zero_run_cuts``; the empty string has no pieces."""
+    bounds = [0, *zero_run_cuts(text), len(text)]
+    return [text[i:j] for i, j in zip(bounds, bounds[1:])] if text else []
 
 
 # ---------------------------------------------------------------------------

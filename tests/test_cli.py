@@ -125,6 +125,11 @@ class TestFixedpoints:
         code, out, _ = run(capsys, "fixedpoints", "--base", "3", "--max-len", "10", "--all")
         assert "1111011110" in out.splitlines()
 
+    def test_decimal_search_within_budget(self, capsys):
+        code, out, _ = run(capsys, "fixedpoints", "--base", "10", "--max-len", "12")
+        assert code == 0
+        assert out == "22\n"
+
 
 class TestSpectrumAndFrequencies:
     def test_spectrum_text(self, capsys):

@@ -23,7 +23,14 @@ from audioactive import (
 )
 from audioactive.core import _array_step, _array_to_text, _step_text, _text_to_array
 
-from oracles import brute_force_fixed, reference_step
+from oracles import (
+    ANCIENT_CAPS,
+    RUN_BOUNDED_CAPS,
+    all_base3_texts,
+    brute_force_fixed,
+    reference_step,
+    within_caps,
+)
 
 
 def ds(text, base=3):
@@ -244,6 +251,11 @@ class TestRunBounds:
         with pytest.raises(ValueError):
             is_ancient(ds("11", 2))
 
+    def test_exhaustive_against_oracle(self):
+        for text in all_base3_texts(10):
+            assert is_run_bounded(ds(text)) is within_caps(text, RUN_BOUNDED_CAPS), text
+            assert is_ancient(ds(text)) is within_caps(text, ANCIENT_CAPS), text
+
 
 class TestFixedPoints:
     def test_base3_primitives(self):
@@ -265,8 +277,14 @@ class TestFixedPoints:
             assert lookandsay_step(s).text == s.text
 
     def test_budget(self):
+        # the budget counts visited prefixes; max_len 16 visits 101
+        assert len(fixed_point_search(3, 16, budget=101)) == 3
         with pytest.raises(SearchBudgetError):
-            fixed_point_search(3, 16, budget=1000)
+            fixed_point_search(3, 16, budget=100)
+
+    def test_default_budget_admits_long_searches(self):
+        assert [s.text for s in fixed_point_search(3, 32)] == ["11110", "11112", "22"]
+        assert [s.text for s in fixed_point_search(10, 12)] == ["22"]
 
 
 class TestSingleStepHomomorphism:
@@ -287,6 +305,15 @@ class TestLengthSequence:
         for base in (2, 3, 10):
             seq = iterate(ds("1", base), 12)
             assert length_sequence(ds("1", base), 12) == [len(s) for s in seq]
+
+    def test_empty_seed(self):
+        assert length_sequence(ds(""), 3) == [0, 0, 0, 0]
+        assert length_sequence(ds("", 10), 3) == [0, 0, 0, 0]
+
+    def test_base_override_revalidates(self):
+        with pytest.raises(InvalidDigitError) as exc:
+            length_sequence(ds("102"), 3, base=2)
+        assert exc.value.position == 2
 
     def test_token_lengths(self):
         seq = iterate_tokens(TokenString((5,) * 10), 4)

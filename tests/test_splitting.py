@@ -13,7 +13,7 @@ from audioactive import (
 )
 from audioactive.core import _step_text
 
-from oracles import leading_digits
+from oracles import all_base3_texts, in_split_domain, leading_digits, zero_run_cuts, zero_run_pieces
 
 
 def ds(text):
@@ -63,6 +63,14 @@ class TestFlf:
 
     def test_empty_is_flf(self):
         assert is_flf(ds(""))
+
+    def test_outside_domain_raises(self):
+        # 111111 -> 201: the syntactic pattern would call it flf
+        assert leading_digits("111111", 1) == ["1", "2"]
+        with pytest.raises(SplitDomainError):
+            is_flf(ds("111111"))
+        with pytest.raises(SplitDomainError):
+            is_flf(DigitString("11", 2))
 
     def test_bare_one_leads_with_two(self):
         # 1 -> 11 -> 21: the singleton is not forever-leading-2-free
@@ -168,6 +176,28 @@ class TestDecompose:
         assert "".join(s.text for s in dec.segments) == text
         for seg in dec.segments:
             assert split_points(seg) == []
+
+
+class TestExhaustiveAgainstOracle:
+    """Domain gate and zero cuts on every base-3 string of length <= 10."""
+
+    def test_domain_gate_and_zero_cuts(self):
+        for text in all_base3_texts(10):
+            s = ds(text)
+            try:
+                split_points(s)
+                gated = False
+            except SplitDomainError:
+                gated = True
+            assert gated is not in_split_domain(text), text
+            assert split_points_conservative(s) == zero_run_cuts(text), text
+            segments = decompose(s, "conservative").segments
+            assert [seg.text for seg in segments] == zero_run_pieces(text), text
+
+    def test_empty_string(self):
+        assert split_points(ds("")) == []
+        assert split_points_conservative(ds("")) == []
+        assert decompose(ds(""), "conservative").segments == ()
 
 
 class TestPredicates:
