@@ -81,6 +81,18 @@ class DigitString:
             )
 
     @classmethod
+    def _valid(cls, text: str, base: int) -> "DigitString":
+        """Wrap ``text`` known to be valid in ``base`` without re-checking it.
+
+        For step output and slices of validated strings only: outside input
+        goes through the constructor, which rejects invalid digits.
+        """
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "text", text)
+        object.__setattr__(obj, "base", base)
+        return obj
+
+    @classmethod
     def parse(cls, text: str, base: int = 3) -> "DigitString":
         return cls(text, base)
 
@@ -224,7 +236,7 @@ def lookandsay_step(s: DigitString, base: int | None = None) -> DigitString:
     offending position.  The empty string maps to itself.
     """
     s = _in_base(s, base)
-    return DigitString(_step_text(s.text, s.base), s.base)
+    return DigitString._valid(_step_text(s.text, s.base), s.base)
 
 
 def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> DigitString:
@@ -251,7 +263,7 @@ def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> Di
     for d, n in merged:
         out.append(_numeral(n, base))
         out.append(_DIGIT_CHARS[d])
-    return DigitString("".join(out), base)
+    return DigitString._valid("".join(out), base)
 
 
 def token_step(t: TokenString) -> TokenString:

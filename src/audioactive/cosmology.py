@@ -21,7 +21,15 @@ from math import comb
 from typing import Callable, Iterable, Iterator
 
 from . import particles
-from .core import ConvergenceError, DigitString, _pieces, _splittable, _step_text, _zero_cuts
+from .core import (
+    AudioactiveError,
+    ConvergenceError,
+    DigitString,
+    _pieces,
+    _splittable,
+    _step_text,
+    _zero_cuts,
+)
 from .splitting import _factor, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
@@ -118,7 +126,10 @@ def _decay_time(text: str, budget: int) -> int:
     """Iterations until ``text`` is fully common; raises past ``budget``.
 
     Only completed (budget-independent) values enter the cache, so cached
-    entries are true decay times whatever cap they were found under.
+    entries are true decay times whatever cap they were found under.  A
+    stepped segment outside the splitting domain, where factoring is not
+    proven, raises :class:`AudioactiveError` (an internal failure, not bad
+    input).
     """
     got = _TIME_CACHE.get(text)
     if got is not None:
@@ -133,7 +144,12 @@ def _decay_time(text: str, budget: int) -> int:
         if pt is None:
             if budget <= 0:
                 raise _CapExceeded(text)
-            pt = 1 + _decay_time(_step_text(part, 3), budget - 1)
+            stepped = _step_text(part, 3)
+            if not _splittable(stepped):
+                raise AudioactiveError(
+                    f"{part!r} steps to {stepped!r}, outside the splitting domain"
+                )
+            pt = 1 + _decay_time(stepped, budget - 1)
             _TIME_CACHE[part] = pt
         if pt > budget:
             raise _CapExceeded(text)

@@ -49,7 +49,16 @@ def brute_force_fixed(base: int, max_len: int) -> list[str]:
 
 def all_ancient_texts(max_len: int) -> list[str]:
     """Every base-3 string with 0-runs <= 1 and 1-/2-runs <= 3, length <= max_len."""
-    caps = {"0": 1, "1": 3, "2": 3}
+    return _capped_texts(max_len, {"0": 1, "1": 3, "2": 3})
+
+
+def all_split_domain_texts(max_len: int) -> list[str]:
+    """Every non-empty string with 0-runs <= 1, 1-runs <= 4, 2-runs <= 3 and
+    no final run of four 1s, length <= max_len."""
+    return [t for t in _capped_texts(max_len, {"0": 1, "1": 4, "2": 3}) if not t.endswith("1111")]
+
+
+def _capped_texts(max_len: int, caps: dict[str, int]) -> list[str]:
     out: list[str] = []
 
     def rec(prefix: str, last: str, run_len: int) -> None:
@@ -175,4 +184,60 @@ def leading_digits(text: str, horizon: int, keep: int = 24) -> list[str]:
         complete, held = nxt
         rs = list(held)
         out.append(rs[0][0])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Full factorization by the recursive definition
+# ---------------------------------------------------------------------------
+
+def _suffix_flf(t: str, i: int) -> bool:
+    """Is t[i:] forever-leading-2-free, by the syntactic pattern?"""
+    n = len(t)
+    if i >= n:
+        return True
+    if t[i] != "1":
+        return t[i] == "0"
+    rest = t[i + 1 : i + 4]
+    if not rest:
+        return False  # bare "1": 1 -> 11 -> 21
+    if rest[0] == "0":
+        return True
+    if rest[0] == "1":
+        return rest[1:2] == "1"
+    # a single 2 followed by a non-2 or the end, else exactly three 2s
+    return rest[1:2] != "2" or rest[2:3] == "2"
+
+
+def cut_positions(t: str) -> list[int]:
+    """Every split position of the whole of ``t``, by the three-case rule."""
+    out = []
+    for p in range(1, len(t)):
+        a, right = t[p - 1], t[p:]
+        if a == "0":
+            ok = right[0] != "0"
+        elif a == "1":
+            ok = right.startswith("22") and _suffix_flf(t, p + 2)
+        else:
+            ok = _suffix_flf(t, p)
+        if ok:
+            out.append(p)
+    return out
+
+
+def recursive_factor(t: str, particle_texts) -> list[str]:
+    """Cut ``t`` at every split, then factor each piece again; a particle
+    (one of ``particle_texts``) stays whole.  Cutting a piece can expose new
+    cuts because flf depends on where the piece ends."""
+    if not t:
+        return []
+    if t in particle_texts:
+        return [t]
+    cuts = cut_positions(t)
+    if not cuts:
+        return [t]
+    bounds = [0, *cuts, len(t)]
+    out: list[str] = []
+    for i, j in zip(bounds, bounds[1:]):
+        out += recursive_factor(t[i:j], particle_texts)
     return out

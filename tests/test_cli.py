@@ -58,6 +58,14 @@ class TestDecompose:
         assert code == 2
         assert "splitting domain" in err
 
+    def test_domain_message_states_the_rule(self, capsys):
+        code, _, err = run(capsys, "decompose", "00")
+        assert code == 2
+        assert err == (
+            "error: '00' is outside the proven splitting domain "
+            "(no 00, 11111 or 2222, and no final 1111); use conservative mode\n"
+        )
+
 
 class TestVerify:
     def test_writes_csv_and_verdict(self, capsys, tmp_path):

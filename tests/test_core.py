@@ -45,6 +45,8 @@ digit_texts = st.integers(2, 10).flatmap(
 
 
 class TestDigitString:
+    MESSAGE = r"^digit '3' at position 3 is not valid in base 3$"
+
     def test_round_trip(self):
         s = DigitString.parse("1012211", 3)
         assert s.render() == "1012211"
@@ -60,8 +62,23 @@ class TestDigitString:
         assert DigitString.from_digits([1, 0, 2]) == ds("102")
 
     def test_rejects_digit_out_of_base(self):
-        with pytest.raises(InvalidDigitError) as exc:
+        with pytest.raises(InvalidDigitError, match=self.MESSAGE) as exc:
             DigitString("120301", 3)
+        assert exc.value.position == 3
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DigitString.parse("120301", 3),
+            lambda: DigitString.from_digits([1, 2, 0, 3, 0, 1], 3),
+            lambda: lookandsay_step(ds("120301", 10), base=3),
+            lambda: iterate(ds("120301", 10), 2, base=3),
+        ],
+        ids=["parse", "from_digits", "step_base_override", "iterate_base_override"],
+    )
+    def test_other_paths_reject_with_same_message(self, build):
+        with pytest.raises(InvalidDigitError, match=self.MESSAGE) as exc:
+            build()
         assert exc.value.position == 3
 
     def test_rejects_bad_base(self):
@@ -147,7 +164,9 @@ class TestStep:
     @given(digit_texts)
     def test_matches_reference(self, pair):
         base, text = pair
-        assert lookandsay_step(DigitString(text, base)).text == reference_step(text, base)
+        got = lookandsay_step(DigitString(text, base))
+        want = DigitString(reference_step(text, base), base)
+        assert got == want and hash(got) == hash(want)
 
     def test_array_path_matches_reference(self):
         rng = random.Random(401)
@@ -175,6 +194,21 @@ class TestStepOfRuns:
 
     def test_agrees_with_step_on_materialized_string(self):
         assert step_of_runs([(2, 3), (1, 2)], 3).text == reference_step("22211", 3)
+
+    @given(
+        st.integers(2, 10).flatmap(
+            lambda b: st.tuples(
+                st.just(b),
+                st.lists(st.tuples(st.integers(0, b - 1), st.integers(1, 30)), max_size=12),
+            )
+        )
+    )
+    def test_matches_reference(self, pair):
+        base, pairs = pair
+        text = "".join(str(d) * n for d, n in pairs)
+        got = step_of_runs(pairs, base)
+        want = DigitString(reference_step(text, base), base)
+        assert got == want and hash(got) == hash(want)
 
     def test_merges_adjacent_equal_digits(self):
         assert step_of_runs([(1, 2), (1, 1)], 3).text == _step_text("111", 3)

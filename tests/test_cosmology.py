@@ -3,6 +3,7 @@ import random
 import pytest
 
 from audioactive import (
+    AudioactiveError,
     ConvergenceError,
     DigitString,
     decompose,
@@ -15,6 +16,7 @@ from audioactive import (
     k_value,
     verify_cosmological,
 )
+from audioactive import cosmology
 from audioactive.particles import lookup
 
 import reference_values as ref
@@ -132,6 +134,13 @@ class TestVerification:
     def test_eight_slowest_length7(self):
         got = {s.text for s in enumerate_essential_ancient(7) if iterations_to_common(s) == 5}
         assert got == ref.LENGTH7_FIVE_ITERATIONS
+
+    def test_stepped_segment_outside_domain_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(cosmology, "_TIME_CACHE", {})
+        monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
+        with pytest.raises(AudioactiveError, match="outside the splitting domain") as exc:
+            iterations_to_common(ds("1"))
+        assert not isinstance(exc.value, ValueError)
 
     def test_parallel_run_is_identical(self):
         lengths = range(1, 9)

@@ -11,9 +11,25 @@ from audioactive import (
     split_points,
     split_points_conservative,
 )
+from audioactive.cosmology import _essential_texts
 from audioactive.core import _step_text
+from audioactive.splitting import _factor
 
-from oracles import all_base3_texts, in_split_domain, leading_digits, zero_run_cuts, zero_run_pieces
+import reference_values as ref
+from oracles import (
+    all_base3_texts,
+    all_split_domain_texts,
+    cut_positions,
+    in_split_domain,
+    leading_digits,
+    recursive_factor,
+    reference_iterates,
+    zero_run_cuts,
+    zero_run_pieces,
+)
+
+PARTICLE_TEXTS = {digits for digits, _ in ref.PARTICLE_TABLE.values()}
+SYMBOL_OF = {digits: sym for sym, (digits, _) in ref.PARTICLE_TABLE.items()}
 
 
 def ds(text):
@@ -179,17 +195,20 @@ class TestDecompose:
 
 
 class TestExhaustiveAgainstOracle:
-    """Domain gate and zero cuts on every base-3 string of length <= 10."""
+    """Domain gate, split points and zero cuts on every base-3 string of
+    length <= 10."""
 
     def test_domain_gate_and_zero_cuts(self):
         for text in all_base3_texts(10):
             s = ds(text)
             try:
-                split_points(s)
+                cuts = split_points(s)
                 gated = False
             except SplitDomainError:
                 gated = True
             assert gated is not in_split_domain(text), text
+            if not gated:
+                assert cuts == cut_positions(text), text
             assert split_points_conservative(s) == zero_run_cuts(text), text
             segments = decompose(s, "conservative").segments
             assert [seg.text for seg in segments] == zero_run_pieces(text), text
@@ -198,6 +217,31 @@ class TestExhaustiveAgainstOracle:
         assert split_points(ds("")) == []
         assert split_points_conservative(ds("")) == []
         assert decompose(ds(""), "conservative").segments == ()
+
+
+class TestFactorAgainstRecursiveDefinition:
+    """One cut pass against the definition: cut, then factor each piece again."""
+
+    def test_every_in_domain_string_to_length_11(self):
+        texts = all_split_domain_texts(11)
+        assert len(texts) == 92871  # as many as in_split_domain admits, bar ""
+        for text in texts:
+            assert _factor(text) == recursive_factor(text, PARTICLE_TEXTS), text
+
+    def test_every_essential_ancient_string(self):
+        texts = [t for n in range(1, 17) for t in _essential_texts(n)]
+        assert len(texts) == ref.TOTAL_STRINGS
+        for text in texts:
+            assert _factor(text) == recursive_factor(text, PARTICLE_TEXTS), text
+
+    @pytest.mark.parametrize("seed", ["1", "12", "2211"])
+    def test_decompose_long_iterates(self, seed):
+        text = reference_iterates(seed, 3, 30)[-1]
+        text = text[: text.rindex("0") + 1]
+        want = recursive_factor(text, PARTICLE_TEXTS)
+        dec = decompose(ds(text))
+        assert [seg.text for seg in dec.segments] == want
+        assert [p.symbol if p else None for p in dec.identified] == [SYMBOL_OF.get(x) for x in want]
 
 
 class TestPredicates:
