@@ -9,6 +9,7 @@ on stderr only, keeping stdout clean for piping.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -34,11 +35,13 @@ LAMBDA_DECIMALS = 9
 FREQ_DECIMALS = 6
 
 
-def _default_jobs() -> int:
+def _env_jobs() -> int:
+    """Worker count from ``$AUDIOACTIVE_JOBS`` (default 1, at least 1)."""
+    raw = os.environ.get(JOBS_ENV, "1")
     try:
-        return max(1, int(os.environ.get(JOBS_ENV, "1")))
+        return max(1, int(raw))
     except ValueError:
-        return 1
+        raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _registry_sorted(symbols) -> list[str]:
@@ -74,7 +77,8 @@ def _cmd_verify(args) -> int:
     def progress(length: int, count: int) -> None:
         print(f"verify: length {length} ({count} strings)", file=sys.stderr)
 
-    report = cosmology.verify_cosmological(cap=args.cap, jobs=args.jobs, progress=progress)
+    jobs = _env_jobs() if args.jobs is None else args.jobs
+    report = cosmology.verify_cosmological(cap=args.cap, jobs=jobs, progress=progress)
     csv_text = report.table.to_csv()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -230,7 +234,9 @@ def _add_format(parser: argparse.ArgumentParser, choices=("text", "csv", "json")
     parser.add_argument("--format", choices=choices, default="text", help="output format")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="audioactive",
         description="Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.",
@@ -252,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify decay of every essential ancient string")
     p.add_argument("--out", help="write the decay-table CSV to this path instead of stdout")
-    p.add_argument("--jobs", type=int, default=_default_jobs(), help=f"worker processes (${JOBS_ENV})")
+    p.add_argument("--jobs", type=int, default=None, help=f"worker processes (${JOBS_ENV})")
     p.add_argument("--cap", type=int, default=cosmology.DEFAULT_CAP, help="iteration cap")
     p.set_defaults(func=_cmd_verify)
 

@@ -438,6 +438,11 @@ def fixed_point_search(
 # ---------------------------------------------------------------------------
 # numpy engine for long strings
 # ---------------------------------------------------------------------------
+#
+# One array step per mode.  A run emits the pair (count, value): as two
+# tokens in token mode, and as two digits in digit mode while every count is
+# below the base.  Longer numerals are placed by one cumulative sum of the
+# per-run output widths.
 
 def _text_to_array(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
@@ -466,73 +471,46 @@ def _array_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digs, counts
 
 
-_LUT_MAX_COUNT = 512
-
-
-def _lut_step(digs: np.ndarray, counts: np.ndarray, base: int, maxc: int) -> np.ndarray:
-    """Emit runs through a (digit, count) -> padded-pattern lookup table.
-
-    Each run gathers one table row of ``width`` bytes (numeral then digit,
-    left-padded with a sentinel); dropping the sentinels concatenates the
-    emissions.  Only usable while counts stay small, which they do after a
-    couple of steps in every base.
-    """
-    width = len(_numeral(maxc, base)) + 1
-    table = np.full((maxc * base, width), 255, dtype=np.uint8)
-    for c in range(1, maxc + 1):
-        numeral = _numeral(c, base)
-        pattern = [int(ch) for ch in numeral]
-        start = width - len(pattern) - 1
-        for d in range(base):
-            row = (c - 1) * base + d
-            table[row, start:-1] = pattern
-            table[row, -1] = d
-    wide = table[(counts - 1) * base + digs]
-    return wide[wide != 255]
+def _run_pairs(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each run's count followed by its value, in the values' dtype."""
+    out = np.empty(2 * values.size, dtype=values.dtype)
+    out[0::2] = counts
+    out[1::2] = values
+    return out
 
 
 def _array_step(a: np.ndarray, base: int) -> np.ndarray:
     digs, counts = _array_runs(a)
-    r = digs.size
-    if r == 0:
-        return a[:0]
-    maxc = int(counts.max())
-    if maxc <= _LUT_MAX_COUNT:
-        return _lut_step(digs, counts, base, maxc)
-    # numeral length per run: floor(log_base(count)) + 1
-    numlens = np.ones(r, dtype=np.int32)
-    rest = counts // base
-    while rest.any():
-        numlens += rest > 0
-        rest //= base
-    ends = np.empty(r, dtype=np.int64)  # position just past each run's emission
-    np.cumsum(numlens + 1, dtype=np.int64, out=ends)
-    del numlens
+    maxc = int(counts.max(initial=0))
+    if maxc < base:  # every numeral is one digit
+        return _run_pairs(counts, digs)
+    counts = counts.astype(np.min_scalar_type(maxc))  # narrow ints divide faster
+    # output width per run: numeral digits plus the run digit
+    widths = np.full(digs.size, 2, dtype=np.uint8)
+    p = base
+    while p <= maxc:
+        widths += counts >= p
+        p *= base
+    ends = np.cumsum(widths, dtype=np.int64)  # position just past each run's emission
     out = np.empty(int(ends[-1]), dtype=a.dtype)
     out[ends - 1] = digs
-    del digs
-    # the least significant numeral digit always sits right before the run
-    # digit; deeper digits exist only for the (few) runs with count >= base
-    out[ends - 2] = (counts % base).astype(a.dtype)
-    rest = counts // base
-    del counts
+    out[ends - 2] = counts % base
+    # deeper numeral digits exist only for the runs with count >= base
+    deep = np.flatnonzero(counts >= base)
+    ends, rest = ends[deep], counts[deep] // base
     depth = 3
-    while True:
-        having = np.flatnonzero(rest)
-        if having.size == 0:
-            break
-        out[ends[having] - depth] = (rest[having] % base).astype(a.dtype)
+    while rest.size:
+        out[ends - depth] = rest % base
         rest //= base
+        more = rest > 0
+        ends, rest = ends[more], rest[more]
         depth += 1
     return out
 
 
 def _token_array_step(a: np.ndarray) -> np.ndarray:
     vals, counts = _array_runs(a)
-    out = np.empty(2 * vals.size, dtype=np.int64)
-    out[0::2] = counts
-    out[1::2] = vals
-    return out
+    return _run_pairs(counts, vals)
 
 
 DEFAULT_LENGTH_BUDGET = 10**9
@@ -578,9 +556,11 @@ def length_sequence(
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
     Bases 2 and 3 are tracked exactly through a multiset of zero-separated
-    pieces (cheap at any depth); other bases and token mode walk packed
-    arrays.  Raises :class:`LengthBudgetError` once an iterate passes
-    ``max_length`` digits.
+    pieces (cheap at any depth).  Other bases and token mode step packed
+    arrays with numpy, one step engine per mode; both emit each run as a
+    (count, value) pair, and digit mode writes longer numerals once a count
+    reaches the base.  Raises :class:`LengthBudgetError` once an iterate
+    passes ``max_length`` digits.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")

@@ -25,12 +25,10 @@ from .core import (
     AudioactiveError,
     ConvergenceError,
     DigitString,
-    _pieces,
     _splittable,
     _step_text,
-    _zero_cuts,
 )
-from .splitting import _factor, _require_domain
+from .splitting import _factor, _require_domain, decompose
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -315,27 +313,6 @@ class KValueReport:
         }
 
 
-def _common_multiset(text: str) -> dict[str, int] | None:
-    """Particle counts if ``text`` is fully common right now, else None.
-
-    Conservative cuts first (valid anywhere), then full factorization of
-    each piece that lies in the splitting domain.
-    """
-    symbols: list[str] = []
-    for piece in _pieces(text, _zero_cuts(text)):
-        if piece in _PARTICLE_TEXTS:
-            symbols.append(particles.identify(piece).symbol)
-            continue
-        if not _splittable(piece):
-            return None
-        for part in _factor(piece):
-            p = particles.identify(part)
-            if p is None:
-                return None
-            symbols.append(p.symbol)
-    return particles.multiset(symbols)
-
-
 def k_value(
     s: DigitString,
     max_iter: int = 64,
@@ -353,25 +330,24 @@ def k_value(
     if not s.text:
         raise ValueError("seed must be non-empty")
     text = s.text
-    ms: dict[str, int] | None = None
-    iterations = 0
-    for n in range(max_iter + 1):
-        ms = _common_multiset(text)
-        if ms is not None:
-            iterations = n
-            break
+    for iterations in range(max_iter + 1):
+        if _splittable(text):
+            dec = decompose(DigitString._valid(text, 3))
+            if dec.is_common:
+                break
         text = _step_text(text, 3)
-    if ms is None:
+    else:
         raise ConvergenceError(
             f"{s.text!r} did not become fully common within {max_iter} iterations"
         )
+    ms = dec.multiset()
     limsup, liminf = particles.limit_sets(ms, warmup, window)
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))
     return KValueReport(
         seed=s,
         iterations=iterations,
-        counts=tuple(sorted(ms.items(), key=lambda kv: particles.REGISTRY_ORDER.index(kv[0]))),
+        counts=tuple(ms.items()),
         limsup=limsup,
         liminf=liminf,
         stabilized=stabilized,

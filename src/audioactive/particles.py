@@ -210,19 +210,23 @@ def limit_sets(
     Evolves ``warmup`` steps, then takes the union (limsup) and intersection
     (liminf) of the support over the next ``window`` states.  The defaults
     comfortably cover every cycle in the chart (the longest is the 4-cycle
-    Ph -> Gl -> Wb -> Zb -> Ph).
+    Ph -> Gl -> Wb -> Zb -> Ph).  Every particle has a product and counts
+    stay positive, so the next support is the set of products of the
+    current one; the counts themselves are never needed.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    state = evolve(ms, warmup)
+    if warmup < 0:
+        raise ValueError("step count must be non-negative")
+    support = set(multiset(ms))
     union: set[str] = set()
     inter: set[str] | None = None
-    for _ in range(window):
-        state = evolve(state, 1)
-        support = {sym for sym, count in state.items() if count}
-        union |= support
-        inter = support if inter is None else inter & support
-    return frozenset(union), frozenset(inter or set())
+    for n in range(warmup + window):
+        support = {product for sym in support for product in _DECAY_PRODUCTS[sym]}
+        if n >= warmup:
+            union |= support
+            inter = support if inter is None else inter & support
+    return frozenset(union), frozenset(inter)
 
 
 def total_digit_length(ms: Mapping[str, int]) -> int:

@@ -91,12 +91,49 @@ class TestVerify:
         assert out_path.read_text() == report.table.to_csv()
         assert out.strip() == "VERIFIED max_iterations=10 strings=71775"
 
-    def test_jobs_env_default(self, monkeypatch):
-        from audioactive.cli import build_parser
+    @staticmethod
+    def _stub_verify(monkeypatch):
+        """Record the ``jobs`` each verify command passes, without verifying."""
+        from types import SimpleNamespace
 
-        monkeypatch.setenv("AUDIOACTIVE_JOBS", "3")
-        args = build_parser().parse_args(["verify"])
-        assert args.jobs == 3
+        from audioactive import cosmology
+
+        seen = []
+
+        def fake(cap, jobs, progress):
+            seen.append(jobs)
+            return SimpleNamespace(
+                table=SimpleNamespace(to_csv=lambda: ""),
+                verified=True,
+                max_iterations=0,
+                total_strings=0,
+            )
+
+        monkeypatch.setattr(cosmology, "verify_cosmological", fake)
+        return seen
+
+    def test_jobs_env_default(self, capsys, monkeypatch):
+        seen = self._stub_verify(monkeypatch)
+        for value, want in (("3", 3), ("0", 1), ("-2", 1)):
+            monkeypatch.setenv("AUDIOACTIVE_JOBS", value)
+            assert run(capsys, "verify")[0] == 0
+            assert seen[-1] == want
+        assert run(capsys, "verify", "--jobs", "2")[0] == 0
+        assert seen[-1] == 2
+        monkeypatch.delenv("AUDIOACTIVE_JOBS")
+        assert run(capsys, "verify")[0] == 0
+        assert seen == [3, 1, 1, 2, 1]
+
+    def test_jobs_env_not_an_integer(self, capsys, monkeypatch):
+        seen = self._stub_verify(monkeypatch)
+        monkeypatch.setenv("AUDIOACTIVE_JOBS", "abc")
+        code, out, err = run(capsys, "verify")
+        assert code == 2
+        assert "AUDIOACTIVE_JOBS" in err and "'abc'" in err
+        assert out == "" and seen == []
+        # an explicit --jobs does not read the variable
+        assert run(capsys, "verify", "--jobs", "2")[0] == 0
+        assert seen == [2]
 
 
 class TestAncients:

@@ -169,12 +169,26 @@ class TestStep:
         assert got == want and hash(got) == hash(want)
 
     def test_array_path_matches_reference(self):
+        # both array paths: runs all shorter than the base (pairs), and runs
+        # whose numerals have 2..17 digits, including 512/513 and ~10**5
         rng = random.Random(401)
-        for base in (2, 3, 10):
+        for base in range(2, 11):
             alphabet = "0123456789"[:base]
-            text = "".join(rng.choice(alphabet) for _ in range(9000))
-            got = _array_to_text(_array_step(_text_to_array(text), base))
-            assert got == reference_step(text, base)
+
+            def noise(n):
+                return "".join(rng.choice(alphabet) for _ in range(n))
+
+            texts = ["", noise(9000), (alphabet[:2] * 50)[: rng.randint(1, 100)]]
+            texts.append("".join(rng.choice(alphabet) * (base - 1) for _ in range(200)))
+            lengths = (1, 2, base - 1, base, base + 1, base**2 - 1, base**2, base**3, 511, 512, 513)
+            for n in lengths + tuple(rng.randint(1, 100_000) for _ in range(3)):
+                d = rng.choice(alphabet)
+                texts.append(noise(rng.randint(0, 40)) + d * n + noise(rng.randint(0, 40)))
+            texts.append("".join(rng.choice(alphabet) * rng.choice(lengths) for _ in range(60)))
+            texts.append(alphabet[-1] * (10**5 + rng.randrange(1000)))
+            for text in texts:
+                got = _array_to_text(_array_step(_text_to_array(text), base))
+                assert got == reference_step(text, base), (base, len(text))
 
     def test_text_paths_consistent_at_threshold(self):
         rng = random.Random(402)
@@ -350,5 +364,6 @@ class TestLengthSequence:
         assert exc.value.position == 2
 
     def test_token_lengths(self):
-        seq = iterate_tokens(TokenString((5,) * 10), 4)
-        assert length_sequence(TokenString((5,) * 10), 4) == [len(t) for t in seq]
+        for seed in (TokenString((5,) * 10), TokenString((3, 1) + (7,) * 23 + (0,))):
+            seq = iterate_tokens(seed, 8)
+            assert length_sequence(seed, 8) == [len(t) for t in seq]

@@ -173,6 +173,21 @@ class TestLimitSets:
         with pytest.raises(ValueError):
             limit_sets({"E": 1}, window=0)
 
+    def test_matches_evolved_counts(self):
+        def by_evolve(ms, warmup, window):
+            state = evolve(ms, warmup)
+            supports = []
+            for _ in range(window):
+                state = evolve(state, 1)
+                supports.append({sym for sym, count in state.items() if count})
+            return frozenset(set.union(*supports)), frozenset(set.intersection(*supports))
+
+        cases = [({p.symbol: 1}, 32, 32) for p in registry()]
+        mixed = [{"Ph": 2, "Ne": 1}, {"Gl": 1, "Zb": 3}, {"E": 5, "Sb": 1, "H": 2}, {}]
+        cases += [(ms, warmup, window) for ms in mixed for warmup, window in ((0, 1), (3, 5), (9, 4), (32, 32))]
+        for ms, warmup, window in cases:
+            assert limit_sets(ms, warmup, window) == by_evolve(ms, warmup, window), (ms, warmup, window)
+
 
 class TestJsonExport:
     def test_schema(self):
