@@ -16,7 +16,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -339,17 +340,18 @@ def is_ancient(s: DigitString) -> bool:
 # Cutting after a 0
 # ---------------------------------------------------------------------------
 
-_ZERO_CUT = re.compile(r"0(?=[^0])")
+_ZERO_CUT = re.compile(r"(?<=0)(?=[^0])")
 
 
-def _zero_cuts(text: str) -> list[int]:
-    """Positions just after a 0 that precedes a non-0; exact in every base.
+def _zero_pieces(text: str) -> list[str]:
+    """``text`` cut after every 0 that precedes a non-0; exact in every base.
 
     The left part of such a cut keeps ending in 0 forever (the final run
     digit survives each step) and the right part never grows a leading 0
-    (numerals have no leading zeros), so the two sides never interact.
+    (numerals have no leading zeros), so the two sides never interact.  The
+    empty string has no pieces.
     """
-    return [m.end() for m in _ZERO_CUT.finditer(text)]
+    return _ZERO_CUT.split(text) if text else []
 
 
 def _pieces(text: str, cuts: Iterable[int]) -> list[str]:
@@ -516,15 +518,117 @@ def _token_array_step(a: np.ndarray) -> np.ndarray:
 DEFAULT_LENGTH_BUDGET = 10**9
 
 
-def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[int]:
-    """Length sequence via a multiset of zero-separated pieces.
+# ---------------------------------------------------------------------------
+# Length sequences through exact split pieces
+# ---------------------------------------------------------------------------
+#
+# A cut L.R at a run boundary is a split (every iterate of L.R is the iterate
+# of L followed by that of R) exactly when no iterate R_n, n >= 1, starts with
+# L's last digit a.  Every L_n ends in a, and while no merge happens
+# step(L_n R_n) = L_{n+1} R_{n+1}; the first merge emits one numeral where
+# two were due, so the lengths part.  The criterion reads only a and R, so a
+# cut inside a piece splits the whole string, and all such cuts hold at once.
 
-    Bases 2 and 3 emit fresh zeros every step (run counts reach the base),
-    so iterates factor into a small recurring set of pieces; each distinct
-    piece is stepped and re-cut once, and only the counts grow.
+_HELD_RUNS = 4  # runs of R held while proving a cut
+_ORBIT_STEPS = 256  # steps of R searched for a repeated held state
+
+
+def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
+    """A function cutting texts in ``base`` into pieces at proven splits.
+
+    A cut after a 0 needs no proof: numerals never start with 0.  Any other
+    cut is proven from the leading digits of R's iterates, found by stepping
+    a held state: whether the held text is all of the iterate, and the
+    iterate's first ``_HELD_RUNS`` runs.  A partial state drops its last run
+    (it may continue) before stepping; the runs before it emit an exact
+    prefix, so the leading digit stays exact.  A repeated state proves the
+    whole set of leading digits.  A prefix that runs out, or no repeat
+    within ``_ORBIT_STEPS`` steps, proves nothing and leaves the cut uncut,
+    which is always sound.  The proofs are memoized for the life of the
+    returned function.
     """
+    held = _HELD_RUNS
+    # state -> leading digits of it and of every later state, None if unproven
+    future: dict[tuple[bool, str], frozenset[str] | None] = {}
+    # R's first state -> leading digits of R_1, R_2, ..., None if unproven
+    after: dict[tuple[bool, str], frozenset[str] | None] = {}
+
+    def step(state: tuple[bool, str]) -> tuple[bool, str] | None:
+        complete, t = state
+        if not complete:
+            t = t.rstrip(t[-1])
+            if not t:
+                return None
+        t = _step_text(t, base)
+        ends = [j for _, j in islice(_iter_runs(t), held + 1)]
+        if len(ends) > held:
+            return False, t[: ends[held - 1]]
+        return complete, t
+
+    def leads(state: tuple[bool, str] | None) -> frozenset[str] | None:
+        path: list[tuple[bool, str]] = []
+        index: dict[tuple[bool, str], int] = {}
+        found = None
+        while state is not None:
+            if state in future:
+                found = future[state]
+                break
+            if state in index:  # a cycle: its states share its leading digits
+                cycle = path[index[state]:]
+                del path[index[state]:]
+                found = frozenset(s[1][0] for s in cycle)
+                for s in cycle:
+                    future[s] = found
+                break
+            if len(path) == _ORBIT_STEPS:
+                break
+            index[state] = len(path)
+            path.append(state)
+            state = step(state)
+        for s in reversed(path):
+            if found is not None:
+                found = found | {s[1][0]}
+            future[s] = found
+        return found
+
+    def cut(text: str) -> list[str]:
+        starts = [i for i, _ in _iter_runs(text)] + [len(text)]
+        pieces = []
+        prev = 0
+        for k in range(1, len(starts) - 1):  # the cut before run k
+            p = starts[k]
+            a = text[p - 1]
+            if a != "0":
+                last = min(k + held, len(starts) - 1)
+                key = (last == len(starts) - 1, text[p : starts[last]])
+                if key in after:
+                    got = after[key]
+                else:
+                    got = after[key] = leads(step(key))
+                if got is None or a in got:
+                    continue
+            pieces.append(text[prev:p])
+            prev = p
+        if text:
+            pieces.append(text[prev:])
+        return pieces
+
+    return cut
+
+
+def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[int]:
+    """Length sequence via a multiset of pieces cut at exact splits.
+
+    Iterates factor into a small recurring set of pieces; each distinct
+    piece is stepped and re-cut once, and only the counts grow.  Bases 2
+    and 3 cut after the 0s alone (their run counts reach the base, so fresh
+    zeros come every step); other bases cut wherever ``_orbit_cutter``
+    proves a split.
+    """
+    cutter = _zero_pieces if base <= 3 else _orbit_cutter(base)
+
     def tally(t: str) -> list[tuple[str, int]]:
-        return list(Counter(_pieces(t, _zero_cuts(t))).items())
+        return list(Counter(cutter(t)).items())
 
     pieces = dict(tally(text))
     lengths = [len(text)]
@@ -555,28 +659,22 @@ def length_sequence(
 ) -> list[int]:
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
-    Bases 2 and 3 are tracked exactly through a multiset of zero-separated
-    pieces (cheap at any depth).  Other bases and token mode step packed
-    arrays with numpy, one step engine per mode; both emit each run as a
-    (count, value) pair, and digit mode writes longer numerals once a count
-    reaches the base.  Raises :class:`LengthBudgetError` once an iterate
-    passes ``max_length`` digits.
+    Digit mode is tracked exactly through a multiset of pieces cut at
+    splits (cheap at any depth): after the 0s in bases 2 and 3, and at
+    every split proven from leading-digit orbits in bases 4 to 10.  Token
+    mode steps a packed numpy array, each run becoming a (count, value)
+    pair.  Raises :class:`LengthBudgetError` once an iterate passes
+    ``max_length`` digits.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
-    if isinstance(seed, TokenString):
-        arr = np.asarray(seed.tokens, dtype=np.int64)
-        stepper = _token_array_step
-    else:
+    if not isinstance(seed, TokenString):
         seed = _in_base(seed, base)
-        b = seed.base
-        if b <= 3:
-            return _piece_lengths(seed.text, b, iters, max_length)
-        arr = _text_to_array(seed.text)
-        stepper = lambda x: _array_step(x, b)  # noqa: E731
+        return _piece_lengths(seed.text, seed.base, iters, max_length)
+    arr = np.asarray(seed.tokens, dtype=np.int64)
     lengths = [int(arr.size)]
     for n in range(iters):
-        arr = stepper(arr)
+        arr = _token_array_step(arr)
         if arr.size > max_length:
             raise LengthBudgetError(
                 f"iterate {n + 1} has {arr.size} digits, over the budget of {max_length}"

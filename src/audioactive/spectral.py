@@ -284,8 +284,9 @@ def empirical_growth(
     """Iterate a seed and estimate the length growth rate.
 
     The estimate is the geometric mean of the final quarter of the
-    consecutive length ratios, which discards the transient.  Lengths are
-    computed on packed arrays; a run past ``max_length`` digits raises
+    consecutive length ratios, which discards the transient.  Lengths come
+    from :func:`length_sequence` (a multiset of split pieces in digit mode,
+    packed arrays in token mode); a run past ``max_length`` digits raises
     :class:`LengthBudgetError`.
     """
     if iters < 10:

@@ -35,10 +35,12 @@ cuts after the 0s first and factors each distinct piece once per call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Literal
 
 from . import particles
-from .core import DigitString, SplitDomainError, _pieces, _splittable, _zero_cuts
+from .core import DigitString, SplitDomainError, _pieces, _splittable, _zero_pieces
 
 SplitMode = Literal["full", "conservative"]
 
@@ -58,8 +60,9 @@ class Decomposition:
         """Dotted symbols with ``?`` for unidentified segments."""
         return ".".join(p.symbol if p else "?" for p in self.identified)
 
-    @property
+    @cached_property
     def is_common(self) -> bool:
+        """Every segment is a registry particle (computed on first access)."""
         return all(p is not None for p in self.identified)
 
     def multiset(self) -> dict[str, int]:
@@ -170,7 +173,7 @@ def split_points(s: DigitString) -> list[int]:
 
 def split_points_conservative(s: DigitString) -> list[int]:
     """Positions where a 0 is followed by a non-0; valid for any string."""
-    return _zero_cuts(_base3_text(s))
+    return list(accumulate(len(piece) for piece in _zero_pieces(_base3_text(s))))[:-1]
 
 
 def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
@@ -192,7 +195,7 @@ def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
     built: dict[str, tuple[list[DigitString], list[particles.Particle | None]]] = {}
     segments: list[DigitString] = []
     identified: list[particles.Particle | None] = []
-    for piece in _pieces(t, _zero_cuts(t)):
+    for piece in _zero_pieces(t):
         got = built.get(piece)
         if got is None:
             texts = _factor(piece) if mode == "full" else [piece]

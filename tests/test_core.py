@@ -6,6 +6,7 @@ from hypothesis import assume, given, strategies as st
 from audioactive import (
     DigitString,
     InvalidDigitError,
+    LengthBudgetError,
     Run,
     SearchBudgetError,
     TokenString,
@@ -21,7 +22,14 @@ from audioactive import (
     step_of_runs,
     token_step,
 )
-from audioactive.core import _array_step, _array_to_text, _step_text, _text_to_array
+from audioactive import core
+from audioactive.core import (
+    _array_step,
+    _array_to_text,
+    _orbit_cutter,
+    _step_text,
+    _text_to_array,
+)
 
 from oracles import (
     ANCIENT_CAPS,
@@ -363,7 +371,117 @@ class TestLengthSequence:
             length_sequence(ds("102"), 3, base=2)
         assert exc.value.position == 2
 
+    def test_matches_array_steps_in_every_base(self):
+        # the piece multiset against stepping whole arrays
+        for base, seed in _length_seeds():
+            want = _array_lengths(seed, base)
+            got = length_sequence(ds(seed, base), len(want) - 1)
+            assert got == want, (base, seed[:40])
+
+    def test_budget_error_at_the_same_iterate(self):
+        for base in range(2, 11):
+            for budget in (0, 7, 5000):
+                lengths = _array_lengths("1", base, 40)
+                n = next(i for i in range(1, len(lengths)) if lengths[i] > budget)
+                message = f"iterate {n} has {lengths[n]} digits, over the budget of {budget}"
+                with pytest.raises(LengthBudgetError) as exc:
+                    length_sequence(ds("1", base), 40, max_length=budget)
+                assert str(exc.value) == message
+
+    def test_unproven_cuts_stay_uncut(self, monkeypatch):
+        # one held run exhausts every partial state and one orbit step finds
+        # no cycle: the cutter proves less and the lengths must not change
+        cases = [
+            (base, seed, len(_array_lengths(seed, base, stop=10_000)) - 1)
+            for base, seed in _length_seeds()
+            if len(seed) < 100
+        ]
+        want = [length_sequence(ds(seed, base), steps) for base, seed, steps in cases]
+        monkeypatch.setattr(core, "_HELD_RUNS", 1)
+        monkeypatch.setattr(core, "_ORBIT_STEPS", 1)
+        assert [length_sequence(ds(seed, base), steps) for base, seed, steps in cases] == want
+
     def test_token_lengths(self):
         for seed in (TokenString((5,) * 10), TokenString((3, 1) + (7,) * 23 + (0,))):
             seq = iterate_tokens(seed, 8)
             assert length_sequence(seed, 8) == [len(t) for t in seq]
+
+
+def _array_lengths(seed, base, steps=60, stop=200_000):
+    """Lengths of up to ``steps`` iterates of ``seed`` stepped as whole
+    arrays, ending with the first iterate over ``stop`` digits."""
+    a = _text_to_array(seed)
+    lengths = [a.size]
+    while len(lengths) <= steps and lengths[-1] <= stop:
+        a = _array_step(a, base)
+        lengths.append(a.size)
+    return lengths
+
+
+def _length_seeds():
+    """(base, seed) in bases 2..10: the empty seed, 1, random seeds and a long run."""
+    rng = random.Random(403)
+    for base in range(2, 11):
+        alphabet = "0123456789"[:base]
+        yield base, ""
+        yield base, "1"
+        yield base, alphabet[-1] * 3 + "0" + alphabet[-1] * 20_000 + "1"
+        for _ in range(4):
+            yield base, "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 60)))
+
+
+class TestOrbitCutter:
+    """Every cut the orbit cutter proves in bases 4..10 is a split."""
+
+    @staticmethod
+    def assert_splits(cut, text, base, steps=12):
+        """Step the pieces apart and the text whole for ``steps`` steps.
+
+        The concatenated iterates of the pieces equal the iterate of the
+        whole only while no boundary merges (a merge shortens the whole), so
+        this checks both sides of every cut at once.
+        """
+        pieces = cut(text)
+        assert "".join(pieces) == text
+        whole = text
+        for _ in range(steps):
+            whole = reference_step(whole, base)
+            pieces = [reference_step(piece, base) for piece in pieces]
+            assert "".join(pieces) == whole, (base, text[:40])
+        return len(pieces) - 1
+
+    def test_iterates_of_one(self):
+        for base in range(4, 11):
+            cut = _orbit_cutter(base)
+            for text in iterate(ds("1", base), 14)[1:]:
+                self.assert_splits(cut, text.text, base)
+            assert len(cut(iterate(ds("1", base), 14)[-1].text)) > 5, base
+
+    def test_random_seeds(self):
+        rng = random.Random(404)
+        cuts = 0
+        for base in range(4, 11):
+            cut = _orbit_cutter(base)
+            alphabet = "0123456789"[:base]
+            for _ in range(40):
+                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+                cuts += self.assert_splits(cut, text, base)
+        assert cuts > 1000  # the sample genuinely exercises orbit cuts
+
+    def test_long_run(self):
+        rng = random.Random(405)
+        for base in range(4, 11):
+            cut = _orbit_cutter(base)
+            alphabet = "0123456789"[:base]
+            d = rng.choice(alphabet[1:])
+            others = alphabet.replace(d, "")
+            noise = "".join(rng.choice(others) for _ in range(30))
+            text = noise + d * (10**5 + rng.randrange(1000)) + noise[::-1]
+            assert self.assert_splits(cut, text, base) > 0, base
+
+    def test_empty_and_single_runs(self):
+        cut = _orbit_cutter(10)
+        assert cut("") == []
+        assert cut("7") == ["7"]
+        assert cut("0123") == ["0", "12", "3"]  # 3's iterates lead with 1 or 3
+        assert cut("22") == ["22"]

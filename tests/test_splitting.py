@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,8 @@ from audioactive import (
     split_points_conservative,
 )
 from audioactive.cosmology import _essential_texts
-from audioactive.core import _step_text
+from audioactive import core
+from audioactive.core import _orbit_cutter, _step_text
 from audioactive.splitting import _factor
 
 import reference_values as ref
@@ -173,6 +176,14 @@ class TestDecompose:
         assert dec.segments == ()
         assert dec.is_common  # vacuously
 
+    def test_is_common_kept_out_of_equality(self):
+        # computed once and stored on the instance, but not a field
+        dec = decompose(ds("1012211"))
+        assert not dec.is_common and not dec.is_common
+        fresh = decompose(ds("1012211"))
+        assert dec == fresh and hash(dec) == hash(fresh)
+        assert dec.to_json() == fresh.to_json()
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             decompose(ds("22"), "fast")
@@ -242,6 +253,32 @@ class TestFactorAgainstRecursiveDefinition:
         dec = decompose(ds(text))
         assert [seg.text for seg in dec.segments] == want
         assert [p.symbol if p else None for p in dec.identified] == [SYMBOL_OF.get(x) for x in want]
+
+
+class TestOrbitCertificate:
+    """The hand-written split rules are the orbit criterion (no iterate of R
+    leads with L's last digit), proven exactly: with 8 held runs the orbit
+    cutter proves every cut the rules make, and no other.  A string not
+    starting with 2 is flf exactly when a 2 before it splits off."""
+
+    def test_every_in_domain_string_to_length_11(self, monkeypatch):
+        monkeypatch.setattr(core, "_HELD_RUNS", 8)
+        cut = _orbit_cutter(3)
+        for text in all_split_domain_texts(11):
+            cuts = list(accumulate(len(piece) for piece in cut(text)))[:-1]
+            assert cuts == split_points(ds(text)), text
+            if text[0] != "2":
+                assert (cut("2" + text)[0] == "2") == is_flf(ds(text)), text
+
+    @pytest.mark.parametrize("held", [1, 2, 3, 4, 5])
+    def test_fewer_held_runs_prove_only_splits(self, monkeypatch, held):
+        # with few held runs most states are partial; a cut they prove must
+        # still be one of the rules' splits
+        monkeypatch.setattr(core, "_HELD_RUNS", held)
+        cut = _orbit_cutter(3)
+        for text in all_split_domain_texts(9):
+            cuts = list(accumulate(len(piece) for piece in cut(text)))[:-1]
+            assert set(cuts) <= set(split_points(ds(text))), (held, text)
 
 
 class TestPredicates:
