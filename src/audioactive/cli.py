@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -29,19 +28,8 @@ from .core import (
     iterate_tokens,
 )
 
-JOBS_ENV = "AUDIOACTIVE_JOBS"
-
 LAMBDA_DECIMALS = 9
 FREQ_DECIMALS = 6
-
-
-def _env_jobs() -> int:
-    """Worker count from ``$AUDIOACTIVE_JOBS`` (default 1, at least 1)."""
-    raw = os.environ.get(JOBS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
 
 
 def _registry_sorted(symbols) -> list[str]:
@@ -77,8 +65,7 @@ def _cmd_verify(args) -> int:
     def progress(length: int, count: int) -> None:
         print(f"verify: length {length} ({count} strings)", file=sys.stderr)
 
-    jobs = _env_jobs() if args.jobs is None else args.jobs
-    report = cosmology.verify_cosmological(cap=args.cap, jobs=jobs, progress=progress)
+    report = cosmology.verify_cosmological(cap=args.cap, progress=progress)
     csv_text = report.table.to_csv()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -258,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify decay of every essential ancient string")
     p.add_argument("--out", help="write the decay-table CSV to this path instead of stdout")
-    p.add_argument("--jobs", type=int, default=None, help=f"worker processes (${JOBS_ENV})")
     p.add_argument("--cap", type=int, default=cosmology.DEFAULT_CAP, help="iteration cap")
     p.set_defaults(func=_cmd_verify)
 

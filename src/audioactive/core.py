@@ -354,19 +354,6 @@ def _zero_pieces(text: str) -> list[str]:
     return _ZERO_CUT.split(text) if text else []
 
 
-def _pieces(text: str, cuts: Iterable[int]) -> list[str]:
-    """``text`` sliced at ascending positions; no pieces for the empty string."""
-    if not text:
-        return []
-    out = []
-    prev = 0
-    for p in cuts:
-        out.append(text[prev:p])
-        prev = p
-    out.append(text[prev:])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fixed points
 # ---------------------------------------------------------------------------

@@ -247,6 +247,8 @@ def verify_cosmological(
     ``jobs`` > 1 the strings are distributed over worker processes; counts
     are merged by summation, so the table is identical for any job count.
     """
+    if cap < 0:
+        raise ValueError("cap must be non-negative")
     lens = tuple(lengths) if lengths is not None else tuple(range(1, MAX_ESSENTIAL_LENGTH + 1))
     rows: list[tuple[int, ...]] = []
     failures: list[str] = []
@@ -329,6 +331,8 @@ def k_value(
         raise ValueError("k-values are defined for base-3 strings")
     if not s.text:
         raise ValueError("seed must be non-empty")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     text = s.text
     for iterations in range(max_iter + 1):
         if _splittable(text):

@@ -10,9 +10,9 @@ characterized syntactically: a cut is valid exactly when
   3. L ends in 2 and R is forever-leading-2-free.
 
 "Forever-leading-2-free" (flf) means no iterate ever begins with digit 2.
-For the strings this module accepts, flf is itself syntactic: a string is
-flf iff it is empty, starts with 0, or starts with 1 followed by one of
-0 / 11 / a single 2 then a non-2-or-end / 222.  Note that the bare string
+For the strings this module accepts, flf is itself syntactic and looks at
+most 4 characters ahead, so the three rules are one regular expression:
+``_FLF`` spells flf and ``_CUT`` every split.  Note that the bare string
 "1" is NOT flf: its second iterate is 21.
 
 The characterization is proven on run-bounded strings; ``full`` mode is
@@ -34,13 +34,13 @@ cuts after the 0s first and factors each distinct piece once per call.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Literal
 
 from . import particles
-from .core import DigitString, SplitDomainError, _pieces, _splittable, _zero_pieces
+from .core import _ZERO_CUT, DigitString, SplitDomainError, _splittable, _zero_pieces
 
 SplitMode = Literal["full", "conservative"]
 
@@ -83,46 +83,12 @@ class Decomposition:
 # Text-level machinery (base 3 throughout)
 # ---------------------------------------------------------------------------
 
-def _suffix_flf(t: str, i: int = 0) -> bool:
-    """Is the suffix t[i:] forever-leading-2-free?"""
-    n = len(t)
-    if i >= n:
-        return True
-    c = t[i]
-    if c == "0":
-        return True
-    if c == "2":
-        return False
-    i += 1
-    if i >= n:
-        return False  # bare "1": 1 -> 11 -> 21 leads with 2
-    c = t[i]
-    if c == "0":
-        return True
-    if c == "1":
-        return i + 1 < n and t[i + 1] == "1"
-    # single 2 followed by non-2 or end, else exactly three 2s
-    if i + 1 >= n or t[i + 1] != "2":
-        return True
-    return i + 2 < n and t[i + 2] == "2"
-
-
-def _cut_positions(t: str) -> list[int]:
-    """All valid split positions p (L = t[:p], R = t[p:]) of ``t``."""
-    out = []
-    n = len(t)
-    for p in range(1, n):
-        a = t[p - 1]
-        if a == "0":
-            if t[p] != "0":
-                out.append(p)
-        elif a == "1":
-            if t[p] == "2" and p + 1 < n and t[p + 1] == "2" and _suffix_flf(t, p + 2):
-                out.append(p)
-        else:
-            if _suffix_flf(t, p):
-                out.append(p)
-    return out
+# flf looks ahead at most 4 characters: a prefix match of _FLF, or the end.
+_FLF = r"(?:0|1(?:0|11|2(?!2)|222))"
+_IS_FLF = re.compile(rf"\Z|{_FLF}")
+# Every split: after a 0 (rule 1), before 22 + flf after a 1 (rule 2), and
+# before a nonempty flf rest after a 2 (rule 3).
+_CUT = re.compile(rf"{_ZERO_CUT.pattern}|(?<=1)(?=22(?:\Z|{_FLF}))|(?<=2)(?={_FLF})")
 
 
 def _factor(t: str) -> list[str]:
@@ -134,7 +100,7 @@ def _factor(t: str) -> list[str]:
     the same answer as the end of the piece.  So no piece has a split of
     its own.  No particle has a split either, so each comes out whole.
     """
-    return _pieces(t, _cut_positions(t))
+    return _CUT.split(t) if t else []
 
 
 def _base3_text(s: DigitString) -> str:
@@ -163,17 +129,17 @@ def is_flf(s: DigitString) -> bool:
     Outside the domain the pattern is wrong (a leading run of six 1s steps
     to 201...), so such strings raise :class:`SplitDomainError`.
     """
-    return _suffix_flf(_require_domain(s))
+    return _IS_FLF.match(_require_domain(s)) is not None
 
 
 def split_points(s: DigitString) -> list[int]:
     """Valid split positions of ``s`` (ascending), gated on the full domain."""
-    return _cut_positions(_require_domain(s))
+    return [m.start() for m in _CUT.finditer(_require_domain(s))]
 
 
 def split_points_conservative(s: DigitString) -> list[int]:
     """Positions where a 0 is followed by a non-0; valid for any string."""
-    return list(accumulate(len(piece) for piece in _zero_pieces(_base3_text(s))))[:-1]
+    return [m.start() for m in _ZERO_CUT.finditer(_base3_text(s))]
 
 
 def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:

@@ -83,57 +83,16 @@ class TestVerify:
         assert out.splitlines()[0].startswith("length,iter0")
         assert "VERIFIED" in err
 
-    def test_jobs_flag_is_byte_identical(self, capsys, tmp_path, verification):
-        report, _ = verification
-        out_path = tmp_path / "parallel.csv"
-        code, out, _ = run(capsys, "verify", "--jobs", "2", "--out", str(out_path))
-        assert code == 0
-        assert out_path.read_text() == report.table.to_csv()
-        assert out.strip() == "VERIFIED max_iterations=10 strings=71775"
+    def test_jobs_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--jobs", "2"])
+        assert exc.value.code == 2
 
-    @staticmethod
-    def _stub_verify(monkeypatch):
-        """Record the ``jobs`` each verify command passes, without verifying."""
-        from types import SimpleNamespace
-
-        from audioactive import cosmology
-
-        seen = []
-
-        def fake(cap, jobs, progress):
-            seen.append(jobs)
-            return SimpleNamespace(
-                table=SimpleNamespace(to_csv=lambda: ""),
-                verified=True,
-                max_iterations=0,
-                total_strings=0,
-            )
-
-        monkeypatch.setattr(cosmology, "verify_cosmological", fake)
-        return seen
-
-    def test_jobs_env_default(self, capsys, monkeypatch):
-        seen = self._stub_verify(monkeypatch)
-        for value, want in (("3", 3), ("0", 1), ("-2", 1)):
-            monkeypatch.setenv("AUDIOACTIVE_JOBS", value)
-            assert run(capsys, "verify")[0] == 0
-            assert seen[-1] == want
-        assert run(capsys, "verify", "--jobs", "2")[0] == 0
-        assert seen[-1] == 2
-        monkeypatch.delenv("AUDIOACTIVE_JOBS")
-        assert run(capsys, "verify")[0] == 0
-        assert seen == [3, 1, 1, 2, 1]
-
-    def test_jobs_env_not_an_integer(self, capsys, monkeypatch):
-        seen = self._stub_verify(monkeypatch)
-        monkeypatch.setenv("AUDIOACTIVE_JOBS", "abc")
-        code, out, err = run(capsys, "verify")
+    def test_negative_cap_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--cap", "-1")
         assert code == 2
-        assert "AUDIOACTIVE_JOBS" in err and "'abc'" in err
-        assert out == "" and seen == []
-        # an explicit --jobs does not read the variable
-        assert run(capsys, "verify", "--jobs", "2")[0] == 0
-        assert seen == [2]
+        assert err == "error: cap must be non-negative\n"
+        assert out == ""
 
 
 class TestAncients:
@@ -248,6 +207,12 @@ class TestKvalue:
         code, _, err = run(capsys, "kvalue", "1", "--iters", "2")
         assert code == 1
         assert "failure:" in err
+
+    def test_negative_iters_exits_2(self, capsys):
+        code, out, err = run(capsys, "kvalue", "1", "--iters", "-1")
+        assert code == 2
+        assert err == "error: max_iter must be non-negative\n"
+        assert out == ""
 
 
 class TestParticles:
