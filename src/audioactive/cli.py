@@ -85,23 +85,27 @@ def _cmd_verify(args) -> int:
     return 1
 
 
+def _print_texts(fmt: str, texts: list[str], meta: dict, key: str) -> None:
+    """One text per line (csv adds a ``string`` header), or one json object
+    holding ``meta`` and the texts under ``key``."""
+    if fmt == "json":
+        print(json.dumps({**meta, key: texts}))
+        return
+    if fmt == "csv":
+        print("string")
+    for text in texts:
+        print(text)
+
+
 def _cmd_ancients(args) -> int:
     strings = [s.text for s in cosmology.enumerate_essential_ancient(args.length)]
-    if args.count_only:
-        if args.format == "json":
-            print(json.dumps({"length": args.length, "count": len(strings)}))
-        else:
-            print(len(strings))
-        return 0
-    if args.format == "json":
-        print(json.dumps({"length": args.length, "count": len(strings), "strings": strings}))
-    elif args.format == "csv":
-        print("string")
-        for text in strings:
-            print(text)
+    meta = {"length": args.length, "count": len(strings)}
+    if not args.count_only:
+        _print_texts(args.format, strings, meta, "strings")
+    elif args.format == "json":
+        print(json.dumps(meta))
     else:
-        for text in strings:
-            print(text)
+        print(len(strings))
     return 0
 
 
@@ -110,15 +114,7 @@ def _cmd_fixedpoints(args) -> int:
         s.text
         for s in fixed_point_search(args.base, args.max_len, primitive_only=not args.all)
     ]
-    if args.format == "json":
-        print(json.dumps({"base": args.base, "max_len": args.max_len, "fixed": fixed}))
-    elif args.format == "csv":
-        print("string")
-        for text in fixed:
-            print(text)
-    else:
-        for text in fixed:
-            print(text)
+    _print_texts(args.format, fixed, {"base": args.base, "max_len": args.max_len}, "fixed")
     return 0
 
 

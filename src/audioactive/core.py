@@ -99,7 +99,16 @@ class DigitString:
 
     @classmethod
     def from_digits(cls, digits: Iterable[int], base: int = 3) -> "DigitString":
-        return cls("".join(_DIGIT_CHARS[d] for d in digits), base)
+        _check_base(base)
+        chars = []
+        for pos, d in enumerate(digits):
+            if d not in range(base):
+                raise InvalidDigitError(
+                    f"digit {str(d)!r} at position {pos} is not valid in base {base}",
+                    position=pos,
+                )
+            chars.append(_DIGIT_CHARS[d])
+        return cls._valid("".join(chars), base)
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -183,25 +192,14 @@ def max_run_length(s: DigitString) -> int:
     return max((j - i for i, j in _iter_runs(s.text)), default=0)
 
 
-_NUMERAL_CACHE: dict[int, dict[int, str]] = {b: {} for b in range(2, 11)}
-
-
 def _numeral(n: int, base: int) -> str:
     """Base-``base`` numeral of ``n >= 1``, most significant digit first."""
-    cache = _NUMERAL_CACHE[base]
-    got = cache.get(n)
-    if got is not None:
-        return got
     if not 1 <= n <= _MAX_RUN:
         raise ValueError(f"run length {n} out of supported range")
-    digs = []
-    m = n
-    while m:
-        digs.append(_DIGIT_CHARS[m % base])
-        m //= base
-    text = "".join(reversed(digs))
-    if n <= 4096:
-        cache[n] = text
+    text = ""
+    while n:
+        n, r = divmod(n, base)
+        text = _DIGIT_CHARS[r] + text
     return text
 
 
@@ -216,10 +214,10 @@ _ZERO = ord("0")
 def _step_text(text: str, base: int) -> str:
     if len(text) >= _ARRAY_THRESHOLD:
         return _array_to_text(_array_step(_text_to_array(text), base))
-    cache = _NUMERAL_CACHE[base]
     out = []
     for i, j in _iter_runs(text):
-        out.append(cache.get(j - i) or _numeral(j - i, base))
+        n = j - i  # most runs are shorter than the base: a one-digit numeral
+        out.append(_DIGIT_CHARS[n] if n < base else _numeral(n, base))
         out.append(text[i])
     return "".join(out)
 

@@ -10,7 +10,11 @@ particles and essential ancient strings.
 The check itself follows the obvious loop: factor, test whether all
 segments are particles, otherwise step once and repeat.  Segments evolve
 independently once split off, so decay times are memoized per irreducible
-segment and a string's time is the maximum over its segments.
+segment and a string's time is the maximum over its segments.  The memo is
+a plain dict owned by one call: ``verify_cosmological`` shares one across
+all lengths, each of its pool tasks builds its own, and
+``iterations_to_common`` starts empty, so no answer depends on what ran
+earlier in the process.
 """
 
 from __future__ import annotations
@@ -33,37 +37,25 @@ from .splitting import _factor, _require_domain, decompose
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
 
-_CHUNK = 2048
-
 
 # ---------------------------------------------------------------------------
 # Enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _essential_texts(length: int) -> Iterator[str]:
+def _essential_texts(length: int) -> list[str]:
     """Essential ancient strings of exactly ``length`` digits, lexicographic.
 
-    Built digit by digit over {1, 2} with the run cap enforced during
-    construction; the final position additionally admits 0.  This visits
-    f(n-1) + f(n) strings instead of filtering all 3**n.
+    Bodies over {1, 2} with no run of 4 grow one digit per layer, and the
+    final digit may also be 0.  Each layer extends a sorted layer in digit
+    order, so it is sorted too; no string outside the cap is ever built,
+    where filtering would visit all 3**n.
     """
-    def rec(prefix: list[str], run_digit: str, run_len: int, remaining: int) -> Iterator[str]:
-        if remaining == 1:
-            for d in "012":
-                if d != "0" and d == run_digit and run_len >= 3:
-                    continue
-                yield "".join(prefix) + d
-            return
-        for d in "12":
-            if d == run_digit and run_len >= 3:
-                continue
-            prefix.append(d)
-            yield from rec(prefix, d, 1 if d != run_digit else run_len + 1, remaining - 1)
-            prefix.pop()
-
     if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
         raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
-    yield from rec([], "", 0, length)
+    bodies = [""]
+    for _ in range(length - 1):
+        bodies = [b + d for b in bodies for d in "12" if not b.endswith(d * 3)]
+    return [b + d for b in bodies for d in "012" if not b.endswith(d * 3)]
 
 
 def enumerate_essential_ancient(length: int) -> Iterator[DigitString]:
@@ -116,20 +108,19 @@ class _CapExceeded(Exception):
     pass
 
 
-_TIME_CACHE: dict[str, int] = {}
 _PARTICLE_TEXTS = particles.PARTICLE_TEXTS
 
 
-def _decay_time(text: str, budget: int) -> int:
+def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
     """Iterations until ``text`` is fully common; raises past ``budget``.
 
-    Only completed (budget-independent) values enter the cache, so cached
+    Only completed (budget-independent) values enter ``memo``, so its
     entries are true decay times whatever cap they were found under.  A
     stepped segment outside the splitting domain, where factoring is not
     proven, raises :class:`AudioactiveError` (an internal failure, not bad
     input).
     """
-    got = _TIME_CACHE.get(text)
+    got = memo.get(text)
     if got is not None:
         if got > budget:
             raise _CapExceeded(text)
@@ -138,7 +129,7 @@ def _decay_time(text: str, budget: int) -> int:
     for part in _factor(text):
         if part in _PARTICLE_TEXTS:
             continue
-        pt = _TIME_CACHE.get(part)
+        pt = memo.get(part)
         if pt is None:
             if budget <= 0:
                 raise _CapExceeded(text)
@@ -147,13 +138,13 @@ def _decay_time(text: str, budget: int) -> int:
                 raise AudioactiveError(
                     f"{part!r} steps to {stepped!r}, outside the splitting domain"
                 )
-            pt = 1 + _decay_time(stepped, budget - 1)
-            _TIME_CACHE[part] = pt
+            pt = 1 + _decay_time(stepped, budget - 1, memo)
+            memo[part] = pt
         if pt > budget:
             raise _CapExceeded(text)
         if pt > worst:
             worst = pt
-    _TIME_CACHE[text] = worst
+    memo[text] = worst
     return worst
 
 
@@ -163,20 +154,26 @@ def iterations_to_common(s: DigitString, cap: int = DEFAULT_CAP) -> int | None:
         raise ValueError("cap must be non-negative")
     text = _require_domain(s)
     try:
-        return _decay_time(text, cap)
+        return _decay_time(text, cap, {})
     except _CapExceeded:
         return None
 
 
-def _chunk_times(args: tuple[list[str], int]) -> list[int | None]:
-    texts, cap = args
+def _decay_times(texts: list[str], cap: int, memo: dict[str, int]) -> list[int | None]:
     out: list[int | None] = []
     for text in texts:
         try:
-            out.append(_decay_time(text, cap))
+            out.append(_decay_time(text, cap, memo))
         except _CapExceeded:
             out.append(None)
     return out
+
+
+def _length_task(task: tuple[int, int]) -> tuple[list[str], list[int | None]]:
+    """Pool task: the strings of one length and their times, under a fresh memo."""
+    length, cap = task
+    texts = _essential_texts(length)
+    return texts, _decay_times(texts, cap, {})
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +240,11 @@ def verify_cosmological(
     """Run the decay check over every essential ancient string.
 
     The verdict is success iff no string needs more than ``cap`` iterations;
-    any counterexample is carried in ``failures`` (none is expected).  With
-    ``jobs`` > 1 the strings are distributed over worker processes; counts
-    are merged by summation, so the table is identical for any job count.
+    any counterexample is carried in ``failures`` (none is expected).  The
+    call owns its memo and shares it across lengths.  With ``jobs`` > 1
+    each length is one task in a worker process, with a memo of its own; a
+    string's time does not depend on the memo, so the table is identical
+    for any job count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -253,16 +252,16 @@ def verify_cosmological(
     rows: list[tuple[int, ...]] = []
     failures: list[str] = []
     max_seen = 0
+    memo: dict[str, int] = {}
     pool = multiprocessing.Pool(jobs) if jobs > 1 else None
     try:
-        for length in lens:
-            texts = list(_essential_texts(length))
-            if pool is None:
-                times = _chunk_times((texts, cap))
-            else:
-                chunks = [texts[i : i + _CHUNK] for i in range(0, len(texts), _CHUNK)]
-                results = pool.map(_chunk_times, [(chunk, cap) for chunk in chunks])
-                times = [t for chunk_times in results for t in chunk_times]
+        if pool is None:
+            results = (
+                (texts, _decay_times(texts, cap, memo)) for texts in map(_essential_texts, lens)
+            )
+        else:
+            results = pool.imap(_length_task, [(length, cap) for length in lens])
+        for length, (texts, times) in zip(lens, results):
             row = [0] * (cap + 1)
             for text, t in zip(texts, times):
                 if t is None:

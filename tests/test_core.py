@@ -69,6 +69,19 @@ class TestDigitString:
     def test_from_digits(self):
         assert DigitString.from_digits([1, 0, 2]) == ds("102")
 
+    @pytest.mark.parametrize(
+        "digits,base,message",
+        [
+            ([-1], 10, r"^digit '-1' at position 0 is not valid in base 10$"),
+            ([1, 10], 10, r"^digit '10' at position 1 is not valid in base 10$"),
+            ([1, 2, -2], 3, r"^digit '-2' at position 2 is not valid in base 3$"),
+        ],
+    )
+    def test_from_digits_rejects_ints_outside_the_base(self, digits, base, message):
+        with pytest.raises(InvalidDigitError, match=message) as exc:
+            DigitString.from_digits(digits, base)
+        assert exc.value.position == len(digits) - 1
+
     def test_rejects_digit_out_of_base(self):
         with pytest.raises(InvalidDigitError, match=self.MESSAGE) as exc:
             DigitString("120301", 3)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -20,6 +21,7 @@ from audioactive import cosmology
 from audioactive.particles import lookup
 
 import reference_values as ref
+from oracles import ANCIENT_CAPS, within_caps
 
 
 def ds(text):
@@ -48,6 +50,15 @@ class TestEnumeration:
             assert len(text) == 5
             assert "0" not in text[:-1]
             assert all(text.count(d * 4) == 0 for d in "012")
+
+    def test_layers_match_brute_force_filter(self):
+        for n in range(1, 11):
+            brute = [
+                text
+                for text in map("".join, product("012", repeat=n))
+                if "0" not in text[:-1] and within_caps(text, ANCIENT_CAPS)
+            ]
+            assert list(cosmology._essential_texts(n)) == sorted(brute), n
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -136,11 +147,16 @@ class TestVerification:
         assert got == ref.LENGTH7_FIVE_ITERATIONS
 
     def test_stepped_segment_outside_domain_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(cosmology, "_TIME_CACHE", {})
         monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
         with pytest.raises(AudioactiveError, match="outside the splitting domain") as exc:
             iterations_to_common(ds("1"))
         assert not isinstance(exc.value, ValueError)
+
+    def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
+        verify_cosmological(lengths=[7])
+        monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
+        with pytest.raises(AudioactiveError, match="outside the splitting domain"):
+            iterations_to_common(ds("1121122"))
 
     def test_parallel_run_is_identical(self):
         lengths = range(1, 9)

@@ -101,6 +101,29 @@ def iterate_distinct_pieces(text, steps):
         yield pieces
 
 
+# The helpers below memoize pure computations for the session, so that
+# test_criterion_10_property_suites and the standalone suites share one run
+# of each while checking the same inputs with the same assertions.
+
+
+@functools.cache
+def distinct_pieces(text, steps):
+    """``iterate_distinct_pieces`` of ``text``, computed once per session."""
+    return tuple(map(frozenset, iterate_distinct_pieces(text, steps)))
+
+
+@functools.cache
+def piece_caps(piece):
+    """``max_runs_by_digit`` of one piece, computed once per session."""
+    return max_runs_by_digit(piece)
+
+
+@functools.cache
+def leads_to_horizon_50(text):
+    """Leading digits of iterates 0..50 of ``text``, computed once per session."""
+    return "".join(leading_digits(text, 50))
+
+
 class TestRunBoundContraction:
     """Run lengths contract fast, then stay inside the mature bounds."""
 
@@ -119,11 +142,11 @@ class TestRunBoundContraction:
             third = _step_text(_step_text(child.text, 3), 3)
             assert max(max_runs_by_digit(third).values()) <= 7, case
             # and two steps after that the mature run bounds hold for good
-            for step_no, pieces in enumerate(iterate_distinct_pieces(third, 22)):
+            for step_no, pieces in enumerate(distinct_pieces(third, 22)):
                 if step_no < 2:
                     continue
                 for piece in pieces:
-                    caps = max_runs_by_digit(piece)
+                    caps = piece_caps(piece)
                     assert caps["0"] <= 1 and caps["1"] <= 4 and caps["2"] <= 3, (
                         case,
                         step_no,
@@ -195,7 +218,7 @@ class TestLeadingTwoFreedom:
 
     def test_exhaustive_sweep_horizon_50(self):
         for text in all_ancient_texts(10):
-            leads = leading_digits(text, 50)
+            leads = leads_to_horizon_50(text)
             hits_two = "2" in leads
             assert is_flf(ds(text)) == (not hits_two), text
 
