@@ -9,6 +9,11 @@ so a run of ten 5s becomes the two tokens ``10, 5``.
 Digit mode is restricted to bases 2..10 so that the canonical text form is
 one ASCII character per digit; larger alphabets are only supported through
 :class:`TokenString`.
+
+Texts are stepped run by run in Python, reading the runs with one compiled
+pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
+first use and takes only the inputs where arrays pay: digit texts of at
+least 4096 digits and 64 runs, and token-mode length sequences.
 """
 
 from __future__ import annotations
@@ -16,10 +21,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from itertools import groupby, islice
+from typing import Callable, Iterable, Iterator
 
 
 class AudioactiveError(Exception):
@@ -171,25 +174,17 @@ class TokenString:
 # Runs and numerals
 # ---------------------------------------------------------------------------
 
-def _iter_runs(seq: Sequence) -> Iterator[tuple[int, int]]:
-    """Yield (start, end) index pairs of the maximal runs of ``seq``."""
-    i, n = 0, len(seq)
-    while i < n:
-        j = i + 1
-        while j < n and seq[j] == seq[i]:
-            j += 1
-        yield i, j
-        i = j
+_RUN = re.compile(r"0+|1+|2+|3+|4+|5+|6+|7+|8+|9+")  # each match is one maximal run
 
 
 def runs(s: DigitString) -> list[Run]:
     """Run decomposition of ``s``; concatenating the runs reproduces it."""
-    return [Run(int(s.text[i]), j - i) for i, j in _iter_runs(s.text)]
+    return [Run(int(run[0]), len(run)) for run in _RUN.findall(s.text)]
 
 
 def max_run_length(s: DigitString) -> int:
     """Length of the longest run, 0 for the empty string."""
-    return max((j - i for i, j in _iter_runs(s.text)), default=0)
+    return max(map(len, _RUN.findall(s.text)), default=0)
 
 
 def _numeral(n: int, base: int) -> str:
@@ -207,18 +202,26 @@ def _numeral(n: int, base: int) -> str:
 # The describing step
 # ---------------------------------------------------------------------------
 
-_ARRAY_THRESHOLD = 4096
-_ZERO = ord("0")
+# numpy steps a text only from this many digits and runs on; the Python loop
+# takes one pass per run, so a text of a few long runs stays with it and
+# never loads numpy.  The run count reads at most _ARRAY_RUNS matches.
+_ARRAY_DIGITS = 4096
+_ARRAY_RUNS = 64
 
 
 def _step_text(text: str, base: int) -> str:
-    if len(text) >= _ARRAY_THRESHOLD:
+    if (
+        len(text) >= _ARRAY_DIGITS
+        and len(list(islice(_RUN.finditer(text), _ARRAY_RUNS))) == _ARRAY_RUNS
+    ):
+        from ._arrays import _array_step, _array_to_text, _text_to_array
+
         return _array_to_text(_array_step(_text_to_array(text), base))
     out = []
-    for i, j in _iter_runs(text):
-        n = j - i  # most runs are shorter than the base: a one-digit numeral
+    for run in _RUN.findall(text):
+        n = len(run)  # most runs are shorter than the base: a one-digit numeral
         out.append(_DIGIT_CHARS[n] if n < base else _numeral(n, base))
-        out.append(text[i])
+        out.append(run[0])
     return "".join(out)
 
 
@@ -268,9 +271,9 @@ def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> Di
 def token_step(t: TokenString) -> TokenString:
     """One describing step in token mode: each run (v, n) emits tokens n, v."""
     out = []
-    for i, j in _iter_runs(t.tokens):
-        out.append(j - i)
-        out.append(t.tokens[i])
+    for value, group in groupby(t.tokens):
+        out.append(len(list(group)))
+        out.append(value)
     return TokenString(tuple(out))
 
 
@@ -422,84 +425,6 @@ def fixed_point_search(
     return [DigitString(text, base) for text in sorted(found)]
 
 
-# ---------------------------------------------------------------------------
-# numpy engine for long strings
-# ---------------------------------------------------------------------------
-#
-# One array step per mode.  A run emits the pair (count, value): as two
-# tokens in token mode, and as two digits in digit mode while every count is
-# below the base.  Longer numerals are placed by one cumulative sum of the
-# per-run output widths.
-
-def _text_to_array(text: str) -> np.ndarray:
-    return np.frombuffer(text.encode("ascii"), dtype=np.uint8) - _ZERO
-
-
-def _array_to_text(a: np.ndarray) -> str:
-    return (a + _ZERO).astype(np.uint8).tobytes().decode("ascii")
-
-
-def _array_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run digits and run lengths of a digit array."""
-    if a.size == 0:
-        return a[:0], np.zeros(0, dtype=np.int64)
-    boundaries = np.flatnonzero(a[1:] != a[:-1])
-    r = boundaries.size + 1
-    digs = np.empty(r, dtype=a.dtype)
-    digs[0] = a[0]
-    digs[1:] = a[boundaries + 1]
-    counts = np.empty(r, dtype=np.int64)
-    if r == 1:
-        counts[0] = a.size
-    else:
-        counts[0] = boundaries[0] + 1
-        counts[1:-1] = np.diff(boundaries)
-        counts[-1] = a.size - 1 - boundaries[-1]
-    return digs, counts
-
-
-def _run_pairs(counts: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Each run's count followed by its value, in the values' dtype."""
-    out = np.empty(2 * values.size, dtype=values.dtype)
-    out[0::2] = counts
-    out[1::2] = values
-    return out
-
-
-def _array_step(a: np.ndarray, base: int) -> np.ndarray:
-    digs, counts = _array_runs(a)
-    maxc = int(counts.max(initial=0))
-    if maxc < base:  # every numeral is one digit
-        return _run_pairs(counts, digs)
-    counts = counts.astype(np.min_scalar_type(maxc))  # narrow ints divide faster
-    # output width per run: numeral digits plus the run digit
-    widths = np.full(digs.size, 2, dtype=np.uint8)
-    p = base
-    while p <= maxc:
-        widths += counts >= p
-        p *= base
-    ends = np.cumsum(widths, dtype=np.int64)  # position just past each run's emission
-    out = np.empty(int(ends[-1]), dtype=a.dtype)
-    out[ends - 1] = digs
-    out[ends - 2] = counts % base
-    # deeper numeral digits exist only for the runs with count >= base
-    deep = np.flatnonzero(counts >= base)
-    ends, rest = ends[deep], counts[deep] // base
-    depth = 3
-    while rest.size:
-        out[ends - depth] = rest % base
-        rest //= base
-        more = rest > 0
-        ends, rest = ends[more], rest[more]
-        depth += 1
-    return out
-
-
-def _token_array_step(a: np.ndarray) -> np.ndarray:
-    vals, counts = _array_runs(a)
-    return _run_pairs(counts, vals)
-
-
 DEFAULT_LENGTH_BUDGET = 10**9
 
 
@@ -545,7 +470,7 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
             if not t:
                 return None
         t = _step_text(t, base)
-        ends = [j for _, j in islice(_iter_runs(t), held + 1)]
+        ends = [m.end() for m in islice(_RUN.finditer(t), held + 1)]
         if len(ends) > held:
             return False, t[: ends[held - 1]]
         return complete, t
@@ -577,7 +502,7 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
         return found
 
     def cut(text: str) -> list[str]:
-        starts = [i for i, _ in _iter_runs(text)] + [len(text)]
+        starts = [m.start() for m in _RUN.finditer(text)] + [len(text)]
         pieces = []
         prev = 0
         for k in range(1, len(starts) - 1):  # the cut before run k
@@ -648,14 +573,18 @@ def length_sequence(
     splits (cheap at any depth): after the 0s in bases 2 and 3, and at
     every split proven from leading-digit orbits in bases 4 to 10.  Token
     mode steps a packed numpy array, each run becoming a (count, value)
-    pair.  Raises :class:`LengthBudgetError` once an iterate passes
-    ``max_length`` digits.
+    pair; it is the one mode that imports numpy.  Raises
+    :class:`LengthBudgetError` once an iterate passes ``max_length`` digits.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
     if not isinstance(seed, TokenString):
         seed = _in_base(seed, base)
         return _piece_lengths(seed.text, seed.base, iters, max_length)
+    import numpy as np
+
+    from ._arrays import _token_array_step
+
     arr = np.asarray(seed.tokens, dtype=np.int64)
     lengths = [int(arr.size)]
     for n in range(iters):

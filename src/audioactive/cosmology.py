@@ -19,7 +19,6 @@ earlier in the process.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, Iterator
@@ -253,7 +252,11 @@ def verify_cosmological(
     failures: list[str] = []
     max_seen = 0
     memo: dict[str, int] = {}
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        import multiprocessing
+
+        pool = multiprocessing.Pool(jobs)
     try:
         if pool is None:
             results = (

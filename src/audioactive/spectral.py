@@ -11,14 +11,17 @@ The growth rate is both computed numerically (power iteration) and
 certified symbolically: the exact characteristic polynomial must be
 divisible by x^3 - x - 1, whose unique real root is the dominant
 eigenvalue.  Neither route trusts the other.
+
+The matrices are small, so the iterations run in plain Python; only
+:func:`eigenvalues` and :meth:`TransitionMatrix.to_array` import numpy.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
 from . import particles
 from .core import (
@@ -28,6 +31,9 @@ from .core import (
     TokenString,
     length_sequence,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 
@@ -64,6 +70,8 @@ class TransitionMatrix:
         return sum(self.entries[i][i] for i in range(self.size))
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.asarray(self.entries, dtype=float)
 
 
@@ -123,16 +131,16 @@ def dominant_eigenvalue(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = m.to_array()
-    v = np.ones(m.size) / np.sqrt(m.size)
+    rows = m.entries
+    v = [1 / math.sqrt(m.size)] * m.size
     prev = float("inf")
     for _ in range(max_iter):
-        w = a @ v
-        norm = float(np.linalg.norm(w))
+        w = [sum(map(mul, row, v)) for row in rows]
+        norm = math.hypot(*w)
         if norm == 0.0:
             raise ConvergenceError("power iteration hit the zero vector")
-        lam = float(v @ w)
-        v = w / norm
+        lam = sum(map(mul, v, w))
+        v = [x / norm for x in w]
         if abs(lam - prev) < tol:
             return lam
         prev = lam
@@ -220,6 +228,8 @@ def eigenvalues(m: TransitionMatrix) -> list[complex]:
     Roots are extracted with the companion-matrix method and sorted by
     descending magnitude (ties by real part, then imaginary part).
     """
+    import numpy as np
+
     roots = np.roots(np.asarray(characteristic_polynomial(m), dtype=float))
     return sorted(
         (complex(z) for z in roots),
@@ -232,23 +242,22 @@ def limiting_frequencies(
 ) -> dict[str, float]:
     """Limiting relative frequencies from row totals of a large matrix power.
 
-    Row i of m**power is summed and divided by the total of all entries;
-    powers are accumulated in floating point with per-multiplication
-    renormalization, since exact entries overflow fixed-width integers long
-    before convergence.
+    Row i of m**power is summed and divided by the total of all entries.
+    The row totals are the vector m**power applied to all ones, so that
+    vector is iterated, in floating point with per-multiplication
+    renormalization, since exact entries grow without bound.
     """
     if power < 1:
         raise ValueError("power must be >= 1")
     if m is None:
         m = fermion_matrix()
-    a = m.to_array()
-    acc = a.copy()
-    for _ in range(power - 1):
-        acc = acc @ a
-        acc /= acc.sum()
-    row_totals = acc.sum(axis=1)
-    freqs = row_totals / row_totals.sum()
-    return {sym: float(freqs[i]) for i, sym in enumerate(m.order)}
+    rows = m.entries
+    totals = [1.0] * m.size
+    for _ in range(power):
+        totals = [sum(map(mul, row, totals)) for row in rows]
+        grand = sum(totals)
+        totals = [x / grand for x in totals]
+    return dict(zip(m.order, totals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import audioactive
 from audioactive.cli import main
 
 import reference_values as ref
@@ -237,3 +241,73 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+_CLI_PROBE = """
+import contextlib, io, json, sys
+import audioactive
+seen = [["import audioactive", 0, "numpy" in sys.modules, ""]]
+import audioactive.cli as cli
+seen.append(["import audioactive.cli", 0, "numpy" in sys.modules, ""])
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    seen.append([" ".join(argv)[:60], code, "numpy" in sys.modules, out.getvalue()])
+print(json.dumps(seen))
+"""
+
+
+def fresh_python(code, *args):
+    """Standard output of ``code`` run in a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(audioactive.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=300,
+        check=True,
+    )
+    return proc.stdout
+
+
+def fresh_cli(commands):
+    """(step, exit code, numpy loaded, stdout) after each import and command."""
+    return json.loads(fresh_python(_CLI_PROBE, json.dumps(commands)))
+
+
+class TestNumpyStaysUnloaded:
+    """Only the eigenvalue table and token mode load numpy."""
+
+    def test_commands_run_without_numpy(self, tmp_path):
+        long_run = "1" + "2" * 100_000 + "3"  # a seed the numpy engine stepped before
+        commands = [
+            ["verify", "--out", str(tmp_path / "decay.csv")],
+            ["decompose", "101102110211"],
+            ["kvalue", "10"],
+            ["growth", "--seed", "1", "--base", "3"],
+            ["growth", "--seed", "1", "--base", "2", "--iters", "50"],
+            ["growth", "--seed", "1", "--base", "10"],
+            ["growth", "--seed", long_run, "--base", "4", "--iters", "30"],
+            ["spectrum", "--format", "json"],
+            ["frequencies"],
+        ]
+        seen = fresh_cli(commands)
+        assert len(seen) == len(commands) + 2
+        for step, code, numpy, _ in seen:
+            assert (code, numpy) == (0, False), step
+
+    def test_eigenvalue_table_and_token_mode_load_numpy(self):
+        *_, (_, code, numpy, out) = fresh_cli([["spectrum", "--table", "eigenvalues"]])
+        assert (code, numpy) == (0, True)
+        assert out.splitlines()[1].startswith("1.324717957")
+        estimate, numpy = fresh_python(
+            "import sys\n"
+            "from audioactive import TokenString, empirical_growth\n"
+            "est = empirical_growth(TokenString((1,)), 40)\n"
+            "print(est.estimate, 'numpy' in sys.modules)\n"
+        ).split()
+        assert abs(float(estimate) - ref.HIGH_BASE_GROWTH) < 0.02
+        assert numpy == "True"

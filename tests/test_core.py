@@ -22,14 +22,9 @@ from audioactive import (
     step_of_runs,
     token_step,
 )
-from audioactive import core
-from audioactive.core import (
-    _array_step,
-    _array_to_text,
-    _orbit_cutter,
-    _step_text,
-    _text_to_array,
-)
+from audioactive import _arrays, core
+from audioactive._arrays import _array_step, _array_to_text, _text_to_array
+from audioactive.core import _orbit_cutter, _step_text
 
 from oracles import (
     ANCIENT_CAPS,
@@ -211,10 +206,35 @@ class TestStep:
                 got = _array_to_text(_array_step(_text_to_array(text), base))
                 assert got == reference_step(text, base), (base, len(text))
 
-    def test_text_paths_consistent_at_threshold(self):
+    def test_text_paths_consistent_at_threshold(self, monkeypatch):
+        # numpy steps a text only from 4096 digits and 64 runs on
+        array_steps = []
+        array_step = _arrays._array_step
+
+        def spy(a, base):
+            array_steps.append(a.size)
+            return array_step(a, base)
+
+        monkeypatch.setattr(_arrays, "_array_step", spy)
         rng = random.Random(402)
-        text = "".join(rng.choice("012") for _ in range(5000))
-        assert _step_text(text, 3) == reference_step(text, 3)
+        dense = "".join(rng.choice("012") for _ in range(5000))
+        few = "".join("012"[k % 3] * 70 for k in range(63))  # 4410 digits, 63 runs
+        cases = [
+            (dense, True),
+            (dense[:4095], False),
+            (few, False),
+            (few + "0", True),
+            ("1" * 100_000 + "0" + "2" * 3, False),
+        ]
+        for text, arrays in cases:
+            array_steps.clear()
+            got = _step_text(text, 3)
+            assert got == reference_step(text, 3), len(text)
+            assert array_steps == ([len(text)] if arrays else []), len(text)
+        via_arrays = _step_text(dense, 3)
+        monkeypatch.setattr(core, "_ARRAY_DIGITS", float("inf"))  # the Python loop alone
+        array_steps.clear()
+        assert _step_text(dense, 3) == via_arrays and array_steps == []
 
 
 class TestStepOfRuns:

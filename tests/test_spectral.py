@@ -26,6 +26,20 @@ from audioactive.spectral import charpoly_csv, eigenvalues_csv, frequencies_csv
 import reference_values as ref
 
 
+def _primitive_matrices():
+    """The fermion matrix and random primitive matrices of sizes 2 to 6."""
+    yield fermion_matrix()
+    rng = np.random.default_rng(11)
+    found = 0
+    while found < 6:
+        n = int(rng.integers(2, 7))
+        entries = rng.integers(0, 3, size=(n, n)).tolist()
+        m = TransitionMatrix(tuple(map(tuple, entries)), order=tuple("abcdef"[:n]))
+        if primitivity_power(m) is not None:
+            found += 1
+            yield m
+
+
 class TestMatrix:
     def test_hardcoded_entries(self):
         m = fermion_matrix()
@@ -96,6 +110,11 @@ class TestEigenvalue:
     def test_tolerance_validation(self):
         with pytest.raises(ValueError):
             dominant_eigenvalue(fermion_matrix(), tol=0)
+
+    def test_matches_numpy_eigvals(self):
+        for m in _primitive_matrices():
+            want = max(abs(np.linalg.eigvals(m.to_array())))
+            assert abs(dominant_eigenvalue(m) - want) < 1e-12, m.entries
 
 
 class TestCharacteristicPolynomial:
@@ -177,6 +196,19 @@ class TestFrequencies:
         a = limiting_frequencies(power=256)
         b = limiting_frequencies(power=512)
         assert all(abs(a[sym] - b[sym]) < 1e-6 for sym in a)
+
+    def test_match_numpy_matrix_powers(self):
+        # row totals of m**p, scaled by the spectral radius so no power overflows
+        powers = (*range(1, 33), 64, 255, 256, 257, 500, 999, 1000)
+        for m in _primitive_matrices():
+            a = m.to_array()
+            a /= max(abs(np.linalg.eigvals(a)))
+            for p in powers:
+                totals = np.linalg.matrix_power(a, p).sum(axis=1)
+                want = dict(zip(m.order, totals / totals.sum()))
+                got = limiting_frequencies(m, power=p)
+                assert got.keys() == want.keys()
+                assert all(abs(got[sym] - want[sym]) < 1e-12 for sym in m.order), (m.entries, p)
 
     def test_tier_ratio_is_inverse_growth_rate(self):
         freqs = limiting_frequencies()
