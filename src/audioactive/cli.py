@@ -147,6 +147,8 @@ def _cmd_frequencies(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.table and args.format == "json":
+        raise ValueError(f"--table {args.table} writes CSV and cannot be used with --format json")
     matrix = spectral.fermion_matrix()
     if args.table == "charpoly":
         sys.stdout.write(spectral.charpoly_csv(spectral.characteristic_polynomial(matrix)))

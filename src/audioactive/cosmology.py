@@ -10,11 +10,15 @@ particles and essential ancient strings.
 The check itself follows the obvious loop: factor, test whether all
 segments are particles, otherwise step once and repeat.  Segments evolve
 independently once split off, so decay times are memoized per irreducible
-segment and a string's time is the maximum over its segments.  The memo is
-a plain dict owned by one call: ``verify_cosmological`` shares one across
-all lengths, each of its pool tasks builds its own, and
-``iterations_to_common`` starts empty, so no answer depends on what ran
-earlier in the process.
+segment and a string's time is the maximum over its segments.  The same
+holds for the two sides of any split, so a text whose rest after its first
+split is already memoized is checked as that first piece and the rest,
+without factoring the whole text.  The rest of an essential ancient
+string is a shorter one, so in a run over all lengths it is memoized
+unless it exceeded the cap.  The memo is a plain dict owned by one call:
+``verify_cosmological`` shares one across all lengths, each of its pool
+tasks builds its own, and ``iterations_to_common`` starts empty, so no
+answer depends on what ran earlier in the process.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .core import (
     _splittable,
     _step_text,
 )
-from .splitting import _factor, _require_domain, decompose
+from .splitting import _CUT, _factor, _require_domain, decompose
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -113,6 +117,12 @@ _PARTICLE_TEXTS = particles.PARTICLE_TEXTS
 def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
     """Iterations until ``text`` is fully common; raises past ``budget``.
 
+    The parts are ``text`` cut at its first split and the memoized rest
+    when ``memo`` holds that rest, ``text`` itself when it has no split,
+    and the full factorization otherwise; a text's time is the largest of
+    its parts' times.  Recursion goes one level per step, never per piece,
+    so its depth stays bounded by ``budget``.
+
     Only completed (budget-independent) values enter ``memo``, so its
     entries are true decay times whatever cap they were found under.  A
     stepped segment outside the splitting domain, where factoring is not
@@ -124,8 +134,15 @@ def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
         if got > budget:
             raise _CapExceeded(text)
         return got
+    m = _CUT.search(text)
+    if m is None:
+        parts = [text] if text else []
+    elif (rest := text[m.start():]) in memo:
+        parts = [text[: m.start()], rest]
+    else:
+        parts = _factor(text)
     worst = 0
-    for part in _factor(text):
+    for part in parts:
         if part in _PARTICLE_TEXTS:
             continue
         pt = memo.get(part)
@@ -240,10 +257,12 @@ def verify_cosmological(
 
     The verdict is success iff no string needs more than ``cap`` iterations;
     any counterexample is carried in ``failures`` (none is expected).  The
-    call owns its memo and shares it across lengths.  With ``jobs`` > 1
-    each length is one task in a worker process, with a memo of its own; a
-    string's time does not depend on the memo, so the table is identical
-    for any job count.
+    call owns its memo and shares it across lengths, so most strings of
+    length n find the rest after their first split among the strings of
+    earlier lengths.  With ``jobs`` > 1 each length is one task in a worker
+    process, with a memo of its own: it holds a rest only when earlier work
+    on the same length met it, so most strings are factored in full.  A string's time does not depend on the memo, so the table is
+    identical for any job count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")

@@ -158,6 +158,13 @@ class TestSpectrumAndFrequencies:
         assert lines[0] == "re,im"
         assert len(lines) == 9
 
+    @pytest.mark.parametrize("table", ["charpoly", "eigenvalues"])
+    def test_spectrum_table_rejects_json_format(self, capsys, table):
+        code, out, err = run(capsys, "spectrum", "--table", table, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --table {table} writes CSV and cannot be used with --format json\n"
+
     def test_frequencies_text(self, capsys):
         code, out, _ = run(capsys, "frequencies")
         lines = out.splitlines()

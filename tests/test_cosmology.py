@@ -97,13 +97,20 @@ class TestCountingFunction:
 class TestIterationsToCommon:
     @pytest.mark.parametrize(
         "text,expected",
-        [("1", 7), ("2", 0), ("0", 1), ("1121122", 5), ("22", 0), ("1212", 0)],
+        [("1", 7), ("2", 0), ("0", 1), ("1121122", 5), ("22", 0), ("1212", 0), ("", 0)],
     )
     def test_examples(self, text, expected):
         assert iterations_to_common(ds(text)) == expected
 
     def test_cap_exceeded_returns_none(self):
         assert iterations_to_common(ds("1"), cap=3) is None
+
+    def test_long_input_recursion_is_bounded_by_the_cap(self):
+        # Recursion goes one level per step, not one per piece.
+        text = iterate(ds("1"), 40)[-1].text
+        assert len(text) == 147673
+        assert len(cosmology._factor(text)) == 33403
+        assert iterations_to_common(ds(text)) == 0
 
     def test_monotone_once_common(self):
         rng = random.Random(20240)
@@ -153,10 +160,22 @@ class TestVerification:
         assert not isinstance(exc.value, ValueError)
 
     def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
-        verify_cosmological(lengths=[7])
+        # No shorter length ran first, so most strings factor in full.
+        report = verify_cosmological(lengths=[7])
+        assert report.table.row(7) == ref.DECAY_TABLE_ROWS[7]
         monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
         with pytest.raises(AudioactiveError, match="outside the splitting domain"):
             iterations_to_common(ds("1121122"))
+
+    def test_cap_below_ten_fails_exactly_the_ten_iteration_strings(self):
+        # Strings over the cap never enter the memo, so every string that
+        # extends one is factored in full.
+        report = verify_cosmological(cap=9)
+        assert not report.verified
+        assert len(report.failures) == sum(row[10] for row in ref.DECAY_TABLE_ROWS.values())
+        assert len(report.failures) == 1187
+        for n in range(1, 17):
+            assert report.table.row(n) == ref.DECAY_TABLE_ROWS[n][:10], f"length {n}"
 
     def test_parallel_run_is_identical(self):
         lengths = range(1, 9)
