@@ -180,12 +180,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_kvalue(args) -> int:
-    report = cosmology.k_value(
-        DigitString(args.string, 3),
-        max_iter=args.iters,
-        window=args.window,
-        warmup=args.warmup,
-    )
+    report = cosmology.k_value(DigitString(args.string, 3), max_iter=args.iters)
     if args.format == "json":
         print(json.dumps(report.to_json()))
     else:
@@ -283,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kvalue", help="long-run particle support of a seed string")
     p.add_argument("string")
     p.add_argument("--iters", type=int, default=64, help="cap on iterations to become common")
-    p.add_argument("--window", type=int, default=32, help="observation window")
-    p.add_argument("--warmup", type=int, default=32, help="steps evolved before observing")
     _add_format(p, ("text", "json"))
     p.set_defaults(func=_cmd_kvalue)
 

@@ -336,17 +336,12 @@ class KValueReport:
         }
 
 
-def k_value(
-    s: DigitString,
-    max_iter: int = 64,
-    window: int = 32,
-    warmup: int = 32,
-) -> KValueReport:
+def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     """Iterate ``s`` until fully common, then measure its long-run support.
 
-    ``k`` is the size of the support when limsup and liminf agree over the
-    observation window; otherwise both sizes are reported as a pair and
-    ``stabilized`` is False.
+    ``k`` is the size of the support when limsup and liminf agree;
+    otherwise both sizes are reported as a pair and ``stabilized`` is
+    False.
     """
     if s.base != 3:
         raise ValueError("k-values are defined for base-3 strings")
@@ -366,7 +361,7 @@ def k_value(
             f"{s.text!r} did not become fully common within {max_iter} iterations"
         )
     ms = dec.multiset()
-    limsup, liminf = particles.limit_sets(ms, warmup, window)
+    limsup, liminf = particles.limit_sets(ms)
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))
     return KValueReport(

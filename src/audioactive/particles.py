@@ -202,31 +202,22 @@ def evolve(ms: Mapping[str, int], n: int = 1) -> dict[str, int]:
     return current
 
 
-def limit_sets(
-    ms: Mapping[str, int], warmup: int = 32, window: int = 32
-) -> tuple[frozenset[str], frozenset[str]]:
+def limit_sets(ms: Mapping[str, int]) -> tuple[frozenset[str], frozenset[str]]:
     """(limsup, liminf) of the particle support under evolution.
 
-    Evolves ``warmup`` steps, then takes the union (limsup) and intersection
-    (liminf) of the support over the next ``window`` states.  The defaults
-    comfortably cover every cycle in the chart (the longest is the 4-cycle
-    Ph -> Gl -> Wb -> Zb -> Ph).  Every particle has a product and counts
-    stay positive, so the next support is the set of products of the
-    current one; the counts themselves are never needed.
+    Every particle has a product and counts stay positive, so the next
+    support is the set of products of the current one; the counts
+    themselves are never needed.  The supports are subsets of the 24
+    symbols, so the walk ends in a cycle: limsup is the union of the
+    supports on that cycle and liminf their intersection.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if warmup < 0:
-        raise ValueError("step count must be non-negative")
-    support = set(multiset(ms))
-    union: set[str] = set()
-    inter: set[str] | None = None
-    for n in range(warmup + window):
-        support = {product for sym in support for product in _DECAY_PRODUCTS[sym]}
-        if n >= warmup:
-            union |= support
-            inter = support if inter is None else inter & support
-    return frozenset(union), frozenset(inter)
+    support = frozenset(multiset(ms))
+    orbit: list[frozenset[str]] = []
+    while support not in orbit:
+        orbit.append(support)
+        support = frozenset(product for sym in support for product in _DECAY_PRODUCTS[sym])
+    cycle = orbit[orbit.index(support):]
+    return frozenset.union(*cycle), frozenset.intersection(*cycle)
 
 
 def total_digit_length(ms: Mapping[str, int]) -> int:

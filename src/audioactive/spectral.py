@@ -54,6 +54,8 @@ class TransitionMatrix:
             raise ValueError("matrix shape does not match the symbol order")
         if any(v < 0 for row in self.entries for v in row):
             raise ValueError("entries must be non-negative")
+        if len(set(self.order)) != n:
+            raise ValueError("symbols in the order must be distinct")
 
     @property
     def size(self) -> int:
@@ -159,8 +161,6 @@ def characteristic_polynomial(m: TransitionMatrix | Sequence[Sequence[int]]) -> 
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix must be square")
-    if n > 16:
-        raise ValueError("supported up to size 16")
     if n == 0:
         return (1,)
     poly = [1, -a[0][0]]
@@ -206,19 +206,26 @@ def polynomial_division(
     return tuple(quotient), tuple(num)
 
 
-def primitivity_power(m: TransitionMatrix, bound: int = 64) -> int | None:
-    """Smallest p <= bound with m**p entrywise positive, via exact powers."""
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
-    n = m.size
-    power = [list(row) for row in m.entries]
-    for p in range(1, bound + 1):
-        if all(v > 0 for row in power for v in row):
+def primitivity_power(m: TransitionMatrix) -> int | None:
+    """Smallest p with m**p entrywise positive, or None if there is none.
+
+    Only the zero pattern of m**p matters, and it follows from the pattern
+    of m**(p - 1) alone: row i of m**p is positive at the columns that m
+    reaches from a positive column of row i of m**(p - 1).  The patterns
+    are finitely many, so they become all positive or repeat, and after a
+    repeat the later patterns only cycle through ones already seen.
+    """
+    reach = tuple(frozenset(j for j, v in enumerate(row) if v) for row in m.entries)
+    full = frozenset(range(m.size))
+    pattern = reach
+    seen = set()
+    p = 1
+    while pattern not in seen:
+        if all(row == full for row in pattern):
             return p
-        power = [
-            [sum(power[i][t] * m.entries[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+        seen.add(pattern)
+        pattern = tuple(frozenset().union(*(reach[t] for t in row)) for row in pattern)
+        p += 1
     return None
 
 
@@ -253,9 +260,11 @@ def limiting_frequencies(
         m = fermion_matrix()
     rows = m.entries
     totals = [1.0] * m.size
-    for _ in range(power):
+    for p in range(1, power + 1):
         totals = [sum(map(mul, row, totals)) for row in rows]
         grand = sum(totals)
+        if grand == 0:
+            raise ValueError(f"the matrix power m**{p} is zero, so it has no frequencies")
         totals = [x / grand for x in totals]
     return dict(zip(m.order, totals))
 

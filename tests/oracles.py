@@ -241,3 +241,38 @@ def recursive_factor(t: str, particle_texts) -> list[str]:
     for i, j in zip(bounds, bounds[1:]):
         out += recursive_factor(t[i:j], particle_texts)
     return out
+
+
+def bareiss_determinant(a) -> int:
+    """Exact determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division in it is exact."""
+    m = [list(row) for row in a]
+    n = len(m)
+    if n == 0:
+        return 1
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def primitivity_by_powers(a) -> int | None:
+    """Smallest p with a**p entrywise positive, searched over the exact
+    integer powers up to Wielandt's bound (n - 1)**2 + 1: a nonnegative
+    n x n matrix that is not positive by then never becomes so."""
+    n = len(a)
+    power = [list(row) for row in a]
+    for p in range(1, (n - 1) ** 2 + 2):
+        if all(v > 0 for row in power for v in row):
+            return p
+        power = [[sum(power[i][t] * a[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+    return None

@@ -225,6 +225,12 @@ class TestKvalue:
         assert err == "error: max_iter must be non-negative\n"
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--window", "--warmup"])
+    def test_removed_window_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["kvalue", "10", flag, "8"])
+        assert exc.value.code == 2
+
 
 class TestParticles:
     def test_json(self, capsys):

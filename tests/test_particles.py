@@ -157,36 +157,50 @@ class TestLimitSets:
         assert limit_sets({"Ne": 1}) == (frozenset({"Ne"}), frozenset({"Ne"}))
 
     def test_sbottom_window(self):
-        limsup, _ = limit_sets({"Sb": 1}, warmup=8, window=8)
+        limsup, _ = limit_sets({"Sb": 1})
         assert {"Sb", "St"} <= limsup
         assert set(FERMION_ORDER) <= limsup
 
     def test_boson_loop_recurs_forever(self):
         # a single photon walks the 4-cycle, so the loop bosons alternate:
         # they all recur (limsup) but are never simultaneous (liminf)
-        limsup, liminf = limit_sets({"Ph": 1}, warmup=32, window=32)
+        limsup, liminf = limit_sets({"Ph": 1})
         assert {"Ph", "Gl", "Wb", "Zb", "H"} <= limsup
         assert not ({"Ph", "Gl", "Wb", "Zb"} & liminf)
         assert set(FERMION_ORDER) <= liminf
 
-    def test_window_validation(self):
-        with pytest.raises(ValueError):
-            limit_sets({"E": 1}, window=0)
-
     def test_matches_evolved_counts(self):
-        def by_evolve(ms, warmup, window):
-            state = evolve(ms, warmup)
+        def by_evolve(ms):
+            state = evolve(ms, 32)
             supports = []
-            for _ in range(window):
+            for _ in range(32):
                 state = evolve(state, 1)
                 supports.append({sym for sym, count in state.items() if count})
             return frozenset(set.union(*supports)), frozenset(set.intersection(*supports))
 
-        cases = [({p.symbol: 1}, 32, 32) for p in registry()]
-        mixed = [{"Ph": 2, "Ne": 1}, {"Gl": 1, "Zb": 3}, {"E": 5, "Sb": 1, "H": 2}, {}]
-        cases += [(ms, warmup, window) for ms in mixed for warmup, window in ((0, 1), (3, 5), (9, 4), (32, 32))]
-        for ms, warmup, window in cases:
-            assert limit_sets(ms, warmup, window) == by_evolve(ms, warmup, window), (ms, warmup, window)
+        cases = [{p.symbol: 1} for p in registry()]
+        cases += [{"Ph": 2, "Ne": 1}, {"Gl": 1, "Zb": 3}, {"E": 5, "Sb": 1, "H": 2}, {}]
+        for ms in cases:
+            assert limit_sets(ms) == by_evolve(ms), ms
+
+    def test_support_orbits_settle_by_14_with_period_dividing_4(self):
+        # The support map is the union of the per-particle maps, so every
+        # multiset's support is periodic from step 14 with a period
+        # dividing 4: a 32-step warmup and 32-step window see whole cycles.
+        preperiods = []
+        for p in registry():
+            state = {p.symbol: 1}
+            first_seen: dict[frozenset, int] = {}
+            n = 0
+            while (support := frozenset(state)) not in first_seen:
+                first_seen[support] = n
+                state = evolve(state, 1)
+                n += 1
+            preperiod = first_seen[support]
+            assert preperiod <= 14, p.symbol
+            assert 4 % (n - preperiod) == 0, p.symbol
+            preperiods.append(preperiod)
+        assert max(preperiods) == 14
 
 
 class TestJsonExport:

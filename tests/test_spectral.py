@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from audioactive import (
 from audioactive.particles import DecayRule, ParticleClass, decay_chart, lookup
 from audioactive.spectral import charpoly_csv, eigenvalues_csv, frequencies_csv
 
+import oracles
 import reference_values as ref
 
 
@@ -85,6 +87,10 @@ class TestMatrix:
         with pytest.raises(ValueError):
             TransitionMatrix(((-1,) * 8,) * 8)
 
+    def test_duplicate_symbols_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            TransitionMatrix(((1, 0), (0, 1)), ("a", "a"))
+
     def test_matrix_powers_match_multiset_evolution(self):
         m = fermion_matrix()
         order = list(m.order)
@@ -143,6 +149,18 @@ class TestCharacteristicPolynomial:
             want = np.poly(m.astype(float))
             assert np.allclose(np.asarray(got, dtype=float), want, atol=1e-6)
 
+    def test_beyond_size_16_against_bareiss_determinants(self):
+        # Both sides have degree n, so agreeing at n + 1 points makes them
+        # the same polynomial.
+        rng = random.Random(17)
+        for n in (17, 24):
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            coeffs = characteristic_polynomial(a)
+            assert len(coeffs) == n + 1
+            for x in range(n + 1):
+                x_minus_a = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+                assert sum(c * x ** (n - k) for k, c in enumerate(coeffs)) == oracles.bareiss_determinant(x_minus_a)
+
     def test_division_validation(self):
         with pytest.raises(ValueError):
             polynomial_division((1, 0), (2, 1))
@@ -172,7 +190,33 @@ class TestPrimitivity:
             tuple(tuple(1 if i == j else 0 for j in range(2)) for i in range(2)),
             order=("a", "b"),
         )
-        assert primitivity_power(ident, bound=20) is None
+        assert primitivity_power(ident) is None
+
+    def test_wielandt_matrix_reaches_its_exponent(self):
+        # Wielandt's n x n matrix has the largest exponent, (n - 1)**2 + 1.
+        n = 9
+        grid = [[0] * n for _ in range(n)]
+        for i in range(n - 1):
+            grid[i][i + 1] = 1
+        grid[n - 1][0] = grid[n - 1][1] = 1
+        m = TransitionMatrix(tuple(map(tuple, grid)), order=tuple("abcdefghi"))
+        assert primitivity_power(m) == (n - 1) ** 2 + 1 == 65
+
+    def test_cyclic_and_reducible_are_not_primitive(self):
+        cyclic = TransitionMatrix(((0, 1, 0), (0, 0, 1), (1, 0, 0)), order=("a", "b", "c"))
+        reducible = TransitionMatrix(((1, 1), (0, 1)), order=("a", "b"))
+        assert primitivity_power(cyclic) is None
+        assert primitivity_power(reducible) is None
+
+    def test_matches_integer_powers_up_to_wielandt_bound(self):
+        # A primitive n x n matrix is positive by power (n - 1)**2 + 1, so
+        # searching the exact integer powers that far decides primitivity.
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            grid = tuple(tuple(int(rng.random() < 0.35) for _ in range(n)) for _ in range(n))
+            m = TransitionMatrix(grid, order=tuple("abcde"[:n]))
+            assert primitivity_power(m) == oracles.primitivity_by_powers(grid), grid
 
 
 class TestFrequencies:
@@ -214,6 +258,11 @@ class TestFrequencies:
         freqs = limiting_frequencies()
         lam = dominant_eigenvalue(fermion_matrix())
         assert abs(freqs["M"] / freqs["E"] - 1 / lam) < 1e-3
+
+    def test_nilpotent_matrix_is_a_value_error(self):
+        nilpotent = TransitionMatrix(((0, 1), (0, 0)), ("a", "b"))
+        with pytest.raises(ValueError, match=r"m\*\*2 is zero"):
+            limiting_frequencies(nilpotent, power=2)
 
 
 class TestEigenvalues:
