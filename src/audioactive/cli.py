@@ -20,7 +20,6 @@ from . import spectral, splitting
 from .core import (
     ConvergenceError,
     DigitString,
-    LengthBudgetError,
     SearchBudgetError,
     TokenString,
     fixed_point_search,
@@ -293,7 +292,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, SearchBudgetError, LengthBudgetError) as exc:
+    except (ValueError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

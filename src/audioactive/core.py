@@ -14,6 +14,11 @@ Texts are stepped run by run in Python, reading the runs with one compiled
 pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs, and token-mode length sequences.
+
+Digit-mode length sequences follow a multiset of pieces, cut in every base
+at the splits one orbit cutter proves.  Cutting base-3 strings into
+particles, the cut after a 0 among them, belongs to
+:mod:`audioactive.splitting`.
 """
 
 from __future__ import annotations
@@ -225,19 +230,11 @@ def _step_text(text: str, base: int) -> str:
     return "".join(out)
 
 
-def _in_base(s: DigitString, base: int | None) -> DigitString:
-    """``s`` read in ``base`` (default: its own), validated as a DigitString."""
-    return s if base is None or base == s.base else DigitString(s.text, base)
+def lookandsay_step(s: DigitString) -> DigitString:
+    """One describing step of ``s`` in digit mode, in ``s.base``.
 
-
-def lookandsay_step(s: DigitString, base: int | None = None) -> DigitString:
-    """One describing step of ``s`` in digit mode.
-
-    ``base`` overrides ``s.base``; every digit of ``s`` must be valid in the
-    effective base or :class:`InvalidDigitError` is raised, naming the first
-    offending position.  The empty string maps to itself.
+    The empty string maps to itself.
     """
-    s = _in_base(s, base)
     return DigitString._valid(_step_text(s.text, s.base), s.base)
 
 
@@ -277,11 +274,11 @@ def token_step(t: TokenString) -> TokenString:
     return TokenString(tuple(out))
 
 
-def iterate(s: DigitString, n: int, base: int | None = None) -> list[DigitString]:
+def iterate(s: DigitString, n: int) -> list[DigitString]:
     """The first ``n`` iterates of ``s`` including ``s`` itself (n+1 entries)."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    out = [_in_base(s, base)]
+    out = [s]
     for _ in range(n):
         out.append(lookandsay_step(out[-1]))
     return out
@@ -335,24 +332,6 @@ def is_ancient(s: DigitString) -> bool:
     """Run-bounded with no run of length 4 or more (so 1-runs <= 3 as well)."""
     _require_base3(s)
     return _avoids(s.text, _ANCIENT)
-
-
-# ---------------------------------------------------------------------------
-# Cutting after a 0
-# ---------------------------------------------------------------------------
-
-_ZERO_CUT = re.compile(r"(?<=0)(?=[^0])")
-
-
-def _zero_pieces(text: str) -> list[str]:
-    """``text`` cut after every 0 that precedes a non-0; exact in every base.
-
-    The left part of such a cut keeps ending in 0 forever (the final run
-    digit survives each step) and the right part never grows a leading 0
-    (numerals have no leading zeros), so the two sides never interact.  The
-    empty string has no pieces.
-    """
-    return _ZERO_CUT.split(text) if text else []
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +404,8 @@ def fixed_point_search(
     return [DigitString(text, base) for text in sorted(found)]
 
 
+# Token mode builds whole arrays, so its length sequences stop past this
+# many tokens; digit mode counts pieces and needs no budget.
 DEFAULT_LENGTH_BUDGET = 10**9
 
 
@@ -526,16 +507,14 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
     return cut
 
 
-def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[int]:
+def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
     """Length sequence via a multiset of pieces cut at exact splits.
 
     Iterates factor into a small recurring set of pieces; each distinct
-    piece is stepped and re-cut once, and only the counts grow.  Bases 2
-    and 3 cut after the 0s alone (their run counts reach the base, so fresh
-    zeros come every step); other bases cut wherever ``_orbit_cutter``
-    proves a split.
+    piece is stepped and re-cut once, and only the counts grow.  The
+    pieces are cut wherever ``_orbit_cutter`` proves a split.
     """
-    cutter = _zero_pieces if base <= 3 else _orbit_cutter(base)
+    cutter = _orbit_cutter(base)
 
     def tally(t: str) -> list[tuple[str, int]]:
         return list(Counter(cutter(t)).items())
@@ -543,7 +522,7 @@ def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[in
     pieces = dict(tally(text))
     lengths = [len(text)]
     children: dict[str, list[tuple[str, int]]] = {}
-    for n in range(iters):
+    for _ in range(iters):
         nxt: dict[str, int] = {}
         for piece, count in pieces.items():
             subs = children.get(piece)
@@ -552,35 +531,24 @@ def _piece_lengths(text: str, base: int, iters: int, max_length: int) -> list[in
             for sub, mult in subs:
                 nxt[sub] = nxt.get(sub, 0) + mult * count
         pieces = nxt
-        total = sum(len(p) * c for p, c in pieces.items())
-        if total > max_length:
-            raise LengthBudgetError(
-                f"iterate {n + 1} has {total} digits, over the budget of {max_length}"
-            )
-        lengths.append(total)
+        lengths.append(sum(len(p) * c for p, c in pieces.items()))
     return lengths
 
 
-def length_sequence(
-    seed: DigitString | TokenString,
-    iters: int,
-    base: int | None = None,
-    max_length: int = DEFAULT_LENGTH_BUDGET,
-) -> list[int]:
+def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
-    Digit mode is tracked exactly through a multiset of pieces cut at
-    splits (cheap at any depth): after the 0s in bases 2 and 3, and at
-    every split proven from leading-digit orbits in bases 4 to 10.  Token
-    mode steps a packed numpy array, each run becoming a (count, value)
-    pair; it is the one mode that imports numpy.  Raises
-    :class:`LengthBudgetError` once an iterate passes ``max_length`` digits.
+    Digit mode is tracked exactly through a multiset of pieces cut at every
+    split proven from leading-digit orbits (cheap at any depth: only the
+    counts grow, so it has no length budget).  Token mode steps a packed
+    numpy array, each run becoming a (count, value) pair; it is the one
+    mode that imports numpy, and it raises :class:`LengthBudgetError` once
+    an iterate passes ``DEFAULT_LENGTH_BUDGET`` tokens.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
     if not isinstance(seed, TokenString):
-        seed = _in_base(seed, base)
-        return _piece_lengths(seed.text, seed.base, iters, max_length)
+        return _piece_lengths(seed.text, seed.base, iters)
     import numpy as np
 
     from ._arrays import _token_array_step
@@ -589,9 +557,10 @@ def length_sequence(
     lengths = [int(arr.size)]
     for n in range(iters):
         arr = _token_array_step(arr)
-        if arr.size > max_length:
+        if arr.size > DEFAULT_LENGTH_BUDGET:
             raise LengthBudgetError(
-                f"iterate {n + 1} has {arr.size} digits, over the budget of {max_length}"
+                f"iterate {n + 1} has {arr.size} digits, "
+                f"over the budget of {DEFAULT_LENGTH_BUDGET}"
             )
         lengths.append(int(arr.size))
     return lengths

@@ -204,9 +204,6 @@ class DecayTable:
     lengths: tuple[int, ...]
     cap: int = DEFAULT_CAP
 
-    def cell(self, length: int, iters: int) -> int:
-        return self.cells[self.lengths.index(length)][iters]
-
     def row(self, length: int) -> tuple[int, ...]:
         return self.cells[self.lengths.index(length)]
 

@@ -13,7 +13,7 @@ divisible by x^3 - x - 1, whose unique real root is the dominant
 eigenvalue.  Neither route trusts the other.
 
 The matrices are small, so the iterations run in plain Python; only
-:func:`eigenvalues` and :meth:`TransitionMatrix.to_array` import numpy.
+:func:`eigenvalues` imports numpy.
 """
 
 from __future__ import annotations
@@ -21,19 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from . import particles
-from .core import (
-    DEFAULT_LENGTH_BUDGET,
-    ConvergenceError,
-    DigitString,
-    TokenString,
-    length_sequence,
-)
-
-if TYPE_CHECKING:
-    import numpy as np
+from .core import ConvergenceError, DigitString, TokenString, length_sequence
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 
@@ -70,11 +61,6 @@ class TransitionMatrix:
 
     def trace(self) -> int:
         return sum(self.entries[i][i] for i in range(self.size))
-
-    def to_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.asarray(self.entries, dtype=float)
 
 
 _FERMION_MATRIX = (
@@ -278,7 +264,7 @@ class GrowthEstimate:
     """Observed length growth of an iterated seed."""
 
     seed: str
-    base: int | None  # None marks token mode
+    base: int | None  # the seed's base; None marks token mode
     lengths: tuple[int, ...]
     ratios: tuple[float, ...]
     estimate: float
@@ -293,35 +279,33 @@ class GrowthEstimate:
         }
 
 
-def empirical_growth(
-    seed: DigitString | TokenString,
-    iters: int,
-    base: int | None = None,
-    max_length: int = DEFAULT_LENGTH_BUDGET,
-) -> GrowthEstimate:
+def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstimate:
     """Iterate a seed and estimate the length growth rate.
 
     The estimate is the geometric mean of the final quarter of the
     consecutive length ratios, which discards the transient.  Lengths come
     from :func:`length_sequence` (a multiset of split pieces in digit mode,
-    packed arrays in token mode); a run past ``max_length`` digits raises
-    :class:`LengthBudgetError`.
+    packed arrays in token mode).  Raises :class:`ValueError` when the
+    length ratio over that quarter passes the float range.
     """
     if iters < 10:
         raise ValueError("need at least 10 iterations for a meaningful estimate")
     if len(seed) == 0:
         raise ValueError("seed must be non-empty")
-    lengths = length_sequence(seed, iters, base=base, max_length=max_length)
+    lengths = length_sequence(seed, iters)
     ratios = tuple(lengths[i] / lengths[i - 1] for i in range(1, len(lengths)))
     tail = max(1, iters // 4)
-    estimate = (lengths[-1] / lengths[-1 - tail]) ** (1.0 / tail)
+    try:
+        estimate = (lengths[-1] / lengths[-1 - tail]) ** (1.0 / tail)
+    except OverflowError:
+        raise ValueError(f"{iters} iterations are too many for a float estimate") from None
     if isinstance(seed, TokenString):
-        seed_text, eff_base = seed.render(), None
+        seed_text, seed_base = seed.render(), None
     else:
-        seed_text, eff_base = seed.text, base if base is not None else seed.base
+        seed_text, seed_base = seed.text, seed.base
     return GrowthEstimate(
         seed=seed_text,
-        base=eff_base,
+        base=seed_base,
         lengths=tuple(lengths),
         ratios=ratios,
         estimate=float(estimate),

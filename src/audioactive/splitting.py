@@ -29,7 +29,8 @@ each piece again, since ending a piece early might expose new cuts; it never
 does (see ``_factor``), so one pass over the string is enough.  That agrees
 with the recursive definition on every in-domain string of up to 14 digits
 (checked exhaustively; the tests check up to 11 digits).  :func:`decompose`
-cuts after the 0s first and factors each distinct piece once per call.
+cuts after the 0s first (``_zero_pieces``, rule 1 alone, which this module
+owns) and factors each distinct piece once per call.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 from typing import Literal
 
 from . import particles
-from .core import _ZERO_CUT, DigitString, SplitDomainError, _splittable, _zero_pieces
+from .core import DigitString, SplitDomainError, _splittable
 
 SplitMode = Literal["full", "conservative"]
 
@@ -82,6 +83,20 @@ class Decomposition:
 # ---------------------------------------------------------------------------
 # Text-level machinery (base 3 throughout)
 # ---------------------------------------------------------------------------
+
+_ZERO_CUT = re.compile(r"(?<=0)(?=[^0])")
+
+
+def _zero_pieces(text: str) -> list[str]:
+    """``text`` cut after every 0 that precedes a non-0; exact in every base.
+
+    The left part of such a cut keeps ending in 0 forever (the final run
+    digit survives each step) and the right part never grows a leading 0
+    (numerals have no leading zeros), so the two sides never interact.  The
+    empty string has no pieces.
+    """
+    return _ZERO_CUT.split(text) if text else []
+
 
 # flf looks ahead at most 4 characters: a prefix match of _FLF, or the end.
 _FLF = r"(?:0|1(?:0|11|2(?!2)|222))"

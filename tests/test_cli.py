@@ -200,6 +200,18 @@ class TestGrowth:
         assert data["estimate"] == 1.0
         assert data["lengths"] == [2] * 16
 
+    def test_base2_past_a_billion_digits(self, capsys):
+        # iterate 53 has 1,176,190,161 digits; the piece multiset never builds them
+        code, out, err = run(capsys, "growth", "--seed", "1", "--base", "2", "--iters", "60")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "estimate=1.465571232"
+
+    def test_ratio_past_the_float_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "growth", "--seed", "1", "--base", "2", "--iters", "7600")
+        assert code == 2
+        assert out == ""
+        assert err == "error: 7600 iterations are too many for a float estimate\n"
+
 
 class TestKvalue:
     def test_electron(self, capsys):

@@ -87,10 +87,8 @@ class TestDigitString:
         [
             lambda: DigitString.parse("120301", 3),
             lambda: DigitString.from_digits([1, 2, 0, 3, 0, 1], 3),
-            lambda: lookandsay_step(ds("120301", 10), base=3),
-            lambda: iterate(ds("120301", 10), 2, base=3),
         ],
-        ids=["parse", "from_digits", "step_base_override", "iterate_base_override"],
+        ids=["parse", "from_digits"],
     )
     def test_other_paths_reject_with_same_message(self, build):
         with pytest.raises(InvalidDigitError, match=self.MESSAGE) as exc:
@@ -157,12 +155,6 @@ class TestStep:
     )
     def test_examples(self, text, base, expected):
         assert lookandsay_step(ds(text, base)).text == expected
-
-    def test_base_override_revalidates(self):
-        s = ds("123", 10)
-        with pytest.raises(InvalidDigitError) as exc:
-            lookandsay_step(s, base=3)
-        assert exc.value.position == 2
 
     def test_decimal_concatenation_sequence(self):
         seq = iterate(ds("105", 10), 2)
@@ -399,27 +391,12 @@ class TestLengthSequence:
         assert length_sequence(ds(""), 3) == [0, 0, 0, 0]
         assert length_sequence(ds("", 10), 3) == [0, 0, 0, 0]
 
-    def test_base_override_revalidates(self):
-        with pytest.raises(InvalidDigitError) as exc:
-            length_sequence(ds("102"), 3, base=2)
-        assert exc.value.position == 2
-
     def test_matches_array_steps_in_every_base(self):
         # the piece multiset against stepping whole arrays
         for base, seed in _length_seeds():
             want = _array_lengths(seed, base)
             got = length_sequence(ds(seed, base), len(want) - 1)
             assert got == want, (base, seed[:40])
-
-    def test_budget_error_at_the_same_iterate(self):
-        for base in range(2, 11):
-            for budget in (0, 7, 5000):
-                lengths = _array_lengths("1", base, 40)
-                n = next(i for i in range(1, len(lengths)) if lengths[i] > budget)
-                message = f"iterate {n} has {lengths[n]} digits, over the budget of {budget}"
-                with pytest.raises(LengthBudgetError) as exc:
-                    length_sequence(ds("1", base), 40, max_length=budget)
-                assert str(exc.value) == message
 
     def test_unproven_cuts_stay_uncut(self, monkeypatch):
         # one held run exhausts every partial state and one orbit step finds
@@ -438,6 +415,17 @@ class TestLengthSequence:
         for seed in (TokenString((5,) * 10), TokenString((3, 1) + (7,) * 23 + (0,))):
             seq = iterate_tokens(seed, 8)
             assert length_sequence(seed, 8) == [len(t) for t in seq]
+
+    def test_token_budget_error_at_the_same_iterate(self, monkeypatch):
+        seed = TokenString((1,))
+        lengths = [len(t) for t in iterate_tokens(seed, 40)]
+        for budget in (0, 7, 5000):
+            n = next(i for i in range(1, len(lengths)) if lengths[i] > budget)
+            message = f"iterate {n} has {lengths[n]} digits, over the budget of {budget}"
+            monkeypatch.setattr(core, "DEFAULT_LENGTH_BUDGET", budget)
+            with pytest.raises(LengthBudgetError) as exc:
+                length_sequence(seed, 40)
+            assert str(exc.value) == message
 
 
 def _array_lengths(seed, base, steps=60, stop=200_000):
