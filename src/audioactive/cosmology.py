@@ -35,7 +35,7 @@ from .core import (
     _splittable,
     _step_text,
 )
-from .splitting import _CUT, _factor, _require_domain, decompose
+from .splitting import _CUT, _factor, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -349,15 +349,15 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     text = s.text
     for iterations in range(max_iter + 1):
         if _splittable(text):
-            dec = decompose(DigitString._valid(text, 3))
-            if dec.is_common:
+            texts = _factor(text)
+            if particles.PARTICLE_TEXTS.issuperset(texts):
                 break
         text = _step_text(text, 3)
     else:
         raise ConvergenceError(
             f"{s.text!r} did not become fully common within {max_iter} iterations"
         )
-    ms = dec.multiset()
+    ms = particles.multiset(map(particles._SYMBOL_BY_TEXT.__getitem__, texts))
     limsup, liminf = particles.limit_sets(ms)
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))

@@ -116,6 +116,7 @@ _PARTICLES = {
     for sym in REGISTRY_ORDER
 }
 _BY_TEXT = {p.digits.text: p for p in _PARTICLES.values()}
+_SYMBOL_BY_TEXT = {text: p.symbol for text, p in _BY_TEXT.items()}
 PARTICLE_TEXTS = frozenset(_BY_TEXT)
 
 

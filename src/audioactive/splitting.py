@@ -28,9 +28,14 @@ Full factoring cuts a string at every split.  The definition also factors
 each piece again, since ending a piece early might expose new cuts; it never
 does (see ``_factor``), so one pass over the string is enough.  That agrees
 with the recursive definition on every in-domain string of up to 14 digits
-(checked exhaustively; the tests check up to 11 digits).  :func:`decompose`
-cuts after the 0s first (``_zero_pieces``, rule 1 alone, which this module
-owns) and factors each distinct piece once per call.
+(checked exhaustively; the tests check up to 11 digits).  In full mode
+:func:`decompose` splits the text at its 0s with ``str.split("0")``: the
+domain has no ``00``, so each 0 closes a piece that is a body plus that 0,
+and the last body is the tail.  Long iterates repeat a few dozen bodies, so
+it factors each distinct body once, in a table that belongs to the call,
+and the result keeps only the segment texts; the ``DigitString`` and
+``Particle`` views are built from them on first read.  Conservative mode
+cuts with ``_zero_pieces`` (rule 1 alone, which this module owns).
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, repeat
 from typing import Literal
 
 from . import particles
@@ -48,34 +54,47 @@ SplitMode = Literal["full", "conservative"]
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Irreducible segments of a string plus their registry identification."""
+    """Irreducible segments of a string, as texts, plus views built from them.
 
-    segments: tuple[DigitString, ...]
-    identified: tuple[particles.Particle | None, ...]
+    ``segments`` and ``identified`` are built on first read; the other
+    views read the texts directly.
+    """
+
+    texts: tuple[str, ...]
+
+    @cached_property
+    def segments(self) -> tuple[DigitString, ...]:
+        # one frozen object per distinct text, shared by its repeats
+        made = {t: DigitString._valid(t, 3) for t in set(self.texts)}
+        return tuple(map(made.__getitem__, self.texts))
+
+    @cached_property
+    def identified(self) -> tuple[particles.Particle | None, ...]:
+        return tuple(map(particles._BY_TEXT.get, self.texts))
 
     def render(self) -> str:
         """Dotted factorization, e.g. ``10.110.2110.211``."""
-        return ".".join(seg.text for seg in self.segments)
+        return ".".join(self.texts)
 
     def particle_names(self) -> str:
         """Dotted symbols with ``?`` for unidentified segments."""
-        return ".".join(p.symbol if p else "?" for p in self.identified)
+        return ".".join(map(particles._SYMBOL_BY_TEXT.get, self.texts, repeat("?")))
 
     @cached_property
     def is_common(self) -> bool:
         """Every segment is a registry particle (computed on first access)."""
-        return all(p is not None for p in self.identified)
+        return particles.PARTICLE_TEXTS.issuperset(self.texts)
 
     def multiset(self) -> dict[str, int]:
         """Particle counts; raises if any segment is unidentified."""
         if not self.is_common:
             raise ValueError("decomposition contains non-particle segments")
-        return particles.multiset([p.symbol for p in self.identified])
+        return particles.multiset(map(particles._SYMBOL_BY_TEXT.__getitem__, self.texts))
 
     def to_json(self) -> dict:
         return {
-            "segments": [seg.text for seg in self.segments],
-            "particles": [p.symbol if p else None for p in self.identified],
+            "segments": list(self.texts),
+            "particles": list(map(particles._SYMBOL_BY_TEXT.get, self.texts)),
             "common": self.is_common,
         }
 
@@ -162,31 +181,23 @@ def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
 
     ``full`` applies the split characterization (and requires the splitting
     domain); ``conservative`` cuts only after 0s and accepts any base-3
-    string.  Both cut after the 0s first; ``full`` then factors each
-    distinct piece once, so long iterates, which repeat a few dozen pieces,
-    cost little more than the cut.
+    string.  ``full`` splits the text at its 0s and factors each distinct
+    body once per call, so long iterates, which repeat a few dozen bodies,
+    cost little more than the split.  The result holds only the segment
+    texts; its ``DigitString`` and ``Particle`` views are built on demand.
     """
-    if mode == "full":
-        t = _require_domain(s)
-    elif mode == "conservative":
-        t = _base3_text(s)
-    else:
+    if mode == "conservative":
+        return Decomposition(tuple(_zero_pieces(_base3_text(s))))
+    if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
-    # piece -> (its segments, their particles); frozen segments can be shared
-    built: dict[str, tuple[list[DigitString], list[particles.Particle | None]]] = {}
-    segments: list[DigitString] = []
-    identified: list[particles.Particle | None] = []
-    for piece in _zero_pieces(t):
-        got = built.get(piece)
-        if got is None:
-            texts = _factor(piece) if mode == "full" else [piece]
-            got = built[piece] = (
-                [DigitString._valid(x, 3) for x in texts],
-                [particles.identify(x) for x in texts],
-            )
-        segments += got[0]
-        identified += got[1]
-    return Decomposition(tuple(segments), tuple(identified))
+    # Exact because _require_domain has excluded 00: every 0 is followed by
+    # a non-0 or the end, so each cut after a 0 leaves a body plus "0", and
+    # the final body is the tail after the last 0 (empty if there is none).
+    *bodies, tail = _require_domain(s).split("0")
+    table = {body: _factor(body + "0") for body in set(bodies)}
+    return Decomposition(
+        (*chain.from_iterable(map(table.__getitem__, bodies)), *_factor(tail))
+    )
 
 
 def is_irreducible(s: DigitString) -> bool:

@@ -17,11 +17,11 @@ from audioactive import (
     k_value,
     verify_cosmological,
 )
-from audioactive import cosmology
+from audioactive import SplitDomainError, cosmology, particles, splitting
 from audioactive.particles import lookup
 
 import reference_values as ref
-from oracles import ANCIENT_CAPS, within_caps
+from oracles import ANCIENT_CAPS, reference_step, within_caps
 
 
 def ds(text):
@@ -233,6 +233,47 @@ class TestKValue:
             report = k_value(ds(text))
             assert report.liminf <= report.limsup
             assert 1 <= len(report.limsup) <= 24
+
+
+def eager_k_value(text):
+    """k_value's report fields, decomposing every iterate into objects."""
+    for iterations in range(65):
+        try:
+            dec = decompose(ds(text))
+        except SplitDomainError:
+            dec = None
+        if dec is not None and dec.is_common:
+            break
+        text = reference_step(text, 3)
+    ms = dec.multiset()
+    limsup, liminf = particles.limit_sets(ms)
+    return iterations, tuple(ms.items()), limsup, liminf
+
+
+class TestKValueOnTexts:
+    def test_no_decomposition_per_iterate_and_reports_unchanged(self, monkeypatch):
+        rng = random.Random(12)
+        seeds = [p.digits.text for p in particles.registry()] + [
+            "".join(rng.choice("012") for _ in range(rng.randint(1, 20))) for _ in range(200)
+        ]
+        want = [eager_k_value(text) for text in seeds]
+        built = []
+        init = splitting.Decomposition.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(splitting.Decomposition, "__init__", spy)
+        reports = [k_value(ds(text)) for text in seeds]
+        assert built == []
+        for text, report, (iterations, counts, limsup, liminf) in zip(seeds, reports, want):
+            assert report.iterations == iterations, text
+            assert report.counts == counts, text
+            assert (report.limsup, report.liminf) == (limsup, liminf), text
+        # the spy does see a decomposition being built
+        decompose(ds("10"))
+        assert built == [(("10",),)]
 
 
 class TestSmallWorldConsequence:

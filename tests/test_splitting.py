@@ -16,7 +16,8 @@ from audioactive import (
 from audioactive.cosmology import _essential_texts
 from audioactive import core
 from audioactive.core import _orbit_cutter, _step_text
-from audioactive.splitting import _factor
+from audioactive import particles
+from audioactive.splitting import _CUT, _ZERO_CUT, Decomposition, _factor
 
 import reference_values as ref
 from oracles import (
@@ -177,11 +178,14 @@ class TestDecompose:
         assert dec.is_common  # vacuously
 
     def test_is_common_kept_out_of_equality(self):
-        # computed once and stored on the instance, but not a field
+        # computed once and stored on the instance, but not a field; the
+        # same holds for the lazy segments and particles
         dec = decompose(ds("1012211"))
         assert not dec.is_common and not dec.is_common
+        dec.segments, dec.identified
         fresh = decompose(ds("1012211"))
         assert dec == fresh and hash(dec) == hash(fresh)
+        assert dec == Decomposition(dec.texts)
         assert dec.to_json() == fresh.to_json()
 
     def test_unknown_mode(self):
@@ -228,6 +232,107 @@ class TestExhaustiveAgainstOracle:
         assert split_points(ds("")) == []
         assert split_points_conservative(ds("")) == []
         assert decompose(ds(""), "conservative").segments == ()
+
+
+def eager_views(texts):
+    """Every public view of a decomposition, built eagerly from its texts
+    the way the object-per-segment version built them."""
+    segments = tuple(DigitString(t, 3) for t in texts)
+    identified = tuple(particles.identify(seg) for seg in segments)
+    common = all(p is not None for p in identified)
+    return {
+        "segments": segments,
+        "identified": identified,
+        "render": ".".join(seg.text for seg in segments),
+        "particle_names": ".".join(p.symbol if p else "?" for p in identified),
+        "is_common": common,
+        "multiset": particles.multiset([p.symbol for p in identified]) if common else None,
+        "to_json": {
+            "segments": [seg.text for seg in segments],
+            "particles": [p.symbol if p else None for p in identified],
+            "common": common,
+        },
+    }
+
+
+class TestDecompositionOnTexts:
+    """The body split and the lazy views against the cut regexes and the
+    eager build."""
+
+    def test_full_mode_is_the_cut_on_every_string_to_length_10(self):
+        checked = 0
+        for text in all_base3_texts(10):
+            if text and in_split_domain(text):
+                assert decompose(ds(text)).texts == tuple(_CUT.split(text)), text
+                checked += 1
+        assert checked == len(all_split_domain_texts(10))
+
+    def test_conservative_mode_is_the_zero_cut_on_every_string_to_length_8(self):
+        for text in all_base3_texts(8)[1:]:
+            assert decompose(ds(text), "conservative").texts == tuple(_ZERO_CUT.split(text)), text
+
+    @pytest.mark.parametrize("mode", ["full", "conservative"])
+    @pytest.mark.parametrize(
+        "text, want",
+        [("", ()), ("0", ("0",)), ("012", ("0", "12")), ("1010", ("10", "10"))],
+    )
+    def test_edge_cases(self, text, mode, want):
+        assert decompose(ds(text), mode).texts == want
+
+    def test_double_zero_only_in_conservative_mode(self):
+        with pytest.raises(SplitDomainError):
+            decompose(ds("1001"))
+        assert decompose(ds("1001"), "conservative").texts == ("100", "1")
+
+    @pytest.mark.parametrize(
+        "text, mode",
+        [
+            ("", "full"),
+            ("101102110211", "full"),
+            ("1012211", "full"),
+            ("1012211", "conservative"),
+            ("1001", "conservative"),
+            ("1111011112", "full"),
+            ("11112111121", "full"),
+            ("1112221112221110", "full"),
+            (reference_iterates("1", 3, 24)[-1], "full"),
+            (reference_iterates("12", 3, 24)[-1], "conservative"),
+        ],
+    )
+    def test_every_view_matches_the_eager_build(self, text, mode):
+        dec = decompose(ds(text), mode)
+        want = eager_views(dec.texts)
+        assert dec.segments == want["segments"]
+        assert dec.identified == want["identified"]
+        assert dec.render() == want["render"]
+        assert dec.particle_names() == want["particle_names"]
+        assert dec.is_common is want["is_common"]
+        assert dec.to_json() == want["to_json"]
+        if want["is_common"]:
+            assert dec.multiset() == want["multiset"]
+        else:
+            with pytest.raises(ValueError):
+                dec.multiset()
+
+    def test_views_are_built_only_on_demand(self, monkeypatch):
+        s = ds(reference_iterates("1", 3, 40)[-1])
+        calls = []
+        valid = DigitString._valid.__func__
+
+        def spy(cls, text, base):
+            calls.append(text)
+            return valid(cls, text, base)
+
+        monkeypatch.setattr(DigitString, "_valid", classmethod(spy))
+        dec = decompose(s)
+        dec.to_json()
+        dec.render()
+        assert "segments" not in dec.__dict__ and "identified" not in dec.__dict__
+        assert calls == []
+        # reading the segments builds one object per distinct text
+        assert dec.segments[0].text == dec.texts[0]
+        assert "segments" in dec.__dict__ and sorted(calls) == sorted(set(dec.texts))
+        assert len(dec.segments) == 33403
 
 
 class TestFactorAgainstRecursiveDefinition:
