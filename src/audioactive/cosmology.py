@@ -7,18 +7,25 @@ bounded number of steps settles the long-term behaviour of every base-3
 string, because every string eventually decays into a combination of
 particles and essential ancient strings.
 
-The check itself follows the obvious loop: factor, test whether all
-segments are particles, otherwise step once and repeat.  Segments evolve
-independently once split off, so decay times are memoized per irreducible
-segment and a string's time is the maximum over its segments.  The same
-holds for the two sides of any split, so a text whose rest after its first
-split is already memoized is checked as that first piece and the rest,
-without factoring the whole text.  The rest of an essential ancient
-string is a shorter one, so in a run over all lengths it is memoized
-unless it exceeded the cap.  The memo is a plain dict owned by one call:
-``verify_cosmological`` shares one across all lengths, each of its pool
-tasks builds its own, and ``iterations_to_common`` starts empty, so no
-answer depends on what ran earlier in the process.
+Segments evolve independently once split off, so a string's decay time is
+the largest time of its irreducible pieces, and each distinct piece is
+stepped once: ``_decay_time`` memoizes per piece in a dict owned by one
+call.  ``iterations_to_common`` starts that memo empty, so no answer
+depends on what ran earlier in the process.
+
+``verify_cosmological`` does not check the 71,775 strings one by one.  A
+split at position i is decided by the character before it and at most
+``_HEAD`` = 6 after it (``_CUT`` reads "22" and then a 4-character flf
+prefix, or the end).  Every essential string of n >= 2 digits is d + s'
+with d in {1, 2} and s' essential, so its splits are those of s' shifted
+by one, plus position 1 when ``_CUT`` matches there on d + s'[:6].  Its
+first piece, the largest time among its other pieces, and its first 6
+digits therefore follow from the same three facts about s'; strings that
+agree on them form one class, and each length is counted as classes grown
+from the last one (4,388 at length 16, against 32,754 strings).  Strings
+are listed only at lengths whose class count reports a failure.  With
+``jobs`` > 1 each length is instead checked string by string in a worker
+process, under a memo of its own.
 """
 
 from __future__ import annotations
@@ -244,6 +251,89 @@ class CosmologyReport:
         return self.table.total_strings
 
 
+# _CUT decides a cut from the character before it and at most this many
+# after it: rule 2 reads "22" and then an flf prefix, and the longest _FLF
+# reads is the 4 characters of "1222" (or "12" and one more that is not a 2).
+_HEAD = 2 + 4
+
+
+def _count_classes(
+    cap: int, top: int
+) -> tuple[list[list[int]], list[int], dict[str, int]]:
+    """Decay rows and failure counts of lengths 1..``top``, counted by class.
+
+    A class is (first piece, largest time of the other pieces, first
+    ``_HEAD`` digits) with the number of strings that share it; the next
+    length's classes come from prepending 1 or 2 (see the module
+    docstring).  Returns the rows (index n - 1), the number of strings over
+    ``cap`` per length, and each first piece's time, ``cap`` + 1 when it is
+    over the cap.
+    """
+    over = cap + 1
+    memo: dict[str, int] = {}
+    times: dict[str, int] = {}
+    rows: list[list[int]] = []
+    fails: list[int] = []
+    layer: dict[tuple[str, int, str], int] = {(c, 0, c): 1 for c in "012"}
+    for n in range(1, top + 1):
+        if n > 1:
+            grown: dict[tuple[str, int, str], int] = {}
+            for (piece, rest, head), count in layer.items():
+                for d in "12":
+                    if head.startswith(d * 3):
+                        continue  # a run of 4
+                    if _CUT.match(d + head, 1):
+                        key = (d, max(times[piece], rest), (d + head)[:_HEAD])
+                    else:
+                        key = (d + piece, rest, (d + head)[:_HEAD])
+                    grown[key] = grown.get(key, 0) + count
+            layer = grown
+        row = [0] * (over + 1)
+        for (piece, rest, _), count in layer.items():
+            t = times.get(piece)
+            if t is None:
+                try:
+                    t = _decay_time(piece, cap, memo)
+                except _CapExceeded:
+                    t = over
+                times[piece] = t
+            row[max(t, rest)] += count
+        fails.append(row.pop())
+        rows.append(row)
+    return rows, fails, times
+
+
+def _list_failures(
+    cap: int, upto: int, fails: list[int], times: dict[str, int]
+) -> dict[int, list[str]]:
+    """The strings over ``cap`` at each length 1..``upto`` that has any.
+
+    A string fails when its first piece is over the cap or its rest after
+    the first split failed at a shorter length, so each string costs one
+    search.  Raises :class:`AudioactiveError` if a length lists a different
+    number of strings than its class count.
+    """
+    failed: set[str] = set()
+    listed: dict[int, list[str]] = {}
+    for n in range(1, upto + 1):
+        if not fails[n - 1]:
+            continue
+        bad = []
+        for text in _essential_texts(n):
+            m = _CUT.search(text)
+            cut = m.start() if m else n
+            if times[text[:cut]] > cap or text[cut:] in failed:
+                bad.append(text)
+        if len(bad) != fails[n - 1]:
+            raise AudioactiveError(
+                f"length {n}: {len(bad)} strings listed over the cap, "
+                f"{fails[n - 1]} counted"
+            )
+        failed.update(bad)
+        listed[n] = bad
+    return listed
+
+
 def verify_cosmological(
     cap: int = DEFAULT_CAP,
     jobs: int = 1,
@@ -253,33 +343,59 @@ def verify_cosmological(
     """Run the decay check over every essential ancient string.
 
     The verdict is success iff no string needs more than ``cap`` iterations;
-    any counterexample is carried in ``failures`` (none is expected).  The
-    call owns its memo and shares it across lengths, so most strings of
-    length n find the rest after their first split among the strings of
-    earlier lengths.  With ``jobs`` > 1 each length is one task in a worker
-    process, with a memo of its own: it holds a rest only when earlier work
-    on the same length met it, so most strings are factored in full.  A string's time does not depend on the memo, so the table is
-    identical for any job count.
+    any counterexample is carried in ``failures`` (none is expected), by
+    length in the order of ``lengths`` and sorted within each length.
+    ``progress(n, count)`` is called once per reported length.
+
+    With ``jobs`` = 1 the strings are counted in classes (see the module
+    docstring) and listed only at lengths that have failures.  With ``jobs``
+    > 1 each length is one task in a worker process that checks its strings
+    one by one under a memo of its own.  Both give the same report.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
     lens = tuple(lengths) if lengths is not None else tuple(range(1, MAX_ESSENTIAL_LENGTH + 1))
+    for length in lens:
+        if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
+            raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
+    if jobs > 1:
+        rows, failures, max_seen = _verify_pool(cap, jobs, lens, progress)
+    else:
+        counted, fails, times = _count_classes(cap, max(lens, default=0))
+        upto = max((n for n in lens if fails[n - 1]), default=0)
+        listed = _list_failures(cap, upto, fails, times)
+        rows, failures, max_seen = [], [], 0
+        for length in lens:
+            row = counted[length - 1]
+            rows.append(tuple(row))
+            failures.extend(listed.get(length, ()))
+            max_seen = max(max_seen, max((t for t, c in enumerate(row) if c), default=0))
+            if progress is not None:
+                progress(length, sum(row) + fails[length - 1])
+    table = DecayTable(tuple(rows), lens, cap)
+    return CosmologyReport(
+        table=table,
+        verified=not failures,
+        max_iterations=max_seen,
+        failures=tuple(failures),
+    )
+
+
+def _verify_pool(
+    cap: int,
+    jobs: int,
+    lens: tuple[int, ...],
+    progress: Callable[[int, int], None] | None,
+) -> tuple[list[tuple[int, ...]], list[str], int]:
+    """Rows, failures and largest time, one pool task per length."""
+    import multiprocessing
+
     rows: list[tuple[int, ...]] = []
     failures: list[str] = []
     max_seen = 0
-    memo: dict[str, int] = {}
-    pool = None
-    if jobs > 1:
-        import multiprocessing
-
-        pool = multiprocessing.Pool(jobs)
+    pool = multiprocessing.Pool(jobs)
     try:
-        if pool is None:
-            results = (
-                (texts, _decay_times(texts, cap, memo)) for texts in map(_essential_texts, lens)
-            )
-        else:
-            results = pool.imap(_length_task, [(length, cap) for length in lens])
+        results = pool.imap(_length_task, [(length, cap) for length in lens])
         for length, (texts, times) in zip(lens, results):
             row = [0] * (cap + 1)
             for text, t in zip(texts, times):
@@ -293,16 +409,9 @@ def verify_cosmological(
             if progress is not None:
                 progress(length, len(texts))
     finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
-    table = DecayTable(tuple(rows), lens, cap)
-    return CosmologyReport(
-        table=table,
-        verified=not failures,
-        max_iterations=max_seen,
-        failures=tuple(failures),
-    )
+        pool.close()
+        pool.join()
+    return rows, failures, max_seen
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ class TestVerification:
         assert not isinstance(exc.value, ValueError)
 
     def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
-        # No shorter length ran first, so most strings factor in full.
+        # Only length 7 is reported; its row comes from this call's own
+        # classes and memo, and nothing survives the call.
         report = verify_cosmological(lengths=[7])
         assert report.table.row(7) == ref.DECAY_TABLE_ROWS[7]
         monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
@@ -168,21 +169,110 @@ class TestVerification:
             iterations_to_common(ds("1121122"))
 
     def test_cap_below_ten_fails_exactly_the_ten_iteration_strings(self):
-        # Strings over the cap never enter the memo, so every string that
-        # extends one is factored in full.
+        # The class count finds failures at lengths 5-16, so those lengths
+        # are listed string by string, each in lexicographic order.
         report = verify_cosmological(cap=9)
         assert not report.verified
+        assert report.failures[0] == "21221"
+        assert report.failures[-1] == "2221222111212211"
         assert len(report.failures) == sum(row[10] for row in ref.DECAY_TABLE_ROWS.values())
         assert len(report.failures) == 1187
         for n in range(1, 17):
             assert report.table.row(n) == ref.DECAY_TABLE_ROWS[n][:10], f"length {n}"
 
     def test_parallel_run_is_identical(self):
+        # Two engines: the serial run counts classes, the pool checks every
+        # string under a memo per length.
         lengths = range(1, 9)
         serial = verify_cosmological(jobs=1, lengths=lengths)
         parallel = verify_cosmological(jobs=2, lengths=lengths)
         assert serial.table.to_csv() == parallel.table.to_csv()
         assert serial.max_iterations == parallel.max_iterations
+
+
+def essential_upto(n):
+    return [t for k in range(1, n + 1) for t in cosmology._essential_texts(k)]
+
+
+def oracle_report(cap, lengths):
+    """Table rows, failures, verdict and largest time, string by string."""
+    memo = {}
+    rows, failures, max_seen = [], [], 0
+    for n in lengths:
+        texts = cosmology._essential_texts(n)
+        row = [0] * (cap + 1)
+        for text, t in zip(texts, cosmology._decay_times(texts, cap, memo)):
+            if t is None:
+                failures.append(text)
+            else:
+                row[t] += 1
+                max_seen = max(max_seen, t)
+        rows.append(tuple(row))
+    return tuple(rows), tuple(failures), not failures, max_seen
+
+
+def report_fields(report):
+    return report.table.cells, report.failures, report.verified, report.max_iterations
+
+
+class TestClassCount:
+    def test_head_width(self):
+        # The splits of d + s' are position 1, decided on the first
+        # 1 + _HEAD characters alone, plus the splits of s' shifted by one.
+        head = cosmology._HEAD
+        for rest in essential_upto(12):
+            rest_splits = [m.start() + 1 for m in splitting._CUT.finditer(rest)]
+            for d in "12":
+                if rest.startswith(d * 3):
+                    continue
+                text = d + rest
+                splits = [m.start() for m in splitting._CUT.finditer(text)]
+                first = splitting._CUT.match(text[: 1 + head], 1) is not None
+                assert splits == [1] * first + rest_splits, text
+
+    def test_head_width_is_tight(self):
+        text = "1221222"  # 22 + the flf prefix 1222
+        assert splitting._CUT.match(text, 1)
+        assert not splitting._CUT.match(text[:cosmology._HEAD], 1)
+
+    @pytest.mark.parametrize("cap", range(11))
+    def test_every_cap_against_string_oracle(self, cap):
+        lengths = range(1, 13)
+        report = verify_cosmological(cap=cap, lengths=lengths)
+        assert report_fields(report) == oracle_report(cap, lengths)
+        assert report.table.lengths == tuple(lengths)
+
+    @pytest.mark.parametrize("cap", [6, 10])
+    def test_subset_out_of_order(self, cap):
+        lengths = [11, 3, 9, 3]
+        calls = []
+        report = verify_cosmological(
+            cap=cap, lengths=lengths, progress=lambda n, c: calls.append((n, c))
+        )
+        assert report_fields(report) == oracle_report(cap, lengths)
+        assert report.table.lengths == (11, 3, 9, 3)
+        assert calls == [(n, ref.ROW_TOTALS[n]) for n in lengths]
+
+    def test_no_lengths(self):
+        report = verify_cosmological(lengths=[])
+        assert report_fields(report) == ((), (), True, 0)
+
+    @pytest.mark.parametrize("length", [0, 17])
+    def test_out_of_range_length(self, length):
+        with pytest.raises(ValueError, match=f"length must be 1..16, got {length}"):
+            verify_cosmological(lengths=[3, length])
+
+    def test_listed_failures_must_match_the_count(self, monkeypatch):
+        real = cosmology._count_classes
+
+        def overcount(cap, top):
+            rows, fails, times = real(cap, top)
+            fails[-1] += 1
+            return rows, fails, times
+
+        monkeypatch.setattr(cosmology, "_count_classes", overcount)
+        with pytest.raises(AudioactiveError, match="length 8: 2 strings listed over the cap, 3 counted"):
+            verify_cosmological(cap=9, lengths=[8])
 
 
 class TestKValue:
