@@ -2,8 +2,9 @@
 
 Every capability of the library is reachable as a subcommand with stable,
 scriptable output.  Exit codes: 0 on success, 1 on a verification or
-convergence failure, 2 on usage or input errors.  Long runs report progress
-on stderr only, keeping stdout clean for piping.
+convergence failure, 2 on usage or input errors.  Progress goes to
+stderr only, keeping stdout clean for piping; ``verify`` prints its
+per-length progress lines once its count is done.
 """
 
 from __future__ import annotations

@@ -15,17 +15,15 @@ depends on what ran earlier in the process.
 
 ``verify_cosmological`` does not check the 71,775 strings one by one.  A
 split at position i is decided by the character before it and at most
-``_HEAD`` = 6 after it (``_CUT`` reads "22" and then a 4-character flf
-prefix, or the end).  Every essential string of n >= 2 digits is d + s'
+``_CUT_AHEAD`` = 6 after it (``_CUT`` reads "22" and then a 4-character
+flf prefix, or the end).  Every essential string of n >= 2 digits is d + s'
 with d in {1, 2} and s' essential, so its splits are those of s' shifted
 by one, plus position 1 when ``_CUT`` matches there on d + s'[:6].  Its
 first piece, the largest time among its other pieces, and its first 6
 digits therefore follow from the same three facts about s'; strings that
 agree on them form one class, and each length is counted as classes grown
 from the last one (4,388 at length 16, against 32,754 strings).  Strings
-are listed only at lengths whose class count reports a failure.  With
-``jobs`` > 1 each length is instead checked string by string in a worker
-process, under a memo of its own.
+are listed only at lengths whose class count reports a failure.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from .core import (
     _splittable,
     _step_text,
 )
-from .splitting import _CUT, _factor, _require_domain
+from .splitting import _CUT, _CUT_AHEAD, _factor, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -182,23 +180,6 @@ def iterations_to_common(s: DigitString, cap: int = DEFAULT_CAP) -> int | None:
         return None
 
 
-def _decay_times(texts: list[str], cap: int, memo: dict[str, int]) -> list[int | None]:
-    out: list[int | None] = []
-    for text in texts:
-        try:
-            out.append(_decay_time(text, cap, memo))
-        except _CapExceeded:
-            out.append(None)
-    return out
-
-
-def _length_task(task: tuple[int, int]) -> tuple[list[str], list[int | None]]:
-    """Pool task: the strings of one length and their times, under a fresh memo."""
-    length, cap = task
-    texts = _essential_texts(length)
-    return texts, _decay_times(texts, cap, {})
-
-
 # ---------------------------------------------------------------------------
 # The verification run
 # ---------------------------------------------------------------------------
@@ -251,19 +232,13 @@ class CosmologyReport:
         return self.table.total_strings
 
 
-# _CUT decides a cut from the character before it and at most this many
-# after it: rule 2 reads "22" and then an flf prefix, and the longest _FLF
-# reads is the 4 characters of "1222" (or "12" and one more that is not a 2).
-_HEAD = 2 + 4
-
-
 def _count_classes(
     cap: int, top: int
 ) -> tuple[list[list[int]], list[int], dict[str, int]]:
     """Decay rows and failure counts of lengths 1..``top``, counted by class.
 
     A class is (first piece, largest time of the other pieces, first
-    ``_HEAD`` digits) with the number of strings that share it; the next
+    ``_CUT_AHEAD`` digits) with the number of strings that share it; the next
     length's classes come from prepending 1 or 2 (see the module
     docstring).  Returns the rows (index n - 1), the number of strings over
     ``cap`` per length, and each first piece's time, ``cap`` + 1 when it is
@@ -283,9 +258,9 @@ def _count_classes(
                     if head.startswith(d * 3):
                         continue  # a run of 4
                     if _CUT.match(d + head, 1):
-                        key = (d, max(times[piece], rest), (d + head)[:_HEAD])
+                        key = (d, max(times[piece], rest), (d + head)[:_CUT_AHEAD])
                     else:
-                        key = (d + piece, rest, (d + head)[:_HEAD])
+                        key = (d + piece, rest, (d + head)[:_CUT_AHEAD])
                     grown[key] = grown.get(key, 0) + count
             layer = grown
         row = [0] * (over + 1)
@@ -345,12 +320,12 @@ def verify_cosmological(
     The verdict is success iff no string needs more than ``cap`` iterations;
     any counterexample is carried in ``failures`` (none is expected), by
     length in the order of ``lengths`` and sorted within each length.
-    ``progress(n, count)`` is called once per reported length.
 
-    With ``jobs`` = 1 the strings are counted in classes (see the module
-    docstring) and listed only at lengths that have failures.  With ``jobs``
-    > 1 each length is one task in a worker process that checks its strings
-    one by one under a memo of its own.  Both give the same report.
+    The strings are counted in classes (see the module docstring) and
+    listed only at lengths that have failures.  ``progress(n, count)`` is
+    called once per reported length, in order, after the whole count is
+    done; it reports what was counted, not work still running.  ``jobs`` is
+    accepted and ignored: every value runs the same serial count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
@@ -358,20 +333,17 @@ def verify_cosmological(
     for length in lens:
         if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
             raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
-    if jobs > 1:
-        rows, failures, max_seen = _verify_pool(cap, jobs, lens, progress)
-    else:
-        counted, fails, times = _count_classes(cap, max(lens, default=0))
-        upto = max((n for n in lens if fails[n - 1]), default=0)
-        listed = _list_failures(cap, upto, fails, times)
-        rows, failures, max_seen = [], [], 0
-        for length in lens:
-            row = counted[length - 1]
-            rows.append(tuple(row))
-            failures.extend(listed.get(length, ()))
-            max_seen = max(max_seen, max((t for t, c in enumerate(row) if c), default=0))
-            if progress is not None:
-                progress(length, sum(row) + fails[length - 1])
+    counted, fails, times = _count_classes(cap, max(lens, default=0))
+    upto = max((n for n in lens if fails[n - 1]), default=0)
+    listed = _list_failures(cap, upto, fails, times)
+    rows, failures, max_seen = [], [], 0
+    for length in lens:
+        row = counted[length - 1]
+        rows.append(tuple(row))
+        failures.extend(listed.get(length, ()))
+        max_seen = max(max_seen, max((t for t, c in enumerate(row) if c), default=0))
+        if progress is not None:
+            progress(length, sum(row) + fails[length - 1])
     table = DecayTable(tuple(rows), lens, cap)
     return CosmologyReport(
         table=table,
@@ -379,39 +351,6 @@ def verify_cosmological(
         max_iterations=max_seen,
         failures=tuple(failures),
     )
-
-
-def _verify_pool(
-    cap: int,
-    jobs: int,
-    lens: tuple[int, ...],
-    progress: Callable[[int, int], None] | None,
-) -> tuple[list[tuple[int, ...]], list[str], int]:
-    """Rows, failures and largest time, one pool task per length."""
-    import multiprocessing
-
-    rows: list[tuple[int, ...]] = []
-    failures: list[str] = []
-    max_seen = 0
-    pool = multiprocessing.Pool(jobs)
-    try:
-        results = pool.imap(_length_task, [(length, cap) for length in lens])
-        for length, (texts, times) in zip(lens, results):
-            row = [0] * (cap + 1)
-            for text, t in zip(texts, times):
-                if t is None:
-                    failures.append(text)
-                else:
-                    row[t] += 1
-                    if t > max_seen:
-                        max_seen = t
-            rows.append(tuple(row))
-            if progress is not None:
-                progress(length, len(texts))
-    finally:
-        pool.close()
-        pool.join()
-    return rows, failures, max_seen
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,10 @@ _IS_FLF = re.compile(rf"\Z|{_FLF}")
 # Every split: after a 0 (rule 1), before 22 + flf after a 1 (rule 2), and
 # before a nonempty flf rest after a 2 (rule 3).
 _CUT = re.compile(rf"{_ZERO_CUT.pattern}|(?<=1)(?=22(?:\Z|{_FLF}))|(?<=2)(?={_FLF})")
+# _CUT decides a cut from the character before it and at most this many
+# after it: rule 2 reads "22" and then an flf prefix, and the longest _FLF
+# reads is the 4 characters of "1222" (or "12" and one more that is not a 2).
+_CUT_AHEAD = 2 + 4
 
 
 def _factor(t: str) -> list[str]:
