@@ -3,8 +3,8 @@
 Every capability of the library is reachable as a subcommand with stable,
 scriptable output.  Exit codes: 0 on success, 1 on a verification or
 convergence failure, 2 on usage or input errors.  Progress goes to
-stderr only, keeping stdout clean for piping; ``verify`` prints its
-per-length progress lines once its count is done.
+stderr only, keeping stdout clean for piping; ``verify`` prints one line
+per length with the number of strings it checked, once its count is done.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import Counter
 from typing import Sequence
 
 from . import cosmology
@@ -62,10 +63,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    def progress(length: int, count: int) -> None:
-        print(f"verify: length {length} ({count} strings)", file=sys.stderr)
-
-    report = cosmology.verify_cosmological(cap=args.cap, progress=progress)
+    report = cosmology.verify_cosmological(cap=args.cap)
+    over = Counter(map(len, report.failures))
+    for n in report.table.lengths:
+        count = report.table.row_total(n) + over[n]
+        print(f"verify: length {n} ({count} strings)", file=sys.stderr)
     csv_text = report.table.to_csv()
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

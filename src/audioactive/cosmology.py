@@ -22,15 +22,16 @@ by one, plus position 1 when ``_CUT`` matches there on d + s'[:6].  Its
 first piece, the largest time among its other pieces, and its first 6
 digits therefore follow from the same three facts about s'; strings that
 agree on them form one class, and each length is counted as classes grown
-from the last one (4,388 at length 16, against 32,754 strings).  Strings
-are listed only at lengths whose class count reports a failure.
+from the last one (4,388 at length 16, against 32,754 strings).  Every
+run counts all 16 lengths.  Strings are listed only at lengths whose class
+count reports a failure, from layers grown by the same prepending rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Iterator
 
 from . import particles
 from .core import (
@@ -50,20 +51,30 @@ DEFAULT_CAP = 10
 # Enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _essential_texts(length: int) -> list[str]:
-    """Essential ancient strings of exactly ``length`` digits, lexicographic.
+def _essential_layers(top: int) -> Iterator[list[str]]:
+    """Essential ancient strings of lengths 1..``top``, one list per length.
 
-    Bodies over {1, 2} with no run of 4 grow one digit per layer, and the
-    final digit may also be 0.  Each layer extends a sorted layer in digit
-    order, so it is sorted too; no string outside the cap is ever built,
-    where filtering would visit all 3**n.
+    Each layer is the last one with 1 or 2 prepended, skipping a run of 4,
+    the rule ``_count_classes`` grows its classes by.  Prepending in digit
+    order to a sorted layer keeps the layer sorted, and no string outside
+    the caps is ever built, where filtering would visit all 3**n.
     """
+    layer = ["0", "1", "2"]
+    for n in range(top):
+        if n:
+            layer = [
+                d + s for d, run in (("1", "111"), ("2", "222")) for s in layer
+                if not s.startswith(run)
+            ]
+        yield layer
+
+
+def _essential_texts(length: int) -> list[str]:
+    """Essential ancient strings of exactly ``length`` digits, lexicographic."""
     if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
         raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
-    bodies = [""]
-    for _ in range(length - 1):
-        bodies = [b + d for b in bodies for d in "12" if not b.endswith(d * 3)]
-    return [b + d for b in bodies for d in "012" if not b.endswith(d * 3)]
+    *_, layer = _essential_layers(length)
+    return layer
 
 
 def enumerate_essential_ancient(length: int) -> Iterator[DigitString]:
@@ -122,11 +133,9 @@ _PARTICLE_TEXTS = particles.PARTICLE_TEXTS
 def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
     """Iterations until ``text`` is fully common; raises past ``budget``.
 
-    The parts are ``text`` cut at its first split and the memoized rest
-    when ``memo`` holds that rest, ``text`` itself when it has no split,
-    and the full factorization otherwise; a text's time is the largest of
-    its parts' times.  Recursion goes one level per step, never per piece,
-    so its depth stays bounded by ``budget``.
+    A text's time is the largest time of its irreducible pieces
+    (``_factor``).  Recursion goes one level per step, never per piece, so
+    its depth stays bounded by ``budget``.
 
     Only completed (budget-independent) values enter ``memo``, so its
     entries are true decay times whatever cap they were found under.  A
@@ -139,15 +148,8 @@ def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
         if got > budget:
             raise _CapExceeded(text)
         return got
-    m = _CUT.search(text)
-    if m is None:
-        parts = [text] if text else []
-    elif (rest := text[m.start():]) in memo:
-        parts = [text[: m.start()], rest]
-    else:
-        parts = _factor(text)
     worst = 0
-    for part in parts:
+    for part in _factor(text):
         if part in _PARTICLE_TEXTS:
             continue
         pt = memo.get(part)
@@ -232,10 +234,8 @@ class CosmologyReport:
         return self.table.total_strings
 
 
-def _count_classes(
-    cap: int, top: int
-) -> tuple[list[list[int]], list[int], dict[str, int]]:
-    """Decay rows and failure counts of lengths 1..``top``, counted by class.
+def _count_classes(cap: int) -> tuple[list[list[int]], list[int], dict[str, int]]:
+    """Decay rows and failure counts of lengths 1..16, counted by class.
 
     A class is (first piece, largest time of the other pieces, first
     ``_CUT_AHEAD`` digits) with the number of strings that share it; the next
@@ -250,7 +250,7 @@ def _count_classes(
     rows: list[list[int]] = []
     fails: list[int] = []
     layer: dict[tuple[str, int, str], int] = {(c, 0, c): 1 for c in "012"}
-    for n in range(1, top + 1):
+    for n in range(1, MAX_ESSENTIAL_LENGTH + 1):
         if n > 1:
             grown: dict[tuple[str, int, str], int] = {}
             for (piece, rest, head), count in layer.items():
@@ -278,73 +278,55 @@ def _count_classes(
     return rows, fails, times
 
 
-def _list_failures(
-    cap: int, upto: int, fails: list[int], times: dict[str, int]
-) -> dict[int, list[str]]:
-    """The strings over ``cap`` at each length 1..``upto`` that has any.
+def _list_failures(cap: int, fails: list[int], times: dict[str, int]) -> list[str]:
+    """The strings over ``cap``, by length and sorted within each length.
 
-    A string fails when its first piece is over the cap or its rest after
-    the first split failed at a shorter length, so each string costs one
-    search.  Raises :class:`AudioactiveError` if a length lists a different
-    number of strings than its class count.
+    Only lengths whose class count ``fails`` reports any are listed, from
+    one ``_essential_layers`` build.  A string fails when its first piece
+    is over the cap or its rest after the first split failed at a shorter
+    length, so each string costs one search.  Raises
+    :class:`AudioactiveError` if a length lists a different number of
+    strings than its class count.
     """
+    upto = max((n for n, count in enumerate(fails, 1) if count), default=0)
     failed: set[str] = set()
-    listed: dict[int, list[str]] = {}
-    for n in range(1, upto + 1):
-        if not fails[n - 1]:
+    listed: list[str] = []
+    for n, (layer, count) in enumerate(zip(_essential_layers(upto), fails), 1):
+        if not count:
             continue
         bad = []
-        for text in _essential_texts(n):
+        for text in layer:
             m = _CUT.search(text)
             cut = m.start() if m else n
             if times[text[:cut]] > cap or text[cut:] in failed:
                 bad.append(text)
-        if len(bad) != fails[n - 1]:
+        if len(bad) != count:
             raise AudioactiveError(
-                f"length {n}: {len(bad)} strings listed over the cap, "
-                f"{fails[n - 1]} counted"
+                f"length {n}: {len(bad)} strings listed over the cap, {count} counted"
             )
         failed.update(bad)
-        listed[n] = bad
+        listed.extend(bad)
     return listed
 
 
-def verify_cosmological(
-    cap: int = DEFAULT_CAP,
-    jobs: int = 1,
-    lengths: Iterable[int] | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> CosmologyReport:
+def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyReport:
     """Run the decay check over every essential ancient string.
 
     The verdict is success iff no string needs more than ``cap`` iterations;
     any counterexample is carried in ``failures`` (none is expected), by
-    length in the order of ``lengths`` and sorted within each length.
-
-    The strings are counted in classes (see the module docstring) and
-    listed only at lengths that have failures.  ``progress(n, count)`` is
-    called once per reported length, in order, after the whole count is
-    done; it reports what was counted, not work still running.  ``jobs`` is
-    accepted and ignored: every value runs the same serial count.
+    length and sorted within each length.  The strings are counted in
+    classes (see the module docstring) and listed only at lengths that have
+    failures.  ``jobs`` is accepted and ignored: every value runs the same
+    serial count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    lens = tuple(lengths) if lengths is not None else tuple(range(1, MAX_ESSENTIAL_LENGTH + 1))
-    for length in lens:
-        if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
-            raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
-    counted, fails, times = _count_classes(cap, max(lens, default=0))
-    upto = max((n for n in lens if fails[n - 1]), default=0)
-    listed = _list_failures(cap, upto, fails, times)
-    rows, failures, max_seen = [], [], 0
-    for length in lens:
-        row = counted[length - 1]
-        rows.append(tuple(row))
-        failures.extend(listed.get(length, ()))
-        max_seen = max(max_seen, max((t for t, c in enumerate(row) if c), default=0))
-        if progress is not None:
-            progress(length, sum(row) + fails[length - 1])
-    table = DecayTable(tuple(rows), lens, cap)
+    rows, fails, times = _count_classes(cap)
+    failures = _list_failures(cap, fails, times)
+    max_seen = max((t for row in rows for t, c in enumerate(row) if c), default=0)
+    table = DecayTable(
+        tuple(map(tuple, rows)), tuple(range(1, MAX_ESSENTIAL_LENGTH + 1)), cap
+    )
     return CosmologyReport(
         table=table,
         verified=not failures,

@@ -20,7 +20,7 @@ from .core import DigitString
 def _digit_tally(text: str) -> Counter:
     tally = Counter()
     for ch in text:
-        if not ch.isdigit():
+        if not "0" <= ch <= "9":
             raise ValueError(f"non-digit character {ch!r}")
         tally[int(ch)] += 1
     return tally
@@ -60,12 +60,18 @@ def counting_step(d: CountDescriptor) -> CountDescriptor:
     return CountDescriptor.describe(d.render())
 
 
+def _sequence(start, step, n: int) -> list:
+    if n < 0:
+        raise ValueError("iteration count must be non-negative")
+    out = [start]
+    for _ in range(n):
+        out.append(step(out[-1]))
+    return out
+
+
 def counting_sequence(d: CountDescriptor, n: int) -> list[CountDescriptor]:
     """The first ``n`` counting steps from ``d`` (n+1 entries, ``d`` first)."""
-    out = [d]
-    for _ in range(n):
-        out.append(counting_step(out[-1]))
-    return out
+    return _sequence(d, counting_step, n)
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,4 @@ def selfdesc_step(v: FrequencyVector) -> FrequencyVector:
 
 def selfdesc_sequence(v: FrequencyVector, n: int) -> list[FrequencyVector]:
     """The first ``n`` self-description steps from ``v`` (n+1 entries)."""
-    out = [v]
-    for _ in range(n):
-        out.append(selfdesc_step(out[-1]))
-    return out
+    return _sequence(v, selfdesc_step, n)

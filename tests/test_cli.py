@@ -81,6 +81,15 @@ class TestVerify:
         assert lines[7] == "7," + ",".join(map(str, ref.DECAY_TABLE_ROWS[7])) + ",136"
         assert "verify: length 16" in err
 
+    @pytest.mark.parametrize("cap,code", [(10, 0), (9, 1)])
+    def test_one_count_line_per_length(self, capsys, tmp_path, cap, code):
+        # Every length reports all its strings, failed ones included.
+        got = run(capsys, "verify", "--cap", str(cap), "--out", str(tmp_path / "t.csv"))
+        assert got[0] == code
+        assert got[2].splitlines() == [
+            f"verify: length {n} ({ref.ROW_TOTALS[n]} strings)" for n in range(1, 17)
+        ]
+
     def test_stdout_csv(self, capsys):
         code, out, err = run(capsys, "verify")
         assert code == 0

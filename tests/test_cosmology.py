@@ -160,9 +160,9 @@ class TestVerification:
         assert not isinstance(exc.value, ValueError)
 
     def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
-        # Only length 7 is reported; its row comes from this call's own
-        # classes and memo, and nothing survives the call.
-        report = verify_cosmological(lengths=[7])
+        # The rows come from this call's own classes and memo, and nothing
+        # survives the call.
+        report = verify_cosmological()
         assert report.table.row(7) == ref.DECAY_TABLE_ROWS[7]
         monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
         with pytest.raises(AudioactiveError, match="outside the splitting domain"):
@@ -180,12 +180,11 @@ class TestVerification:
         for n in range(1, 17):
             assert report.table.row(n) == ref.DECAY_TABLE_ROWS[n][:10], f"length {n}"
 
-    def test_parallel_run_is_identical(self):
+    def test_parallel_run_is_identical(self, verification):
         # ``jobs`` is accepted and ignored: both runs count classes, and a
         # jobs value must not change the report.
-        lengths = range(1, 9)
-        serial = verify_cosmological(jobs=1, lengths=lengths)
-        parallel = verify_cosmological(jobs=2, lengths=lengths)
+        serial, _ = verification
+        parallel = verify_cosmological(jobs=2)
         assert serial.table.to_csv() == parallel.table.to_csv()
         assert serial.max_iterations == parallel.max_iterations
 
@@ -195,9 +194,9 @@ def essential_upto(n):
 
 
 def oracle_report(cap, lengths):
-    """Table rows, failures, verdict and largest time, string by string."""
+    """Table rows and failures, string by string."""
     memo = {}
-    rows, failures, max_seen = [], [], 0
+    rows, failures = [], []
     for n in lengths:
         texts = cosmology._essential_texts(n)
         row = [0] * (cap + 1)
@@ -208,13 +207,8 @@ def oracle_report(cap, lengths):
                 failures.append(text)
                 continue
             row[t] += 1
-            max_seen = max(max_seen, t)
         rows.append(tuple(row))
-    return tuple(rows), tuple(failures), not failures, max_seen
-
-
-def report_fields(report):
-    return report.table.cells, report.failures, report.verified, report.max_iterations
+    return tuple(rows), tuple(failures)
 
 
 class TestClassCount:
@@ -239,42 +233,27 @@ class TestClassCount:
 
     @pytest.mark.parametrize("cap", range(11))
     def test_every_cap_against_string_oracle(self, cap):
-        lengths = range(1, 13)
-        report = verify_cosmological(cap=cap, lengths=lengths)
-        assert report_fields(report) == oracle_report(cap, lengths)
-        assert report.table.lengths == tuple(lengths)
-
-    @pytest.mark.parametrize("cap", [6, 10])
-    def test_subset_out_of_order(self, cap):
-        lengths = [11, 3, 9, 3]
-        calls = []
-        report = verify_cosmological(
-            cap=cap, lengths=lengths, progress=lambda n, c: calls.append((n, c))
-        )
-        assert report_fields(report) == oracle_report(cap, lengths)
-        assert report.table.lengths == (11, 3, 9, 3)
-        assert calls == [(n, ref.ROW_TOTALS[n]) for n in lengths]
-
-    def test_no_lengths(self):
-        report = verify_cosmological(lengths=[])
-        assert report_fields(report) == ((), (), True, 0)
-
-    @pytest.mark.parametrize("length", [0, 17])
-    def test_out_of_range_length(self, length):
-        with pytest.raises(ValueError, match=f"length must be 1..16, got {length}"):
-            verify_cosmological(lengths=[3, length])
+        # The oracle checks lengths 1-12 string by string; the report's rows
+        # and failures of those lengths must agree with it.
+        report = verify_cosmological(cap=cap)
+        rows, failures = oracle_report(cap, range(1, 13))
+        assert report.table.cells[:12] == rows
+        assert tuple(t for t in report.failures if len(t) <= 12) == failures
+        assert report.table.lengths == tuple(range(1, 17))
 
     def test_listed_failures_must_match_the_count(self, monkeypatch):
         real = cosmology._count_classes
 
-        def overcount(cap, top):
-            rows, fails, times = real(cap, top)
+        def overcount(cap):
+            rows, fails, times = real(cap)
             fails[-1] += 1
             return rows, fails, times
 
         monkeypatch.setattr(cosmology, "_count_classes", overcount)
-        with pytest.raises(AudioactiveError, match="length 8: 2 strings listed over the cap, 3 counted"):
-            verify_cosmological(cap=9, lengths=[8])
+        with pytest.raises(
+            AudioactiveError, match="length 16: 591 strings listed over the cap, 592 counted"
+        ):
+            verify_cosmological(cap=9)
 
 
 class TestKValue:

@@ -2,9 +2,13 @@ import pytest
 
 from audioactive import (
     CountDescriptor,
+    DigitString,
     FrequencyVector,
+    TokenString,
     counting_sequence,
     counting_step,
+    iterate,
+    iterate_tokens,
     selfdesc_sequence,
     selfdesc_step,
 )
@@ -40,6 +44,16 @@ class TestCountDescriptor:
             CountDescriptor(((0, 1),))
         with pytest.raises(ValueError):
             CountDescriptor(((1, 2), (1, 1)))  # digits must increase
+
+    @pytest.mark.parametrize(
+        "text", ["\u0661\u0662\u0662", "1\u00b2", "12a"], ids=["arabic-indic", "superscript", "letter"]
+    )
+    def test_only_ascii_digits_are_described(self, text):
+        bad = next(ch for ch in text if ch not in "0123456789")
+        with pytest.raises(ValueError, match=f"non-digit character {bad!r}"):
+            CountDescriptor.describe(text)
+        with pytest.raises(ValueError, match=f"non-digit character {bad!r}"):
+            FrequencyVector.describe(text)
 
     def test_multidigit_counts_feed_digit_tally(self):
         # twelve 1s renders as "121", whose digits are 1, 2, 1
@@ -90,3 +104,17 @@ class TestFrequencyVector:
     def test_validation(self):
         with pytest.raises(ValueError):
             FrequencyVector((-1, 0))
+
+
+@pytest.mark.parametrize(
+    "sequence,start,n",
+    [
+        (counting_sequence, CountDescriptor.describe("1"), -1),
+        (selfdesc_sequence, FrequencyVector((1,)), -2),
+        (iterate, DigitString("1", 3), -1),
+        (iterate_tokens, TokenString.parse("1"), -1),
+    ],
+)
+def test_negative_iteration_count(sequence, start, n):
+    with pytest.raises(ValueError, match="iteration count must be non-negative"):
+        sequence(start, n)
