@@ -56,7 +56,7 @@ def _cmd_decompose(args) -> int:
     s = DigitString(args.string, 3)
     dec = splitting.decompose(s, args.mode)
     if args.format == "json":
-        print(json.dumps(dec.to_json()))
+        print(*dec.json_parts(), sep="")
     else:
         print(f"{dec.render()} = {dec.particle_names()}")
     return 0

@@ -26,6 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator
 
@@ -60,12 +61,17 @@ class ConvergenceError(AudioactiveError, RuntimeError):
 
 _DIGIT_CHARS = "0123456789"
 _MAX_RUN = 2**63 - 1
-_ALLOWED = {b: frozenset(_DIGIT_CHARS[:b]) for b in range(2, 11)}
 
 
 def _check_base(base: int) -> None:
     if not 2 <= base <= 10:
         raise ValueError(f"digit mode supports bases 2..10, got {base}; use token mode instead")
+
+
+@cache
+def _valid_prefix(base: int) -> re.Pattern:
+    """The longest prefix of valid digits; compiled on first use per base."""
+    return re.compile(f"[0-{_DIGIT_CHARS[base - 1]}]*")
 
 
 @dataclass(frozen=True)
@@ -81,9 +87,8 @@ class DigitString:
 
     def __post_init__(self):
         _check_base(self.base)
-        bad = set(self.text) - _ALLOWED[self.base]
-        if bad:
-            pos = next(i for i, ch in enumerate(self.text) if ch in bad)
+        pos = _valid_prefix(self.base).match(self.text).end()
+        if pos != len(self.text):
             raise InvalidDigitError(
                 f"digit {self.text[pos]!r} at position {pos} is not valid in base {self.base}",
                 position=pos,

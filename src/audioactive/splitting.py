@@ -32,19 +32,24 @@ with the recursive definition on every in-domain string of up to 14 digits
 :func:`decompose` splits the text at its 0s with ``str.split("0")``: the
 domain has no ``00``, so each 0 closes a piece that is a body plus that 0,
 and the last body is the tail.  Long iterates repeat a few dozen bodies, so
-it factors each distinct body once, in a table that belongs to the call,
-and the result keeps only the segment texts; the ``DigitString`` and
-``Particle`` views are built from them on first read.  Conservative mode
-cuts with ``_zero_pieces`` (rule 1 alone, which this module owns).
+it factors each distinct body once, and the result keeps the bodies, a
+table from each distinct body to its segments, and the tail's segments.
+Its dotted, symbol and JSON texts are joined from pieces rendered once per
+distinct body; the views that list every segment (texts, ``DigitString``
+and ``Particle`` objects) are built only on first read.  Conservative mode
+cuts with ``_zero_pieces`` (rule 1 alone, which this module owns) and keeps
+each piece as a body that is its own segment.
 """
 
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from typing import Literal
+from itertools import chain
+from typing import Callable, Literal, Mapping
 
 from . import particles
 from .core import DigitString, SplitDomainError, _splittable
@@ -54,13 +59,27 @@ SplitMode = Literal["full", "conservative"]
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Irreducible segments of a string, as texts, plus views built from them.
+    """Irreducible segments of a string, held as a body table, plus views.
 
-    ``segments`` and ``identified`` are built on first read; the other
-    views read the texts directly.
+    The segment sequence is the segments of each body in turn, then
+    ``tail``.  ``table`` maps each distinct body to its segment texts, at
+    least one per body; in full mode the bodies are the text split at its
+    0s (each body stands for itself plus the 0 after it), in conservative
+    mode each zero piece is a body that is its own single segment.
+
+    ``texts``, ``segments`` and ``identified`` list every segment and are
+    built on first read.  ``render``, ``particle_names``, ``json_parts``,
+    ``is_common`` and ``multiset`` work from the table, once per distinct
+    body, and build none of them.
     """
 
-    texts: tuple[str, ...]
+    bodies: tuple[str, ...]
+    table: Mapping[str, tuple[str, ...]] = field(hash=False)
+    tail: tuple[str, ...]
+
+    @cached_property
+    def texts(self) -> tuple[str, ...]:
+        return (*chain.from_iterable(map(self.table.__getitem__, self.bodies)), *self.tail)
 
     @cached_property
     def segments(self) -> tuple[DigitString, ...]:
@@ -72,24 +91,34 @@ class Decomposition:
     def identified(self) -> tuple[particles.Particle | None, ...]:
         return tuple(map(particles._BY_TEXT.get, self.texts))
 
+    def _join(self, sep: str, show: Callable[[str], str]) -> str:
+        """``sep.join(map(show, self.texts))``, showing each distinct body once."""
+        shown = {body: sep.join(map(show, segs)) for body, segs in self.table.items()}
+        return sep.join([*map(shown.__getitem__, self.bodies), *map(show, self.tail)])
+
     def render(self) -> str:
         """Dotted factorization, e.g. ``10.110.2110.211``."""
-        return ".".join(self.texts)
+        return self._join(".", str)
 
     def particle_names(self) -> str:
         """Dotted symbols with ``?`` for unidentified segments."""
-        return ".".join(map(particles._SYMBOL_BY_TEXT.get, self.texts, repeat("?")))
+        return self._join(".", lambda text: particles._SYMBOL_BY_TEXT.get(text, "?"))
 
     @cached_property
     def is_common(self) -> bool:
         """Every segment is a registry particle (computed on first access)."""
-        return particles.PARTICLE_TEXTS.issuperset(self.texts)
+        return particles.PARTICLE_TEXTS.issuperset(chain(*self.table.values(), self.tail))
 
     def multiset(self) -> dict[str, int]:
         """Particle counts; raises if any segment is unidentified."""
         if not self.is_common:
             raise ValueError("decomposition contains non-particle segments")
-        return particles.multiset(map(particles._SYMBOL_BY_TEXT.__getitem__, self.texts))
+        symbol = particles._SYMBOL_BY_TEXT
+        tally = Counter(map(symbol.__getitem__, self.tail))
+        for body, count in Counter(self.bodies).items():
+            for seg in self.table[body]:
+                tally[symbol[seg]] += count
+        return particles.multiset(tally)
 
     def to_json(self) -> dict:
         return {
@@ -97,6 +126,25 @@ class Decomposition:
             "particles": list(map(particles._SYMBOL_BY_TEXT.get, self.texts)),
             "common": self.is_common,
         }
+
+    def json_parts(self) -> tuple[str, ...]:
+        """``json.dumps(self.to_json())`` in parts that concatenate to it.
+
+        Writing the parts in turn never holds the whole text at once.
+        """
+        return (
+            '{"segments": [',
+            self._join(", ", json.dumps),
+            '], "particles": [',
+            self._join(", ", _json_symbol),
+            '], "common": ',
+            json.dumps(self.is_common),
+            "}",
+        )
+
+
+def _json_symbol(text: str) -> str:
+    return json.dumps(particles._SYMBOL_BY_TEXT.get(text))
 
 
 # ---------------------------------------------------------------------------
@@ -187,21 +235,21 @@ def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
     domain); ``conservative`` cuts only after 0s and accepts any base-3
     string.  ``full`` splits the text at its 0s and factors each distinct
     body once per call, so long iterates, which repeat a few dozen bodies,
-    cost little more than the split.  The result holds only the segment
-    texts; its ``DigitString`` and ``Particle`` views are built on demand.
+    cost little more than the split.  The result holds the bodies and their
+    table; the views that list every segment are built on demand.
     """
     if mode == "conservative":
-        return Decomposition(tuple(_zero_pieces(_base3_text(s))))
+        pieces = tuple(_zero_pieces(_base3_text(s)))
+        return Decomposition(pieces, {piece: (piece,) for piece in set(pieces)}, ())
     if mode != "full":
         raise ValueError(f"unknown mode {mode!r}")
     # Exact because _require_domain has excluded 00: every 0 is followed by
     # a non-0 or the end, so each cut after a 0 leaves a body plus "0", and
     # the final body is the tail after the last 0 (empty if there is none).
-    *bodies, tail = _require_domain(s).split("0")
-    table = {body: _factor(body + "0") for body in set(bodies)}
-    return Decomposition(
-        (*chain.from_iterable(map(table.__getitem__, bodies)), *_factor(tail))
-    )
+    bodies = _require_domain(s).split("0")
+    tail = bodies.pop()
+    table = {body: tuple(_factor(body + "0")) for body in set(bodies)}
+    return Decomposition(tuple(bodies), table, tuple(_factor(tail)))
 
 
 def is_irreducible(s: DigitString) -> bool:

@@ -83,6 +83,17 @@ class TestDigitString:
         assert exc.value.position == 3
 
     @pytest.mark.parametrize(
+        "text,pos",
+        [("3120", 0), ("10331", 2), ("1203", 3), ("12٣", 2)],
+        ids=["first", "middle", "last", "non-ascii"],
+    )
+    def test_reports_the_first_bad_position(self, text, pos):
+        message = rf"^digit {text[pos]!r} at position {pos} is not valid in base 3$"
+        with pytest.raises(InvalidDigitError, match=message) as exc:
+            DigitString(text, 3)
+        assert exc.value.position == pos
+
+    @pytest.mark.parametrize(
         "build",
         [
             lambda: DigitString.parse("120301", 3),

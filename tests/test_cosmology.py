@@ -344,7 +344,7 @@ class TestKValueOnTexts:
             assert (report.limsup, report.liminf) == (limsup, liminf), text
         # the spy does see a decomposition being built
         decompose(ds("10"))
-        assert built == [(("10",),)]
+        assert built == [(("1",), {"1": ("10",)}, ())]
 
 
 class TestSmallWorldConsequence:

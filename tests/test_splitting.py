@@ -1,3 +1,4 @@
+import json
 from itertools import accumulate
 
 import pytest
@@ -185,7 +186,7 @@ class TestDecompose:
         dec.segments, dec.identified
         fresh = decompose(ds("1012211"))
         assert dec == fresh and hash(dec) == hash(fresh)
-        assert dec == Decomposition(dec.texts)
+        assert dec == Decomposition(("1",), {"1": ("10",)}, ("12211",))
         assert dec.to_json() == fresh.to_json()
 
     def test_unknown_mode(self):
@@ -234,6 +235,13 @@ class TestExhaustiveAgainstOracle:
         assert decompose(ds(""), "conservative").segments == ()
 
 
+def assert_text_views(dec, want):
+    """The views joined from the body table equal the eager build."""
+    assert "".join(dec.json_parts()) == json.dumps(want["to_json"])
+    assert dec.render() == want["render"]
+    assert dec.particle_names() == want["particle_names"]
+
+
 def eager_views(texts):
     """Every public view of a decomposition, built eagerly from its texts
     the way the object-per-segment version built them."""
@@ -263,13 +271,17 @@ class TestDecompositionOnTexts:
         checked = 0
         for text in all_base3_texts(10):
             if text and in_split_domain(text):
-                assert decompose(ds(text)).texts == tuple(_CUT.split(text)), text
+                dec = decompose(ds(text))
+                assert dec.texts == tuple(_CUT.split(text)), text
+                assert_text_views(dec, eager_views(dec.texts))
                 checked += 1
         assert checked == len(all_split_domain_texts(10))
 
     def test_conservative_mode_is_the_zero_cut_on_every_string_to_length_8(self):
         for text in all_base3_texts(8)[1:]:
-            assert decompose(ds(text), "conservative").texts == tuple(_ZERO_CUT.split(text)), text
+            dec = decompose(ds(text), "conservative")
+            assert dec.texts == tuple(_ZERO_CUT.split(text)), text
+            assert_text_views(dec, eager_views(dec.texts))
 
     @pytest.mark.parametrize("mode", ["full", "conservative"])
     @pytest.mark.parametrize(
@@ -297,6 +309,8 @@ class TestDecompositionOnTexts:
             ("1112221112221110", "full"),
             (reference_iterates("1", 3, 24)[-1], "full"),
             (reference_iterates("12", 3, 24)[-1], "conservative"),
+            (reference_iterates("1", 3, 40)[-1], "full"),
+            (reference_iterates("1", 3, 40)[-1], "conservative"),
         ],
     )
     def test_every_view_matches_the_eager_build(self, text, mode):
@@ -304,8 +318,7 @@ class TestDecompositionOnTexts:
         want = eager_views(dec.texts)
         assert dec.segments == want["segments"]
         assert dec.identified == want["identified"]
-        assert dec.render() == want["render"]
-        assert dec.particle_names() == want["particle_names"]
+        assert_text_views(dec, want)
         assert dec.is_common is want["is_common"]
         assert dec.to_json() == want["to_json"]
         if want["is_common"]:
@@ -325,9 +338,12 @@ class TestDecompositionOnTexts:
 
         monkeypatch.setattr(DigitString, "_valid", classmethod(spy))
         dec = decompose(s)
-        dec.to_json()
+        dec.json_parts()
         dec.render()
-        assert "segments" not in dec.__dict__ and "identified" not in dec.__dict__
+        dec.particle_names()
+        assert dec.is_common
+        dec.multiset()
+        assert not {"texts", "segments", "identified"} & dec.__dict__.keys()
         assert calls == []
         # reading the segments builds one object per distinct text
         assert dec.segments[0].text == dec.texts[0]
