@@ -3,9 +3,20 @@
 An *essential ancient string* has at most 16 digits, no run of length 4 or
 more, and at most a single 0, which may only sit in the final position.
 Checking that every one of them factors into registry particles within a
-bounded number of steps settles the long-term behaviour of every base-3
-string, because every string eventually decays into a combination of
-particles and essential ancient strings.
+bounded number of steps is the paper's headline check.  The decay
+languages of :mod:`audioactive.automata` settle three results at every
+length, each checked in the tests by a product-automaton emptiness test:
+
+* the step maps the splitting domain into itself, so every iterate of a
+  domain string stays where factoring is proven;
+* every string of the essential form (runs of 1s and 2s of at most 3, and
+  at most one 0, at the end), of any length, is all particles after 10
+  steps, and some (21221 is the shortest) are not after 9;
+* every splitting-domain string, of any length, is all particles after 11
+  steps, and some (111121221 is the shortest) are not after 10.
+
+That every string enters the splitting domain, the paper's run-bound
+contraction, is property-tested, not proven here.
 
 Segments evolve independently once split off, so a string's decay time is
 the largest time of its irreducible pieces, and each distinct piece is
@@ -13,25 +24,20 @@ stepped once: ``_decay_time`` memoizes per piece in a dict owned by one
 call.  ``iterations_to_common`` starts that memo empty, so no answer
 depends on what ran earlier in the process.
 
-``verify_cosmological`` does not check the 71,775 strings one by one.  A
-split at position i is decided by the character before it and at most
-``_CUT_AHEAD`` = 6 after it (``_CUT`` reads "22" and then a 4-character
-flf prefix, or the end).  Every essential string of n >= 2 digits is d + s'
-with d in {1, 2} and s' essential, so its splits are those of s' shifted
-by one, plus position 1 when ``_CUT`` matches there on d + s'[:6].  Its
-first piece, the largest time among its other pieces, and its first 6
-digits therefore follow from the same three facts about s'; strings that
-agree on them form one class, and each length is counted as classes grown
-from the last one (4,388 at length 16, against 32,754 strings).  Every
-run counts all 16 lengths.  Strings are listed only at lengths whose class
-count reports a failure, from layers grown by the same prepending rule.
+``verify_cosmological`` does not check the 71,775 strings one by one.  It
+counts them in the decay languages of :mod:`audioactive.automata`: D_0 is
+the compounds of particles and D_t the splitting-domain strings that step
+into D_{t-1}, so a string's decay time is the least t with it in D_t.  Each
+cell of the table is a difference of two counts of essential strings, and
+strings are listed only at lengths that have some over the cap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterator
 
 from . import particles
 from .core import (
@@ -41,7 +47,7 @@ from .core import (
     _splittable,
     _step_text,
 )
-from .splitting import _CUT, _CUT_AHEAD, _factor, _require_domain
+from .splitting import _factor, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -54,10 +60,10 @@ DEFAULT_CAP = 10
 def _essential_layers(top: int) -> Iterator[list[str]]:
     """Essential ancient strings of lengths 1..``top``, one list per length.
 
-    Each layer is the last one with 1 or 2 prepended, skipping a run of 4,
-    the rule ``_count_classes`` grows its classes by.  Prepending in digit
-    order to a sorted layer keeps the layer sorted, and no string outside
-    the caps is ever built, where filtering would visit all 3**n.
+    Each layer is the last one with 1 or 2 prepended, skipping a run of 4.
+    Prepending in digit order to a sorted layer keeps the layer sorted, and
+    no string outside the caps is ever built, where filtering would visit
+    all 3**n.
     """
     layer = ["0", "1", "2"]
     for n in range(top):
@@ -234,79 +240,30 @@ class CosmologyReport:
         return self.table.total_strings
 
 
-def _count_classes(cap: int) -> tuple[list[list[int]], list[int], dict[str, int]]:
-    """Decay rows and failure counts of lengths 1..16, counted by class.
+def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], Callable[[str], bool]]:
+    """Decay rows and over-cap counts of lengths 1..16, and membership in D_cap.
 
-    A class is (first piece, largest time of the other pieces, first
-    ``_CUT_AHEAD`` digits) with the number of strings that share it; the next
-    length's classes come from prepending 1 or 2 (see the module
-    docstring).  Returns the rows (index n - 1), the number of strings over
-    ``cap`` per length, and each first piece's time, ``cap`` + 1 when it is
-    over the cap.
+    Row n, cell t is |E_n & D_t| - |E_n & D_{t-1}| for the essential strings
+    E_n of length n.  D_12 equals D_11, and the building stops at the first
+    D_t that equals D_{t-1}, so a cap above 11 builds no more automata.
     """
-    over = cap + 1
-    memo: dict[str, int] = {}
-    times: dict[str, int] = {}
-    rows: list[list[int]] = []
-    fails: list[int] = []
-    layer: dict[tuple[str, int, str], int] = {(c, 0, c): 1 for c in "012"}
-    for n in range(1, MAX_ESSENTIAL_LENGTH + 1):
-        if n > 1:
-            grown: dict[tuple[str, int, str], int] = {}
-            for (piece, rest, head), count in layer.items():
-                for d in "12":
-                    if head.startswith(d * 3):
-                        continue  # a run of 4
-                    if _CUT.match(d + head, 1):
-                        key = (d, max(times[piece], rest), (d + head)[:_CUT_AHEAD])
-                    else:
-                        key = (d + piece, rest, (d + head)[:_CUT_AHEAD])
-                    grown[key] = grown.get(key, 0) + count
-            layer = grown
-        row = [0] * (over + 1)
-        for (piece, rest, _), count in layer.items():
-            t = times.get(piece)
-            if t is None:
-                try:
-                    t = _decay_time(piece, cap, memo)
-                except _CapExceeded:
-                    t = over
-                times[piece] = t
-            row[max(t, rest)] += count
-        fails.append(row.pop())
-        rows.append(row)
-    return rows, fails, times
+    from . import automata  # deferred: no other command compiles it
 
-
-def _list_failures(cap: int, fails: list[int], times: dict[str, int]) -> list[str]:
-    """The strings over ``cap``, by length and sorted within each length.
-
-    Only lengths whose class count ``fails`` reports any are listed, from
-    one ``_essential_layers`` build.  A string fails when its first piece
-    is over the cap or its rest after the first split failed at a shorter
-    length, so each string costs one search.  Raises
-    :class:`AudioactiveError` if a length lists a different number of
-    strings than its class count.
-    """
-    upto = max((n for n, count in enumerate(fails, 1) if count), default=0)
-    failed: set[str] = set()
-    listed: list[str] = []
-    for n, (layer, count) in enumerate(zip(_essential_layers(upto), fails), 1):
-        if not count:
-            continue
-        bad = []
-        for text in layer:
-            m = _CUT.search(text)
-            cut = m.start() if m else n
-            if times[text[:cut]] > cap or text[cut:] in failed:
-                bad.append(text)
-        if len(bad) != count:
-            raise AudioactiveError(
-                f"length {n}: {len(bad)} strings listed over the cap, {count} counted"
-            )
-        failed.update(bad)
-        listed.extend(bad)
-    return listed
+    top = MAX_ESSENTIAL_LENGTH
+    levels = [automata.compounds()]
+    while len(levels) <= cap:
+        nxt = automata.pre(levels[-1])
+        if nxt == levels[-1]:
+            break
+        levels.append(nxt)
+    essential = automata.essential()
+    within = [automata.count(top, essential, d)[1:] for d in levels]
+    rows = [
+        [k - prev for prev, k in zip((0, *col), col)] + [0] * (cap + 1 - len(levels))
+        for col in zip(*within)
+    ]
+    totals = automata.count(top, essential, automata.ANY)[1:]
+    return rows, [k - d for k, d in zip(totals, within[-1])], automata.recognizer(levels[-1])
 
 
 def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyReport:
@@ -315,14 +272,25 @@ def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyRepor
     The verdict is success iff no string needs more than ``cap`` iterations;
     any counterexample is carried in ``failures`` (none is expected), by
     length and sorted within each length.  The strings are counted in
-    classes (see the module docstring) and listed only at lengths that have
-    failures.  ``jobs`` is accepted and ignored: every value runs the same
-    serial count.
+    automata (see the module docstring) and listed only at lengths that
+    have failures; a length that lists a different number of strings than
+    it counts raises :class:`AudioactiveError`.  ``jobs`` is accepted and
+    ignored: every value runs the same serial count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    rows, fails, times = _count_classes(cap)
-    failures = _list_failures(cap, fails, times)
+    rows, fails, within_cap = _decay_counts(cap)
+    failures: list[str] = []
+    upto = max((n for n, count in enumerate(fails, 1) if count), default=0)
+    for n, (layer, count) in enumerate(zip(_essential_layers(upto), fails), 1):
+        if not count:
+            continue
+        bad = list(filterfalse(within_cap, layer))
+        if len(bad) != count:
+            raise AudioactiveError(
+                f"length {n}: {len(bad)} strings listed over the cap, {count} counted"
+            )
+        failures.extend(bad)
     max_seen = max((t for row in rows for t, c in enumerate(row) if c), default=0)
     table = DecayTable(
         tuple(map(tuple, rows)), tuple(range(1, MAX_ESSENTIAL_LENGTH + 1)), cap

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from hashlib import sha256
 
 import pytest
 
@@ -106,6 +107,38 @@ class TestVerify:
         assert code == 2
         assert err == "error: cap must be non-negative\n"
         assert out == ""
+
+
+# ``verify --cap N --out FILE``: exit code and sha256 of stdout and of the
+# CSV, recorded from the class count that preceded the automata.  Stderr,
+# the 16 count lines, is the same at every cap.  Caps 11 and up print what
+# cap 10 prints, in a wider CSV.
+VERIFY_STDERR_SHA256 = "540f51067cae49ac75079ebf75e681d9579c33c5cdc3345dc240200d56eb365b"
+VERIFY_DIGESTS = {
+    0: (1, "be9fc2bf682b985f87edc43625739ac5a0d37bcb6b9133ce083642d04d269b66", "554847d11e9be38f4f1f2935edf3b5d1fda6b8b06defef17e3815fa0e53d8886"),
+    1: (1, "a73fa83e943b8ec140fddbc1ba9c44b2468636a4735d1c553c7af561c52ac02c", "073501a864579963d7801f9227edc96c4f60140375319e609a19ca5737988aa8"),
+    2: (1, "11c6ef4cc7b63619468ea71d7d5b2b9e8c93ea82034c12ffbf1c2a4cd6092eaf", "0c5cd2ead8df5e2ba3710d6574cbfe5d7542de8f1d1d093161b191a1f2ea641a"),
+    3: (1, "422f7863c77e0828f0b176183d365d3502054f430af5db04ec48acc7cf37e22e", "cb027d70ea50fee229a6dfc090778a21e4dfb354bc3ea2e6dd514294e1abc0c8"),
+    4: (1, "ccd7f607c79f056bb0d4ff7da982f85a1dbc48ade42a38a39f3cbb7e4461625a", "2cfab37cc368b8c35af9e93b2331b53c909a2da4849df78397c54a18c61abeff"),
+    5: (1, "f019acb9faff75accd4b5e9257ed7aa765520c28a2688f4f1a5a51cf77e61e1c", "b0876c23ee69e005f4565f0a104226941dab5341c90744315104c53f4b430b6b"),
+    6: (1, "debd5964f9cc422c30eaed1a7ba36a98843dd2b7b8a04fcc53eedf025dfbc53f", "23405e77f3c9baada2e51dd927ab2a8bb6ed7d89f903c30e059f8b33456a26b4"),
+    7: (1, "320c46af644558657a5e35e975419b6d97476ce19def082a8888a0763eb0ff10", "0c16c8fe7d3c2369c0e9d07c7dbad7051590f0c990c23271f9831227585b92ed"),
+    8: (1, "9deb39201a9f91dcc5b499dc1b6ed60064cd25c4c54c3f64b9eb892d7a8b7c2f", "75efd8649359d6969bad343a00dbb914dceb43cc5229121c874c20ce09947803"),
+    9: (1, "bc80dac59b89cf54d3d8f248159fccc75e6430f5d5c39f908d1157aae289dc12", "a14fe1038ba8ea4a3df5c324aa315b783769fb82e9ff698afbe506928b075a7e"),
+    10: (0, "792822b90dd893ed4b9241660bb779f909953f1dc1d0145af596a6b85a2f4267", "fe5c982d5a16a6f7190cb7d72829c931e247b09758e8732f249a69b0b6cc44d9"),
+    11: (0, "792822b90dd893ed4b9241660bb779f909953f1dc1d0145af596a6b85a2f4267", "c78d40cca650cd99ac4be5c4cc5db66bdee9e984cbbdd4afdec60f221206184e"),
+    12: (0, "792822b90dd893ed4b9241660bb779f909953f1dc1d0145af596a6b85a2f4267", "3fbdc0ae9665984cf84cc404deba656f55096a9e08dd4348e8b878a822051c02"),
+    50: (0, "792822b90dd893ed4b9241660bb779f909953f1dc1d0145af596a6b85a2f4267", "df7bdc4fe77744684f9ad31305c9149628080da48810ed2e676b46b68aeda104"),
+}
+
+
+@pytest.mark.parametrize("cap", sorted(VERIFY_DIGESTS))
+def test_verify_output_is_byte_identical(capsys, tmp_path, cap):
+    out_path = tmp_path / "t.csv"
+    code, out, err = run(capsys, "verify", "--cap", str(cap), "--out", str(out_path))
+    assert sha256(err.encode()).hexdigest() == VERIFY_STDERR_SHA256
+    got = (code, *(sha256(text.encode()).hexdigest() for text in (out, out_path.read_text())))
+    assert got == VERIFY_DIGESTS[cap]
 
 
 class TestAncients:
@@ -279,15 +312,16 @@ class TestUsage:
 
 _CLI_PROBE = """
 import contextlib, io, json, sys
+module = sys.argv[2]
 import audioactive
-seen = [["import audioactive", 0, "numpy" in sys.modules, ""]]
+seen = [["import audioactive", 0, module in sys.modules, ""]]
 import audioactive.cli as cli
-seen.append(["import audioactive.cli", 0, "numpy" in sys.modules, ""])
+seen.append(["import audioactive.cli", 0, module in sys.modules, ""])
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = cli.main(argv)
-    seen.append([" ".join(argv)[:60], code, "numpy" in sys.modules, out.getvalue()])
+    seen.append([" ".join(argv)[:60], code, module in sys.modules, out.getvalue()])
 print(json.dumps(seen))
 """
 
@@ -307,9 +341,9 @@ def fresh_python(code, *args):
     return proc.stdout
 
 
-def fresh_cli(commands):
-    """(step, exit code, numpy loaded, stdout) after each import and command."""
-    return json.loads(fresh_python(_CLI_PROBE, json.dumps(commands)))
+def fresh_cli(commands, module="numpy"):
+    """(step, exit code, ``module`` loaded, stdout) after each import and command."""
+    return json.loads(fresh_python(_CLI_PROBE, json.dumps(commands), module))
 
 
 class TestNumpyStaysUnloaded:
@@ -345,3 +379,18 @@ class TestNumpyStaysUnloaded:
         ).split()
         assert abs(float(estimate) - ref.HIGH_BASE_GROWTH) < 0.02
         assert numpy == "True"
+
+
+class TestAutomataStayUnloaded:
+    """Only ``verify`` compiles the decay automata, keeping every other
+    command's start-up as it was."""
+
+    def test_only_verify_loads_the_automata(self, tmp_path):
+        commands = [
+            ["decompose", "101102110211"],
+            ["kvalue", "10"],
+            ["growth", "--seed", "1", "--base", "3"],
+            ["verify", "--out", str(tmp_path / "decay.csv")],
+        ]
+        seen = fresh_cli(commands, "audioactive.automata")
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 5 + [(0, True)]

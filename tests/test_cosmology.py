@@ -17,11 +17,11 @@ from audioactive import (
     k_value,
     verify_cosmological,
 )
-from audioactive import SplitDomainError, cosmology, particles, splitting
+from audioactive import SplitDomainError, automata, cosmology, particles, splitting
 from audioactive.particles import lookup
 
 import reference_values as ref
-from oracles import ANCIENT_CAPS, reference_step, within_caps
+from oracles import ANCIENT_CAPS, all_split_domain_texts, reference_step, within_caps
 
 
 def ds(text):
@@ -160,8 +160,8 @@ class TestVerification:
         assert not isinstance(exc.value, ValueError)
 
     def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
-        # The rows come from this call's own classes and memo, and nothing
-        # survives the call.
+        # The rows come from automata this call builds, and nothing survives
+        # the call; iterations_to_common starts its own memo.
         report = verify_cosmological()
         assert report.table.row(7) == ref.DECAY_TABLE_ROWS[7]
         monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
@@ -169,8 +169,8 @@ class TestVerification:
             iterations_to_common(ds("1121122"))
 
     def test_cap_below_ten_fails_exactly_the_ten_iteration_strings(self):
-        # The class count finds failures at lengths 5-16, so those lengths
-        # are listed string by string, each in lexicographic order.
+        # The count finds failures at lengths 5-16, so those lengths are
+        # listed string by string, each in lexicographic order.
         report = verify_cosmological(cap=9)
         assert not report.verified
         assert report.failures[0] == "21221"
@@ -181,8 +181,8 @@ class TestVerification:
             assert report.table.row(n) == ref.DECAY_TABLE_ROWS[n][:10], f"length {n}"
 
     def test_parallel_run_is_identical(self, verification):
-        # ``jobs`` is accepted and ignored: both runs count classes, and a
-        # jobs value must not change the report.
+        # ``jobs`` is accepted and ignored: both runs count the same
+        # automata, and a jobs value must not change the report.
         serial, _ = verification
         parallel = verify_cosmological(jobs=2)
         assert serial.table.to_csv() == parallel.table.to_csv()
@@ -214,7 +214,8 @@ def oracle_report(cap, lengths):
 class TestClassCount:
     def test_head_width(self):
         # The splits of d + s' are position 1, decided on the first
-        # 1 + _CUT_AHEAD characters alone, plus the splits of s' shifted by one.
+        # 1 + _CUT_AHEAD characters alone, plus the splits of s' shifted by one;
+        # _essential_layers builds every layer by such prepending.
         head = splitting._CUT_AHEAD
         for rest in essential_upto(12):
             rest_splits = [m.start() + 1 for m in splitting._CUT.finditer(rest)]
@@ -242,18 +243,77 @@ class TestClassCount:
         assert report.table.lengths == tuple(range(1, 17))
 
     def test_listed_failures_must_match_the_count(self, monkeypatch):
-        real = cosmology._count_classes
+        real = cosmology._decay_counts
 
         def overcount(cap):
-            rows, fails, times = real(cap)
+            rows, fails, within_cap = real(cap)
             fails[-1] += 1
-            return rows, fails, times
+            return rows, fails, within_cap
 
-        monkeypatch.setattr(cosmology, "_count_classes", overcount)
+        monkeypatch.setattr(cosmology, "_decay_counts", overcount)
         with pytest.raises(
             AudioactiveError, match="length 16: 591 strings listed over the cap, 592 counted"
         ):
             verify_cosmological(cap=9)
+
+
+@pytest.fixture(scope="module")
+def decay_languages():
+    """D_0 (the particle compounds) to D_12, each D_t = pre(D_{t-1})."""
+    levels = [automata.compounds()]
+    for _ in range(12):
+        levels.append(automata.pre(levels[-1]))
+    return levels
+
+
+class TestDecayAutomata:
+    """All-length results, each an emptiness check on a product automaton:
+    ``witness(a, b)`` is None exactly when every string of a is in b."""
+
+    def test_compound_language(self, decay_languages):
+        assert sum(map(len, automata.junction_splits().values())) == 297
+        assert len(decay_languages[0][0]) == 28
+        assert max(len(delta) for delta, _ in decay_languages) == 56
+
+    def test_step_keeps_the_splitting_domain(self):
+        # So every iterate of a domain string can be factored, at every length.
+        dom = automata.pre(automata.ANY)
+        assert len(dom[0]) == 10
+        assert automata.witness(dom, automata.pre(dom)) is None
+
+    def test_essential_strings_of_every_length_decay_in_ten_steps(self, decay_languages):
+        essential = automata.essential()
+        assert automata.witness(essential, decay_languages[10]) is None
+        assert automata.witness(essential, decay_languages[9]) == "21221"
+
+    def test_domain_strings_of_every_length_decay_in_eleven_steps(self, decay_languages):
+        dom = automata.pre(automata.ANY)
+        assert automata.witness(dom, decay_languages[11]) is None
+        assert automata.witness(dom, decay_languages[10]) == "111121221"
+        assert decay_languages[11] == decay_languages[12] == dom
+
+    def test_membership_is_the_string_decay_time(self, decay_languages):
+        # The least t with w in D_t, against stepping and factoring w, on
+        # every splitting-domain string of at most 10 digits.
+        states = {"": (0,) * len(decay_languages)}
+
+        def reached(text):  # the state of each D_t after reading text
+            if text not in states:
+                d = int(text[-1])
+                states[text] = tuple(
+                    m[0][q][d] for m, q in zip(decay_languages, reached(text[:-1]))
+                )
+            return states[text]
+
+        memo = {}
+        slowest = []
+        for text in all_split_domain_texts(10):
+            now = reached(text)
+            least = next(t for t, (m, q) in enumerate(zip(decay_languages, now)) if m[1][q])
+            assert least == cosmology._decay_time(text, 11, memo), text
+            if least == 11:
+                slowest.append(text)
+        assert sorted(slowest) == ["0111121221", "111121221", "2111121221"]
 
 
 class TestKValue:

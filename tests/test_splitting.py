@@ -17,8 +17,8 @@ from audioactive import (
 from audioactive.cosmology import _essential_texts
 from audioactive import core
 from audioactive.core import _orbit_cutter, _step_text
-from audioactive import particles
-from audioactive.splitting import _CUT, _ZERO_CUT, Decomposition, _factor
+from audioactive import automata, particles
+from audioactive.splitting import _CUT, _CUT_AHEAD, _ZERO_CUT, Decomposition, _factor
 
 import reference_values as ref
 from oracles import (
@@ -400,6 +400,68 @@ class TestOrbitCertificate:
         for text in all_split_domain_texts(9):
             cuts = list(accumulate(len(piece) for piece in cut(text)))[:-1]
             assert set(cuts) <= set(split_points(ds(text))), (held, text)
+
+
+def led_by(a, m):
+    """The strings ``m`` accepts that start with the digit ``a``."""
+    delta, accept = m
+
+    def succ(q):
+        if q == "start":
+            return tuple(delta[0][d] if str(d) == a else None for d in range(3))
+        return (None,) * 3 if q is None else delta[q]
+
+    return automata._build("start", succ, lambda q: q not in ("start", None) and accept[q])
+
+
+def union(a, b):
+    return automata._build(
+        (0, 0), lambda s: tuple(zip(a[0][s[0]], b[0][s[1]])), lambda s: a[1][s[0]] or b[1][s[1]]
+    )
+
+
+def led_by_after_steps(a):
+    """G_a: the domain strings some iterate R_n, n >= 1, of which leads with a.
+
+    The union of pre^n(domain strings led by a) over n >= 1 stops growing at
+    the first preimage that adds nothing: pre is monotone and distributes
+    over union, so no later one adds anything either.
+    """
+    dom = automata.pre(automata.ANY)
+    layer = grown = automata.pre(led_by(a, dom))
+    for n in range(2, 10):
+        layer = automata.pre(layer)
+        if automata.witness(layer, grown) is None:
+            return grown, n
+        grown = union(grown, layer)
+    raise AssertionError(f"no fixed point for {a} within 9 preimages")
+
+
+class TestSplitRulesAtEveryLength:
+    """At every length, _CUT cuts a + R at position 1 exactly when no iterate
+    of R leads with a, for every nonempty R with R[0] != a and a + R in the
+    domain.  _CUT is read through a trie of R's first _CUT_AHEAD + 2
+    characters, longer than it looks, so that bound is checked as well."""
+
+    @pytest.mark.parametrize("a", "012")
+    def test_cut_is_the_orbit_criterion(self, a):
+        g, preimages = led_by_after_steps(a)
+        assert preimages <= 4
+        dom = automata.pre(automata.ANY)
+        dead = automata._dead(dom)
+        depth = _CUT_AHEAD + 2
+        # (domain state after a + R, R's trie node, G_a state); R[0] != a
+        start = (dom[0][0][int(a)], "", 0)
+        path = {start: ""}
+        queue = [start]  # breadth first: grows while it is read
+        for p, node, q in queue:
+            if node and dom[1][p]:
+                assert (_CUT.match(a + node, 1) is not None) != g[1][q], a + path[p, node, q]
+            for d, c in enumerate("012"):
+                nxt = dom[0][p][d], node + c if len(node) < depth else node, g[0][q][d]
+                if nxt[0] != dead and (node or c != a) and nxt not in path:
+                    path[nxt] = path[p, node, q] + c
+                    queue.append(nxt)
 
 
 class TestPredicates:
