@@ -17,6 +17,7 @@ exactly the domain strings that are all particles after at most t steps.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Callable, Hashable
 
 from . import particles
@@ -27,6 +28,7 @@ _DIGITS = "012"
 _RUN_CAP = {"0": 1, "1": 4, "2": 3}  # the splitting domain's run bounds
 _NUMERAL = {1: "1", 2: "2", 3: "10", 4: "11"}  # base-3 numerals of those runs
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
+_ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
 
 
 def _explore(start: Hashable, succ: Callable) -> tuple[list, list[tuple[int, ...]]]:
@@ -79,14 +81,13 @@ def _feed(delta, q: int, text: str) -> int:
 
 
 def recognizer(m: Dfa) -> Callable[[str], bool]:
-    """Membership in ``m`` as a test on texts."""
-    table = [dict(zip(_DIGITS, row)) for row in m[0]]
-    accept = m[1]
+    """Membership in ``m`` as a test on texts over 0, 1 and 2."""
+    delta, accept = m
 
     def accepts(text: str) -> bool:
         q = 0
-        for c in text:
-            q = table[q][c]
+        for d in text.encode().translate(_ROW):
+            q = delta[q][d]
         return accept[q]
 
     return accepts
@@ -182,6 +183,20 @@ def compounds() -> Dfa:
     return _build(
         frozenset({("", 0)}), succ, lambda states: any(i == len(p) for p, i in states)
     )
+
+
+@cache
+def decay_languages() -> tuple[Dfa, ...]:
+    """D_0, D_1, ... up to the first D_t that ``pre`` maps to itself.
+
+    That is D_11, the whole splitting domain, so there are 12.  The DFAs
+    are immutable, so building them once per process changes no answer;
+    ``decay_languages.cache_clear()`` drops them.
+    """
+    levels = [compounds()]
+    while (nxt := pre(levels[-1])) != levels[-1]:
+        levels.append(nxt)
+    return tuple(levels)
 
 
 def _dead(m: Dfa) -> int | None:

@@ -18,18 +18,15 @@ length, each checked in the tests by a product-automaton emptiness test:
 That every string enters the splitting domain, the paper's run-bound
 contraction, is property-tested, not proven here.
 
-Segments evolve independently once split off, so a string's decay time is
-the largest time of its irreducible pieces, and each distinct piece is
-stepped once: ``_decay_time`` memoizes per piece in a dict owned by one
-call.  ``iterations_to_common`` starts that memo empty, so no answer
-depends on what ran earlier in the process.
-
-``verify_cosmological`` does not check the 71,775 strings one by one.  It
-counts them in the decay languages of :mod:`audioactive.automata`: D_0 is
-the compounds of particles and D_t the splitting-domain strings that step
-into D_{t-1}, so a string's decay time is the least t with it in D_t.  Each
-cell of the table is a difference of two counts of essential strings, and
-strings are listed only at lengths that have some over the cap.
+A string's decay time is the least t with it in D_t, where D_0 is the
+compounds of particles and D_t the splitting-domain strings that step into
+D_{t-1}.  ``iterations_to_common`` is that membership test: it walks the
+text through D_0, D_1, ... in turn, and steps and factors nothing.
+``verify_cosmological`` does not check the 71,775 strings one by one
+either.  Each cell of its table is a difference of two counts of essential
+strings in the same languages, and strings are listed only at lengths that
+have some over the cap.  :func:`automata.decay_languages` builds the
+languages once per process.
 """
 
 from __future__ import annotations
@@ -129,63 +126,19 @@ def f_recursive(n: int) -> int:
 # Decay times
 # ---------------------------------------------------------------------------
 
-class _CapExceeded(Exception):
-    pass
-
-
-_PARTICLE_TEXTS = particles.PARTICLE_TEXTS
-
-
-def _decay_time(text: str, budget: int, memo: dict[str, int]) -> int:
-    """Iterations until ``text`` is fully common; raises past ``budget``.
-
-    A text's time is the largest time of its irreducible pieces
-    (``_factor``).  Recursion goes one level per step, never per piece, so
-    its depth stays bounded by ``budget``.
-
-    Only completed (budget-independent) values enter ``memo``, so its
-    entries are true decay times whatever cap they were found under.  A
-    stepped segment outside the splitting domain, where factoring is not
-    proven, raises :class:`AudioactiveError` (an internal failure, not bad
-    input).
-    """
-    got = memo.get(text)
-    if got is not None:
-        if got > budget:
-            raise _CapExceeded(text)
-        return got
-    worst = 0
-    for part in _factor(text):
-        if part in _PARTICLE_TEXTS:
-            continue
-        pt = memo.get(part)
-        if pt is None:
-            if budget <= 0:
-                raise _CapExceeded(text)
-            stepped = _step_text(part, 3)
-            if not _splittable(stepped):
-                raise AudioactiveError(
-                    f"{part!r} steps to {stepped!r}, outside the splitting domain"
-                )
-            pt = 1 + _decay_time(stepped, budget - 1, memo)
-            memo[part] = pt
-        if pt > budget:
-            raise _CapExceeded(text)
-        if pt > worst:
-            worst = pt
-    memo[text] = worst
-    return worst
-
-
 def iterations_to_common(s: DigitString, cap: int = DEFAULT_CAP) -> int | None:
-    """Smallest n <= cap whose n-th iterate factors into particles, else None."""
+    """Smallest n <= cap whose n-th iterate factors into particles, else None.
+
+    That is the least n with ``s`` in the decay language D_n.  A string
+    outside the splitting domain raises :class:`SplitDomainError`.
+    """
     if cap < 0:
         raise ValueError("cap must be non-negative")
     text = _require_domain(s)
-    try:
-        return _decay_time(text, cap, {})
-    except _CapExceeded:
-        return None
+    from . import automata  # deferred: only this and verify compile it
+
+    languages = automata.decay_languages()[: cap + 1]
+    return next((n for n, m in enumerate(languages) if automata.recognizer(m)(text)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +197,13 @@ def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], Callable[[str],
     """Decay rows and over-cap counts of lengths 1..16, and membership in D_cap.
 
     Row n, cell t is |E_n & D_t| - |E_n & D_{t-1}| for the essential strings
-    E_n of length n.  D_12 equals D_11, and the building stops at the first
-    D_t that equals D_{t-1}, so a cap above 11 builds no more automata.
+    E_n of length n.  The languages end at D_11, the whole domain, so the
+    cells of a cap above 11 are 0.
     """
-    from . import automata  # deferred: no other command compiles it
+    from . import automata  # deferred: only this and iterations_to_common compile it
 
     top = MAX_ESSENTIAL_LENGTH
-    levels = [automata.compounds()]
-    while len(levels) <= cap:
-        nxt = automata.pre(levels[-1])
-        if nxt == levels[-1]:
-            break
-        levels.append(nxt)
+    levels = automata.decay_languages()[: cap + 1]
     essential = automata.essential()
     within = [automata.count(top, essential, d)[1:] for d in levels]
     rows = [

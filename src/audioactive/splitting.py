@@ -24,6 +24,14 @@ occur embedded in otherwise ancient material.  Everything else must use
 ``conservative`` mode, whose only rule (cut after a 0 that precedes a
 non-0) is valid for arbitrary strings.
 
+On the splitting domain the rules hold at every length, not only at the
+sizes a sweep reaches: after a digit a, ``_CUT`` cuts before every
+nonempty R with a + R in the domain exactly when no iterate of R, R itself
+included, begins with a.  The tests check this as a finite-automaton
+equivalence (:mod:`audioactive.automata`; the strings some iterate of
+which leads with a form a regular language), reading ``_CUT`` through a
+window longer than ``_CUT_AHEAD``, so that bound is checked too.
+
 Full factoring cuts a string at every split.  The definition also factors
 each piece again, since ending a piece early might expose new cuts; it never
 does (see ``_factor``), so one pass over the string is enough.  That agrees

@@ -243,6 +243,23 @@ def recursive_factor(t: str, particle_texts) -> list[str]:
     return out
 
 
+def decay_time(text: str, particle_texts, memo: dict[str, int]) -> int:
+    """Steps until base-3 ``text`` factors into ``particle_texts``, by
+    stepping and factoring: the largest time of its ``recursive_factor``
+    pieces, where a piece that is not a particle takes one step more than
+    its step.  ``memo`` keeps each piece's time and may be shared between
+    calls.  The split rules hold on the splitting domain only, so ``text``
+    must be in it (every iterate then is, and every such string decays)."""
+    worst = 0
+    for piece in recursive_factor(text, particle_texts):
+        if piece not in particle_texts:
+            t = memo.get(piece)
+            if t is None:
+                t = memo[piece] = 1 + decay_time(reference_step(piece, 3), particle_texts, memo)
+            worst = max(worst, t)
+    return worst
+
+
 def bareiss_determinant(a) -> int:
     """Exact determinant of a square integer matrix by fraction-free
     (Bareiss) elimination: every division in it is exact."""

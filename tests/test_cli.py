@@ -382,8 +382,9 @@ class TestNumpyStaysUnloaded:
 
 
 class TestAutomataStayUnloaded:
-    """Only ``verify`` compiles the decay automata, keeping every other
-    command's start-up as it was."""
+    """Among the commands only ``verify`` compiles the decay automata (the
+    library's ``iterations_to_common`` does too, but no command calls it),
+    keeping every other command's start-up as it was."""
 
     def test_only_verify_loads_the_automata(self, tmp_path):
         commands = [

@@ -21,11 +21,20 @@ from audioactive import SplitDomainError, automata, cosmology, particles, splitt
 from audioactive.particles import lookup
 
 import reference_values as ref
-from oracles import ANCIENT_CAPS, all_split_domain_texts, reference_step, within_caps
+from oracles import (
+    ANCIENT_CAPS,
+    all_split_domain_texts,
+    decay_time,
+    reference_step,
+    within_caps,
+)
 
 
 def ds(text):
     return DigitString(text, 3)
+
+
+PARTICLE_TEXTS = {digits for digits, _ in ref.PARTICLE_TABLE.values()}
 
 
 ALL24_SEED = "".join(
@@ -106,7 +115,8 @@ class TestIterationsToCommon:
         assert iterations_to_common(ds("1"), cap=3) is None
 
     def test_long_input_recursion_is_bounded_by_the_cap(self):
-        # Recursion goes one level per step, not one per piece.
+        # The text is walked through each decay automaton in a loop, so its
+        # length costs no recursion, and D_0 already accepts it.
         text = iterate(ds("1"), 40)[-1].text
         assert len(text) == 147673
         assert len(cosmology._factor(text)) == 33403
@@ -119,6 +129,13 @@ class TestIterationsToCommon:
             n = iterations_to_common(s)
             for m in range(n, n + 6):
                 assert is_common(iterate(s, m)[-1]), (s.text, m)
+
+    def test_tally_by_length_is_the_reference_table(self):
+        for n in range(1, 13):
+            row = [0] * 11
+            for s in enumerate_essential_ancient(n):
+                row[iterations_to_common(s)] += 1
+            assert tuple(row) == ref.DECAY_TABLE_ROWS[n], n
 
 
 class TestVerification:
@@ -153,20 +170,17 @@ class TestVerification:
         got = {s.text for s in enumerate_essential_ancient(7) if iterations_to_common(s) == 5}
         assert got == ref.LENGTH7_FIVE_ITERATIONS
 
-    def test_stepped_segment_outside_domain_is_an_internal_error(self, monkeypatch):
-        monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
-        with pytest.raises(AudioactiveError, match="outside the splitting domain") as exc:
-            iterations_to_common(ds("1"))
-        assert not isinstance(exc.value, ValueError)
-
-    def test_answer_does_not_depend_on_earlier_runs(self, monkeypatch):
-        # The rows come from automata this call builds, and nothing survives
-        # the call; iterations_to_common starts its own memo.
-        report = verify_cosmological()
-        assert report.table.row(7) == ref.DECAY_TABLE_ROWS[7]
-        monkeypatch.setattr(cosmology, "_step_text", lambda text, base: "00")
-        with pytest.raises(AudioactiveError, match="outside the splitting domain"):
-            iterations_to_common(ds("1121122"))
+    def test_answer_does_not_depend_on_earlier_runs(self, decay_languages):
+        # The languages are built once per process and equal a fresh build of
+        # D_0-D_11; clearing the cache rebuilds them and changes no answer.
+        built = automata.decay_languages()
+        assert built == tuple(decay_languages[:12])
+        texts = ["1", "21221", "111121221", "1121122", "2221222111212211"]
+        before = [iterations_to_common(ds(t), 11) for t in texts]
+        assert before == [7, 10, 11, 5, 10]
+        automata.decay_languages.cache_clear()
+        assert [iterations_to_common(ds(t), 11) for t in texts] == before
+        assert automata.decay_languages() is not built
 
     def test_cap_below_ten_fails_exactly_the_ten_iteration_strings(self):
         # The count finds failures at lengths 5-16, so those lengths are
@@ -193,20 +207,27 @@ def essential_upto(n):
     return [t for k in range(1, n + 1) for t in cosmology._essential_texts(k)]
 
 
-def oracle_report(cap, lengths):
-    """Table rows and failures, string by string."""
+@pytest.fixture(scope="module")
+def oracle_times():
+    """(text, string decay time) of each essential string of 1-12 digits,
+    one list per length, by the independent oracle."""
     memo = {}
+    return [
+        [(text, decay_time(text, PARTICLE_TEXTS, memo)) for text in cosmology._essential_texts(n)]
+        for n in range(1, 13)
+    ]
+
+
+def oracle_report(cap, times):
+    """Table rows and failures at ``cap``, string by string."""
     rows, failures = [], []
-    for n in lengths:
-        texts = cosmology._essential_texts(n)
+    for layer in times:
         row = [0] * (cap + 1)
-        for text in texts:
-            try:
-                t = cosmology._decay_time(text, cap, memo)
-            except cosmology._CapExceeded:
+        for text, t in layer:
+            if t > cap:
                 failures.append(text)
-                continue
-            row[t] += 1
+            else:
+                row[t] += 1
         rows.append(tuple(row))
     return tuple(rows), tuple(failures)
 
@@ -233,11 +254,11 @@ class TestClassCount:
         assert not splitting._CUT.match(text[:splitting._CUT_AHEAD], 1)
 
     @pytest.mark.parametrize("cap", range(11))
-    def test_every_cap_against_string_oracle(self, cap):
+    def test_every_cap_against_string_oracle(self, cap, oracle_times):
         # The oracle checks lengths 1-12 string by string; the report's rows
         # and failures of those lengths must agree with it.
         report = verify_cosmological(cap=cap)
-        rows, failures = oracle_report(cap, range(1, 13))
+        rows, failures = oracle_report(cap, oracle_times)
         assert report.table.cells[:12] == rows
         assert tuple(t for t in report.failures if len(t) <= 12) == failures
         assert report.table.lengths == tuple(range(1, 17))
@@ -294,7 +315,8 @@ class TestDecayAutomata:
 
     def test_membership_is_the_string_decay_time(self, decay_languages):
         # The least t with w in D_t, against stepping and factoring w, on
-        # every splitting-domain string of at most 10 digits.
+        # every splitting-domain string of at most 10 digits; the public
+        # answer at cap 11 is that t as well.
         states = {"": (0,) * len(decay_languages)}
 
         def reached(text):  # the state of each D_t after reading text
@@ -310,7 +332,8 @@ class TestDecayAutomata:
         for text in all_split_domain_texts(10):
             now = reached(text)
             least = next(t for t, (m, q) in enumerate(zip(decay_languages, now)) if m[1][q])
-            assert least == cosmology._decay_time(text, 11, memo), text
+            assert least == decay_time(text, PARTICLE_TEXTS, memo), text
+            assert iterations_to_common(ds(text), 11) == least, text
             if least == 11:
                 slowest.append(text)
         assert sorted(slowest) == ["0111121221", "111121221", "2111121221"]
