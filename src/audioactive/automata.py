@@ -21,12 +21,15 @@ from functools import cache
 from typing import Callable, Hashable
 
 from . import particles
+from .core import _RUN_BOUNDED, _numeral
 
 Dfa = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]
 
 _DIGITS = "012"
-_RUN_CAP = {"0": 1, "1": 4, "2": 3}  # the splitting domain's run bounds
-_NUMERAL = {1: "1", 2: "2", 3: "10", 4: "11"}  # base-3 numerals of those runs
+# The splitting domain's run bounds (the longest run of each digit), read
+# from core's forbidden runs, and the base-3 numerals of those run lengths.
+_RUN_CAP = {f[0]: len(f) - 1 for f in _RUN_BOUNDED}
+_NUMERAL = {n: _numeral(n, 3) for n in range(1, max(_RUN_CAP.values()) + 1)}
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
 

@@ -63,19 +63,24 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = cosmology.verify_cosmological(cap=args.cap)
+    if not args.out:
+        return _verify(args.cap, sys.stdout, sys.stderr)
+    try:  # before the count, so a bad path costs nothing
+        fh = open(args.out, "w", encoding="ascii")
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with fh:
+        return _verify(args.cap, fh, sys.stdout)
+
+
+def _verify(cap: int, csv_stream, verdict_stream) -> int:
+    report = cosmology.verify_cosmological(cap=cap)
     over = Counter(map(len, report.failures))
     for n in report.table.lengths:
         count = report.table.row_total(n) + over[n]
         print(f"verify: length {n} ({count} strings)", file=sys.stderr)
-    csv_text = report.table.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(csv_text)
-        verdict_stream = sys.stdout
-    else:
-        sys.stdout.write(csv_text)
-        verdict_stream = sys.stderr
+    csv_stream.write(report.table.to_csv())
     if report.verified:
         print(
             f"VERIFIED max_iterations={report.max_iterations} strings={report.total_strings}",
@@ -137,7 +142,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_frequencies(args) -> int:
-    freqs = spectral.limiting_frequencies(power=args.power)
+    freqs = spectral.limiting_frequencies()
     if args.format == "json":
         print(json.dumps({sym: round(freqs[sym], FREQ_DECIMALS) for sym in spectral.MATRIX_ORDER}))
     elif args.format == "csv":
@@ -268,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("frequencies", help="limiting fermion frequencies")
-    p.add_argument("--power", type=int, default=256, help="matrix power used for the limit")
     _add_format(p)
     p.set_defaults(func=_cmd_frequencies)
 

@@ -279,23 +279,23 @@ def token_step(t: TokenString) -> TokenString:
     return TokenString(tuple(out))
 
 
-def iterate(s: DigitString, n: int) -> list[DigitString]:
-    """The first ``n`` iterates of ``s`` including ``s`` itself (n+1 entries)."""
+def _iterates(start, step: Callable, n: int) -> list:
+    """``start`` and its first ``n`` images under ``step`` (n+1 entries)."""
     if n < 0:
         raise ValueError("iteration count must be non-negative")
-    out = [s]
+    out = [start]
     for _ in range(n):
-        out.append(lookandsay_step(out[-1]))
+        out.append(step(out[-1]))
     return out
+
+
+def iterate(s: DigitString, n: int) -> list[DigitString]:
+    """The first ``n`` iterates of ``s`` including ``s`` itself (n+1 entries)."""
+    return _iterates(s, lookandsay_step, n)
 
 
 def iterate_tokens(t: TokenString, n: int) -> list[TokenString]:
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
-    out = [t]
-    for _ in range(n):
-        out.append(token_step(out[-1]))
-    return out
+    return _iterates(t, token_step, n)
 
 
 # ---------------------------------------------------------------------------

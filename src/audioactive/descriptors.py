@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import DigitString
+from .core import DigitString, _iterates
 
 
 def _digit_tally(text: str) -> Counter:
@@ -60,18 +60,9 @@ def counting_step(d: CountDescriptor) -> CountDescriptor:
     return CountDescriptor.describe(d.render())
 
 
-def _sequence(start, step, n: int) -> list:
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
-    out = [start]
-    for _ in range(n):
-        out.append(step(out[-1]))
-    return out
-
-
 def counting_sequence(d: CountDescriptor, n: int) -> list[CountDescriptor]:
     """The first ``n`` counting steps from ``d`` (n+1 entries, ``d`` first)."""
-    return _sequence(d, counting_step, n)
+    return _iterates(d, counting_step, n)
 
 
 @dataclass(frozen=True)
@@ -111,4 +102,4 @@ def selfdesc_step(v: FrequencyVector) -> FrequencyVector:
 
 def selfdesc_sequence(v: FrequencyVector, n: int) -> list[FrequencyVector]:
     """The first ``n`` self-description steps from ``v`` (n+1 entries)."""
-    return _sequence(v, selfdesc_step, n)
+    return _iterates(v, selfdesc_step, n)

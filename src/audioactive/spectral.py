@@ -4,8 +4,9 @@ Fermions only produce fermions, so their population dynamics are linear:
 entry (i, j) of the transition matrix counts copies of fermion i in the
 decay of fermion j.  The dominant eigenvalue of that matrix is the
 asymptotic length growth rate of any string that is not purely neutrinos,
-and the normalized row totals of its large powers give the limiting
-relative frequencies of the eight fermions.
+and its eigenvector, scaled to sum 1, gives the limiting relative
+frequencies of the eight fermions.  One power iteration yields both; the
+matrix itself is tallied from the particle decay chart.
 
 The growth rate is both computed numerically (power iteration) and
 certified symbolically: the exact characteristic polynomial must be
@@ -63,29 +64,18 @@ class TransitionMatrix:
         return sum(self.entries[i][i] for i in range(self.size))
 
 
-_FERMION_MATRIX = (
-    #  E  M  D  B  U  S  T  C
-    (0, 1, 0, 0, 0, 0, 1, 0),  # E
-    (1, 0, 0, 0, 0, 0, 0, 0),  # M
-    (0, 0, 0, 0, 1, 0, 0, 1),  # D
-    (0, 0, 0, 0, 0, 0, 1, 1),  # B
-    (0, 1, 0, 0, 0, 0, 0, 0),  # U
-    (0, 0, 1, 0, 0, 0, 0, 0),  # S
-    (0, 0, 0, 1, 0, 0, 0, 0),  # T
-    (0, 0, 0, 0, 0, 1, 0, 0),  # C
-)
-
-
 def fermion_matrix() -> TransitionMatrix:
-    """The 8x8 fermion transition matrix (hardcoded)."""
-    return TransitionMatrix(_FERMION_MATRIX)
+    """The 8x8 fermion transition matrix, tallied from the decay chart."""
+    return matrix_from_chart()
 
 
 def matrix_from_chart(rules: Sequence[particles.DecayRule] | None = None) -> TransitionMatrix:
     """Tally a transition matrix from decay rules restricted to fermions.
 
-    Oracle for :func:`fermion_matrix`.  Rules for non-fermion parents are
-    ignored; a fermion rule with a non-fermion product is a contract error.
+    Entry (i, j) counts fermion i among the products of fermion j; the
+    default rules are the particle decay chart.  Rules for non-fermion
+    parents are ignored; a fermion rule with a non-fermion product is a
+    contract error.
     """
     if rules is None:
         rules = particles.decay_chart()
@@ -108,21 +98,22 @@ def matrix_from_chart(rules: Sequence[particles.DecayRule] | None = None) -> Tra
 # Spectrum
 # ---------------------------------------------------------------------------
 
-def dominant_eigenvalue(
-    m: TransitionMatrix, tol: float = 1e-12, max_iter: int = 100_000
-) -> float:
-    """Dominant eigenvalue by power iteration with Rayleigh-quotient stopping.
+_MAX_ITER = 100_000
 
-    Requires a primitive matrix (some power entrywise positive) so that a
-    single dominant eigenvalue exists; stops once successive Rayleigh
-    quotients differ by less than ``tol``.
+
+def _perron(m: TransitionMatrix, tol: float) -> tuple[float, list[float]]:
+    """Dominant eigenvalue and eigenvector by power iteration.
+
+    The vector starts uniform and is L2-normalized after every product;
+    the iteration stops once successive Rayleigh quotients differ by less
+    than ``tol``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     rows = m.entries
     v = [1 / math.sqrt(m.size)] * m.size
     prev = float("inf")
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = [sum(map(mul, row, v)) for row in rows]
         norm = math.hypot(*w)
         if norm == 0.0:
@@ -130,9 +121,19 @@ def dominant_eigenvalue(
         lam = sum(map(mul, v, w))
         v = [x / norm for x in w]
         if abs(lam - prev) < tol:
-            return lam
+            return lam, v
         prev = lam
-    raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+    raise ConvergenceError(f"power iteration did not converge in {_MAX_ITER} steps")
+
+
+def dominant_eigenvalue(m: TransitionMatrix, tol: float = 1e-12) -> float:
+    """Dominant eigenvalue by power iteration with Rayleigh-quotient stopping.
+
+    Requires a primitive matrix (some power entrywise positive) so that a
+    single dominant eigenvalue exists; stops once successive Rayleigh
+    quotients differ by less than ``tol``.
+    """
+    return _perron(m, tol)[0]
 
 
 def characteristic_polynomial(m: TransitionMatrix | Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -230,29 +231,19 @@ def eigenvalues(m: TransitionMatrix) -> list[complex]:
     )
 
 
-def limiting_frequencies(
-    m: TransitionMatrix | None = None, power: int = 256
-) -> dict[str, float]:
-    """Limiting relative frequencies from row totals of a large matrix power.
+def limiting_frequencies(m: TransitionMatrix | None = None) -> dict[str, float]:
+    """Limiting relative frequencies: the dominant eigenvector, summing to 1.
 
-    Row i of m**power is summed and divided by the total of all entries.
-    The row totals are the vector m**power applied to all ones, so that
-    vector is iterated, in floating point with per-multiplication
-    renormalization, since exact entries grow without bound.
+    A population vector stepped by m tends to the direction of the Perron
+    eigenvector, so its normalized entries converge to these frequencies.
+    The vector comes from the same power iteration as
+    :func:`dominant_eigenvalue`.
     """
-    if power < 1:
-        raise ValueError("power must be >= 1")
     if m is None:
         m = fermion_matrix()
-    rows = m.entries
-    totals = [1.0] * m.size
-    for p in range(1, power + 1):
-        totals = [sum(map(mul, row, totals)) for row in rows]
-        grand = sum(totals)
-        if grand == 0:
-            raise ValueError(f"the matrix power m**{p} is zero, so it has no frequencies")
-        totals = [x / grand for x in totals]
-    return dict(zip(m.order, totals))
+    v = _perron(m, 1e-12)[1]
+    total = sum(v)
+    return {sym: x / total for sym, x in zip(m.order, v)}
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ class TestVerify:
             main(["verify", "--jobs", "2"])
         assert exc.value.code == 2
 
+    def test_unopenable_out_path_exits_2_before_counting(self, capsys, tmp_path, monkeypatch):
+        def count(**_):
+            raise AssertionError("counted before opening the output file")
+
+        monkeypatch.setattr(audioactive.cosmology, "verify_cosmological", count)
+        path = tmp_path / "missing" / "table.csv"
+        code, out, err = run(capsys, "verify", "--out", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err
+
     def test_negative_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--cap", "-1")
         assert code == 2
@@ -221,6 +233,11 @@ class TestSpectrumAndFrequencies:
         code, out, _ = run(capsys, "frequencies", "--format", "json")
         data = json.loads(out)
         assert data["E"] == pytest.approx(0.185037, abs=1e-6)
+
+    def test_removed_power_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["frequencies", "--power", "256"])
+        assert exc.value.code == 2
 
 
 class TestGrowth:

@@ -25,6 +25,7 @@ from oracles import (
     ANCIENT_CAPS,
     all_split_domain_texts,
     decay_time,
+    in_split_domain,
     reference_step,
     within_caps,
 )
@@ -301,6 +302,13 @@ class TestDecayAutomata:
         dom = automata.pre(automata.ANY)
         assert len(dom[0]) == 10
         assert automata.witness(dom, automata.pre(dom)) is None
+
+    def test_domain_automaton_is_the_domain_predicate(self):
+        accepts = automata.recognizer(automata.pre(automata.ANY))
+        for n in range(11):
+            for digits in product("012", repeat=n):
+                text = "".join(digits)
+                assert accepts(text) == in_split_domain(text), text
 
     def test_essential_strings_of_every_length_decay_in_ten_steps(self, decay_languages):
         essential = automata.essential()
