@@ -31,7 +31,6 @@ languages once per process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import filterfalse
 from math import comb
 from typing import Callable, Iterator
@@ -41,6 +40,8 @@ from .core import (
     AudioactiveError,
     ConvergenceError,
     DigitString,
+    _Record,
+    _set,
     _splittable,
     _step_text,
 )
@@ -145,13 +146,17 @@ def iterations_to_common(s: DigitString, cap: int = DEFAULT_CAP) -> int | None:
 # The verification run
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DecayTable:
+class DecayTable(_Record):
     """Counts of essential ancient strings by (length, decay time)."""
 
-    cells: tuple[tuple[int, ...], ...]
-    lengths: tuple[int, ...]
-    cap: int = DEFAULT_CAP
+    _fields = ("cells", "lengths", "cap")
+
+    def __init__(
+        self, cells: tuple[tuple[int, ...], ...], lengths: tuple[int, ...], cap: int = DEFAULT_CAP
+    ):
+        _set(self, "cells", cells)
+        _set(self, "lengths", lengths)
+        _set(self, "cap", cap)
 
     def row(self, length: int) -> tuple[int, ...]:
         return self.cells[self.lengths.index(length)]
@@ -181,12 +186,16 @@ class DecayTable:
         }
 
 
-@dataclass(frozen=True)
-class CosmologyReport:
-    table: DecayTable
-    verified: bool
-    max_iterations: int
-    failures: tuple[str, ...]
+class CosmologyReport(_Record):
+    _fields = ("table", "verified", "max_iterations", "failures")
+
+    def __init__(
+        self, table: DecayTable, verified: bool, max_iterations: int, failures: tuple[str, ...]
+    ):
+        _set(self, "table", table)
+        _set(self, "verified", verified)
+        _set(self, "max_iterations", max_iterations)
+        _set(self, "failures", failures)
 
     @property
     def total_strings(self) -> int:
@@ -255,17 +264,28 @@ def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyRepor
 # k-values: long-run particle support of arbitrary seeds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KValueReport:
+class KValueReport(_Record):
     """Support of the particle population in all old enough descendants."""
 
-    seed: DigitString
-    iterations: int
-    counts: tuple[tuple[str, int], ...]
-    limsup: frozenset[str]
-    liminf: frozenset[str]
-    stabilized: bool
-    k: int | tuple[int, int]
+    _fields = ("seed", "iterations", "counts", "limsup", "liminf", "stabilized", "k")
+
+    def __init__(
+        self,
+        seed: DigitString,
+        iterations: int,
+        counts: tuple[tuple[str, int], ...],
+        limsup: frozenset[str],
+        liminf: frozenset[str],
+        stabilized: bool,
+        k: int | tuple[int, int],
+    ):
+        _set(self, "seed", seed)
+        _set(self, "iterations", iterations)
+        _set(self, "counts", counts)
+        _set(self, "limsup", limsup)
+        _set(self, "liminf", liminf)
+        _set(self, "stabilized", stabilized)
+        _set(self, "k", k)
 
     def to_json(self) -> dict:
         return {

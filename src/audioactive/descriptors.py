@@ -12,9 +12,8 @@ their decimal digits to the next tally.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
-from .core import DigitString, _iterates
+from .core import DigitString, _Record, _iterates, _set
 
 
 def _digit_tally(text: str) -> Counter:
@@ -26,15 +25,14 @@ def _digit_tally(text: str) -> Counter:
     return tally
 
 
-@dataclass(frozen=True)
-class CountDescriptor:
+class CountDescriptor(_Record):
     """Sorted (count, digit) pairs, one per distinct digit present."""
 
-    pairs: tuple[tuple[int, int], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
         last = -1
-        for count, digit in self.pairs:
+        for count, digit in pairs:
             if count < 1:
                 raise ValueError(f"count {count} must be positive")
             if not 0 <= digit <= 9:
@@ -42,6 +40,7 @@ class CountDescriptor:
             if digit <= last:
                 raise ValueError("digits must be strictly increasing")
             last = digit
+        _set(self, "pairs", pairs)
 
     @classmethod
     def describe(cls, text: str | DigitString) -> "CountDescriptor":
@@ -65,16 +64,16 @@ def counting_sequence(d: CountDescriptor, n: int) -> list[CountDescriptor]:
     return _iterates(d, counting_step, n)
 
 
-@dataclass(frozen=True)
-class FrequencyVector:
+class FrequencyVector(_Record):
     """counts[d] = occurrences of digit d; zero placeholders are kept."""
 
-    counts: tuple[int, ...]
+    _fields = ("counts",)
 
-    def __post_init__(self):
-        for c in self.counts:
+    def __init__(self, counts: tuple[int, ...]):
+        for c in counts:
             if c < 0:
                 raise ValueError(f"count {c} must be non-negative")
+        _set(self, "counts", counts)
 
     @classmethod
     def describe(cls, text: str | DigitString, size: int | None = None) -> "FrequencyVector":

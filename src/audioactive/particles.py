@@ -14,11 +14,10 @@ bordering used for the fermion transition matrix.  Keep them straight.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping
 
-from .core import DigitString, lookandsay_step
+from .core import DigitString, _Record, _set, lookandsay_step
 
 
 class ParticleClass(Enum):
@@ -27,17 +26,21 @@ class ParticleClass(Enum):
     NEUTRINO = "neutrino"
 
 
-@dataclass(frozen=True)
-class Particle:
-    symbol: str
-    digits: DigitString
-    kind: ParticleClass
+class Particle(_Record):
+    _fields = ("symbol", "digits", "kind")
+
+    def __init__(self, symbol: str, digits: DigitString, kind: ParticleClass):
+        _set(self, "symbol", symbol)
+        _set(self, "digits", digits)
+        _set(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class DecayRule:
-    parent: Particle
-    products: tuple[Particle, ...]
+class DecayRule(_Record):
+    _fields = ("parent", "products")
+
+    def __init__(self, parent: Particle, products: tuple[Particle, ...]):
+        _set(self, "parent", parent)
+        _set(self, "products", products)
 
 
 FERMION_ORDER = ("E", "M", "U", "D", "S", "C", "B", "T")

@@ -20,12 +20,11 @@ The matrices are small, so the iterations run in plain Python; only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence
 
 from . import particles
-from .core import ConvergenceError, DigitString, TokenString, length_sequence
+from .core import ConvergenceError, DigitString, TokenString, _Record, _set, length_sequence
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 
@@ -33,21 +32,23 @@ MATRIX_ORDER = particles.MATRIX_ORDER
 GROWTH_POLYNOMIAL = (1, 0, -1, -1)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(_Record):
     """Nonnegative integer matrix over a fixed symbol ordering."""
 
-    entries: tuple[tuple[int, ...], ...]
-    order: tuple[str, ...] = MATRIX_ORDER
+    _fields = ("entries", "order")
 
-    def __post_init__(self):
-        n = len(self.order)
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+    def __init__(
+        self, entries: tuple[tuple[int, ...], ...], order: tuple[str, ...] = MATRIX_ORDER
+    ):
+        n = len(order)
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("matrix shape does not match the symbol order")
-        if any(v < 0 for row in self.entries for v in row):
+        if any(v < 0 for row in entries for v in row):
             raise ValueError("entries must be non-negative")
-        if len(set(self.order)) != n:
+        if len(set(order)) != n:
             raise ValueError("symbols in the order must be distinct")
+        _set(self, "entries", entries)
+        _set(self, "order", order)
 
     @property
     def size(self) -> int:
@@ -250,15 +251,24 @@ def limiting_frequencies(m: TransitionMatrix | None = None) -> dict[str, float]:
 # Empirical growth
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(_Record):
     """Observed length growth of an iterated seed."""
 
-    seed: str
-    base: int | None  # the seed's base; None marks token mode
-    lengths: tuple[int, ...]
-    ratios: tuple[float, ...]
-    estimate: float
+    _fields = ("seed", "base", "lengths", "ratios", "estimate")
+
+    def __init__(
+        self,
+        seed: str,
+        base: int | None,  # the seed's base; None marks token mode
+        lengths: tuple[int, ...],
+        ratios: tuple[float, ...],
+        estimate: float,
+    ):
+        _set(self, "seed", seed)
+        _set(self, "base", base)
+        _set(self, "lengths", lengths)
+        _set(self, "ratios", ratios)
+        _set(self, "estimate", estimate)
 
     def to_json(self) -> dict:
         return {

@@ -54,19 +54,17 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Literal, Mapping
 
 from . import particles
-from .core import DigitString, SplitDomainError, _splittable
+from .core import DigitString, SplitDomainError, _Record, _set, _splittable
 
 SplitMode = Literal["full", "conservative"]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """Irreducible segments of a string, held as a body table, plus views.
 
     The segment sequence is the segments of each body in turn, then
@@ -81,9 +79,17 @@ class Decomposition:
     body, and build none of them.
     """
 
-    bodies: tuple[str, ...]
-    table: Mapping[str, tuple[str, ...]] = field(hash=False)
-    tail: tuple[str, ...]
+    _fields = ("bodies", "table", "tail")
+
+    def __init__(
+        self, bodies: tuple[str, ...], table: Mapping[str, tuple[str, ...]], tail: tuple[str, ...]
+    ):
+        _set(self, "bodies", bodies)
+        _set(self, "table", table)
+        _set(self, "tail", tail)
+
+    def __hash__(self) -> int:
+        return hash((self.bodies, self.tail))  # the table is a dict
 
     @cached_property
     def texts(self) -> tuple[str, ...]:

@@ -1,15 +1,30 @@
+import copy
+import pickle
 import random
+import sys
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import audioactive
 from audioactive import (
+    CosmologyReport,
+    CountDescriptor,
+    DecayRule,
+    DecayTable,
+    Decomposition,
     DigitString,
+    FrequencyVector,
+    GrowthEstimate,
     InvalidDigitError,
+    KValueReport,
     LengthBudgetError,
+    Particle,
+    ParticleClass,
     Run,
     SearchBudgetError,
     TokenString,
+    TransitionMatrix,
     fixed_point_search,
     is_ancient,
     is_run_bounded,
@@ -17,14 +32,16 @@ from audioactive import (
     iterate_tokens,
     length_sequence,
     lookandsay_step,
+    lookup,
     max_run_length,
     runs,
     step_of_runs,
     token_step,
 )
-from audioactive import _arrays, core
+from audioactive import _arrays, core, spectral
 from audioactive._arrays import _array_step, _array_to_text, _text_to_array
 from audioactive.core import _orbit_cutter, _step_text
+from audioactive.cosmology import DEFAULT_CAP
 
 from oracles import (
     ANCIENT_CAPS,
@@ -517,3 +534,126 @@ class TestOrbitCutter:
         assert cut("7") == ["7"]
         assert cut("0123") == ["0", "12", "3"]  # 3's iterates lead with 1 or 3
         assert cut("22") == ["22"]
+
+
+def _eye(scale):
+    return tuple(tuple(scale * (i == j) for j in range(8)) for i in range(8))
+
+
+# (class, keyword arguments built afresh per call, defaults they leave out,
+#  one field with a different value)
+_VALUES = [
+    (DigitString, lambda: dict(text="1211"), {"base": 3}, ("text", "2")),
+    (Run, lambda: dict(digit=2, length=3), {}, ("length", 4)),
+    (TokenString, lambda: dict(tokens=(1, 10)), {}, ("tokens", (1,))),
+    (
+        Particle,
+        lambda: dict(symbol="E", digits=DigitString("10"), kind=ParticleClass.FERMION),
+        {},
+        ("kind", ParticleClass.BOSON),
+    ),
+    (DecayRule, lambda: dict(parent=lookup("U"), products=(lookup("D"),)), {}, ("products", ())),
+    (
+        Decomposition,
+        lambda: dict(bodies=("1",), table={"1": ("10",)}, tail=("12211",)),
+        {},
+        ("tail", ()),
+    ),
+    (
+        DecayTable,
+        lambda: dict(cells=((1, 2),), lengths=(1,)),
+        {"cap": DEFAULT_CAP},
+        ("lengths", (2,)),
+    ),
+    (
+        CosmologyReport,
+        lambda: dict(
+            table=DecayTable(((3,),), (1,), 0), verified=True, max_iterations=0, failures=()
+        ),
+        {},
+        ("failures", ("21221",)),
+    ),
+    (
+        KValueReport,
+        lambda: dict(
+            seed=DigitString("10"),
+            iterations=0,
+            counts=(("E", 1),),
+            limsup=frozenset({"E"}),
+            liminf=frozenset({"E"}),
+            stabilized=True,
+            k=1,
+        ),
+        {},
+        ("k", (1, 2)),
+    ),
+    (
+        TransitionMatrix,
+        lambda: dict(entries=_eye(1)),
+        {"order": spectral.MATRIX_ORDER},
+        ("entries", _eye(2)),
+    ),
+    (
+        GrowthEstimate,
+        lambda: dict(seed="1", base=3, lengths=(1, 2, 2), ratios=(2.0, 1.0), estimate=1.0),
+        {},
+        ("base", None),
+    ),
+    (CountDescriptor, lambda: dict(pairs=((2, 1), (1, 2))), {}, ("pairs", ((1, 1),))),
+    (FrequencyVector, lambda: dict(counts=(0, 2)), {}, ("counts", (1, 2))),
+]
+
+
+class TestValueSemantics:
+    """The package's value classes compare, hash, copy and stay frozen
+    field by field."""
+
+    @pytest.mark.parametrize(
+        "cls, make, defaults, changed", _VALUES, ids=[case[0].__name__ for case in _VALUES]
+    )
+    def test_value_class(self, cls, make, defaults, changed):
+        value, twin = cls(**make()), cls(**make())
+        assert value == twin and not value != twin
+        assert hash(value) == hash(twin)
+        name, other = changed
+        assert value != cls(**{**make(), name: other})
+        assert value != type("Sub", (cls,), {})(**make())  # equal fields, other class
+        for field, default in defaults.items():
+            assert getattr(value, field) == default
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, other)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+        for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+            assert type(copied) is cls and copied == value
+        assert repr(value).startswith(f"{cls.__name__}(")
+
+    def test_every_record_class_has_a_case(self):
+        classes = [case[0] for case in _VALUES]
+        assert len(set(classes)) == 13 and set(classes) == set(core._Record.__subclasses__())
+
+    def test_decomposition_hash_ignores_its_table(self):
+        dec = Decomposition(("1",), {"1": ("10",)}, ("12211",))
+        assert hash(dec) == hash((("1",), ("12211",)))
+        assert dec != Decomposition(("1",), {"1": ("1", "0")}, ("12211",))
+
+
+# Public names with no ``__module__`` of their own, and the module defining each.
+_CONSTANTS = {"GROWTH_POLYNOMIAL": "audioactive.spectral"}
+
+
+def test_every_public_name_is_its_defining_modules_attribute():
+    names = audioactive.__all__
+    assert len(set(names)) == len(names)
+    constants = set()
+    for name in names:
+        obj = getattr(audioactive, name)
+        home = getattr(obj, "__module__", None)
+        if home is None:
+            constants.add(name)
+            home = _CONSTANTS[name]
+        assert home.startswith("audioactive."), name
+        assert getattr(sys.modules[home], name) is obj, name
+    assert constants == set(_CONSTANTS)
