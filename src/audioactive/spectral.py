@@ -5,8 +5,8 @@ entry (i, j) of the transition matrix counts copies of fermion i in the
 decay of fermion j.  The dominant eigenvalue of that matrix is the
 asymptotic length growth rate of any string that is not purely neutrinos,
 and its eigenvector, scaled to sum 1, gives the limiting relative
-frequencies of the eight fermions.  One power iteration yields both; the
-matrix itself is tallied from the particle decay chart.
+frequencies of the eight fermions.  One power iteration, run by repeated
+squaring, yields both; the matrix itself is tallied from the decay chart.
 
 The growth rate is both computed numerically (power iteration) and
 certified symbolically: the exact characteristic polynomial must be
@@ -99,40 +99,40 @@ def matrix_from_chart(rules: Sequence[particles.DecayRule] | None = None) -> Tra
 # Spectrum
 # ---------------------------------------------------------------------------
 
-_MAX_ITER = 100_000
+_MAX_SQUARINGS = 17
 
 
 def _perron(m: TransitionMatrix, tol: float) -> tuple[float, list[float]]:
-    """Dominant eigenvalue and eigenvector by power iteration.
+    """Dominant eigenvalue and unit eigenvector by repeated squaring.
 
-    The vector starts uniform and is L2-normalized after every product;
-    the iteration stops once successive Rayleigh quotients differ by less
-    than ``tol``.
+    Round k takes v = P.1 / |P.1| for P, a multiple of m**(2**k), and stops
+    once |mv - lam v| <= tol * lam, lam = v.(mv); else P becomes (P / max P)**2.
+    The residual tests m itself: the powers 2**k of a periodic m never settle.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows = m.entries
-    v = [1 / math.sqrt(m.size)] * m.size
-    prev = float("inf")
-    for _ in range(_MAX_ITER):
-        w = [sum(map(mul, row, v)) for row in rows]
+    p = [[float(x) for x in row] for row in m.entries]
+    for _ in range(_MAX_SQUARINGS + 1):
+        w = [sum(row) for row in p]
         norm = math.hypot(*w)
-        if norm == 0.0:
+        v = [x / norm for x in w] if norm else w
+        mv = [sum(map(mul, row, v)) for row in m.entries]
+        if not any(mv):
             raise ConvergenceError("power iteration hit the zero vector")
-        lam = sum(map(mul, v, w))
-        v = [x / norm for x in w]
-        if abs(lam - prev) < tol:
+        lam = sum(map(mul, v, mv))
+        if math.hypot(*[x - lam * y for x, y in zip(mv, v)]) <= tol * lam:
             return lam, v
-        prev = lam
-    raise ConvergenceError(f"power iteration did not converge in {_MAX_ITER} steps")
+        top = max(map(max, p))
+        cols = [[x / top for x in col] for col in zip(*p)]
+        p = [[sum(map(mul, row, col)) / top for col in cols] for row in p]
+    raise ConvergenceError(f"power iteration did not converge in {_MAX_SQUARINGS} squarings")
 
 
 def dominant_eigenvalue(m: TransitionMatrix, tol: float = 1e-12) -> float:
-    """Dominant eigenvalue by power iteration with Rayleigh-quotient stopping.
+    """Dominant eigenvalue of a primitive matrix, by power iteration.
 
-    Requires a primitive matrix (some power entrywise positive) so that a
-    single dominant eigenvalue exists; stops once successive Rayleigh
-    quotients differ by less than ``tol``.
+    Primitive (some power entrywise positive) makes it a single dominant
+    eigenvalue; ``tol`` bounds the relative residual |mv - lam v| / lam.
     """
     return _perron(m, tol)[0]
 
@@ -152,20 +152,19 @@ def characteristic_polynomial(m: TransitionMatrix | Sequence[Sequence[int]]) -> 
     if n == 0:
         return (1,)
     poly = [1, -a[0][0]]
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in a]  # (j, a_ij) pairs
     for k in range(1, n):
-        row = a[k][:k]
-        col = [a[i][k] for i in range(k)]
-        sub = [r[:k] for r in a[:k]]
+        row = [(j, x) for j, x in nonzero[k] if j < k]
+        sub = [[(j, x) for j, x in r if j < k] for r in nonzero[:k]]  # leading k x k block
         toeplitz = [1, -a[k][k]]
-        v = col
+        v = [a[i][k] for i in range(k)]
         for _ in range(k):
-            toeplitz.append(-sum(x * y for x, y in zip(row, v)))
-            v = [sum(sub_row[j] * v[j] for j in range(k)) for sub_row in sub]
+            toeplitz.append(-sum(x * v[j] for j, x in row))
+            v = [sum(x * v[j] for j, x in sub_row) for sub_row in sub]
         new = [0] * (k + 2)
         for i, ti in enumerate(toeplitz):
-            for j, pj in enumerate(poly):
-                if i + j <= k + 1:
-                    new[i + j] += ti * pj
+            for j, pj in enumerate(poly[: k + 2 - i]):  # degrees up to k + 1
+                new[i + j] += ti * pj
         poly = new
     return tuple(poly)
 

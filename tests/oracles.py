@@ -6,6 +6,7 @@ package) so that the tests never check a computation against itself.
 
 from __future__ import annotations
 
+import math
 from itertools import groupby, product
 
 
@@ -293,3 +294,24 @@ def primitivity_by_powers(a) -> int | None:
             return p
         power = [[sum(power[i][t] * a[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
     return None
+
+
+def power_iteration(entries, tol: float) -> tuple[float, list[float]]:
+    """Dominant eigenvalue and unit eigenvector of a nonnegative square
+    matrix, one matrix-vector product at a time: the vector starts uniform,
+    is L2-normalized after every product, and the loop stops once successive
+    Rayleigh quotients differ by less than ``tol``."""
+    n = len(entries)
+    v = [1 / math.sqrt(n)] * n
+    prev = float("inf")
+    for _ in range(100_000):
+        w = [sum(x * y for x, y in zip(row, v)) for row in entries]
+        norm = math.sqrt(sum(x * x for x in w))
+        if norm == 0.0:
+            raise ArithmeticError("power iteration hit the zero vector")
+        lam = sum(x * y for x, y in zip(v, w))
+        v = [x / norm for x in w]
+        if abs(lam - prev) < tol:
+            return lam, v
+        prev = lam
+    raise ArithmeticError("power iteration did not converge")

@@ -119,6 +119,46 @@ class TestEigenvalue:
             want = max(abs(np.linalg.eigvals(np.asarray(m.entries, dtype=float))))
             assert abs(dominant_eigenvalue(m) - want) < 1e-12, m.entries
 
+    def test_matches_step_by_step_power_iteration(self):
+        for m in _primitive_matrices():
+            want, _ = oracles.power_iteration(m.entries, 1e-12)
+            assert abs(dominant_eigenvalue(m) - want) < 1e-12, m.entries
+
+    def test_badly_scaled_matrix_converges(self):
+        # Eigenvalues 1 +- 10**4; the step-by-step loop gives up on it.
+        m = TransitionMatrix(((1, 10**8), (1, 1)), ("a", "b"))
+        assert dominant_eigenvalue(m) == pytest.approx(10_001, rel=1e-9)
+
+
+# Not primitive: the powers of a periodic matrix cycle, and a Jordan block's
+# converge only algebraically.  A stop that tests the change in the
+# eigenvalue estimate along the squarings returns 1.5 for the first matrix;
+# its true spectral radius is sqrt(2).
+_NOT_PRIMITIVE = (
+    ((0, 2), (1, 0)),
+    ((0, 0, 3), (1, 0, 0), (0, 2, 0)),
+    ((1, 1), (0, 1)),
+)
+
+
+@pytest.mark.parametrize("entries", _NOT_PRIMITIVE)
+@pytest.mark.parametrize("routine", [dominant_eigenvalue, limiting_frequencies])
+def test_not_primitive_is_a_convergence_error(routine, entries):
+    m = TransitionMatrix(entries, tuple("abc"[: len(entries)]))
+    with pytest.raises(ConvergenceError):
+        routine(m)
+
+
+def _assert_charpoly_matches_determinants(a):
+    """det(xI - a) from Bareiss elimination at x = 0..n: the characteristic
+    polynomial has degree n, so n + 1 agreeing points make it the same one."""
+    n = len(a)
+    coeffs = characteristic_polynomial(a)
+    assert len(coeffs) == n + 1
+    for x in range(n + 1):
+        x_minus_a = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * x ** (n - k) for k, c in enumerate(coeffs)) == oracles.bareiss_determinant(x_minus_a)
+
 
 class TestCharacteristicPolynomial:
     def test_fermion_matrix_divisible_by_growth_polynomial(self):
@@ -147,16 +187,17 @@ class TestCharacteristicPolynomial:
             assert np.allclose(np.asarray(got, dtype=float), want, atol=1e-6)
 
     def test_beyond_size_16_against_bareiss_determinants(self):
-        # Both sides have degree n, so agreeing at n + 1 points makes them
-        # the same polynomial.
         rng = random.Random(17)
         for n in (17, 24):
             a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            coeffs = characteristic_polynomial(a)
-            assert len(coeffs) == n + 1
-            for x in range(n + 1):
-                x_minus_a = [[(x if i == j else 0) - a[i][j] for j in range(n)] for i in range(n)]
-                assert sum(c * x ** (n - k) for k, c in enumerate(coeffs)) == oracles.bareiss_determinant(x_minus_a)
+            _assert_charpoly_matches_determinants(a)
+
+    def test_sparse_beyond_size_16_against_bareiss_determinants(self):
+        # About 10 % of the entries nonzero, the case the sparse stages skip.
+        rng = random.Random(23)
+        for n in (17, 24):
+            a = [[rng.randint(1, 3) if rng.random() < 0.1 else 0 for _ in range(n)] for _ in range(n)]
+            _assert_charpoly_matches_determinants(a)
 
     def test_division_validation(self):
         with pytest.raises(ValueError):
@@ -242,15 +283,23 @@ class TestFrequencies:
             assert got.keys() == want.keys()
             assert all(abs(got[sym] - want[sym]) < 1e-9 for sym in m.order), m.entries
 
+    def test_match_step_by_step_power_iteration(self):
+        for m in _primitive_matrices():
+            _, v = oracles.power_iteration(m.entries, 1e-12)
+            got = limiting_frequencies(m)
+            assert all(abs(got[sym] - x / sum(v)) < 1e-9 for sym, x in zip(m.order, v)), m.entries
+
     def test_tier_ratio_is_inverse_growth_rate(self):
         freqs = limiting_frequencies()
         lam = dominant_eigenvalue(fermion_matrix())
         assert abs(freqs["M"] / freqs["E"] - 1 / lam) < 1e-3
 
     def test_nilpotent_matrix_is_a_convergence_error(self):
+        # m times the first iterate is already zero.
         nilpotent = TransitionMatrix(((0, 1), (0, 0)), ("a", "b"))
-        with pytest.raises(ConvergenceError, match="zero vector"):
-            limiting_frequencies(nilpotent)
+        for routine in (dominant_eigenvalue, limiting_frequencies):
+            with pytest.raises(ConvergenceError, match="zero vector"):
+                routine(nilpotent)
 
 
 class TestEigenvalues:
