@@ -1,8 +1,7 @@
-"""numpy step engine for long run-dense digit texts and for token mode.
+"""numpy step engine for long run-dense digit texts.
 
 Imported on first use, so commands that never step such inputs never load
-numpy.  One array step per mode.  A run emits the pair (count, value): as
-two tokens in token mode, and as two digits in digit mode while every count
+numpy.  A run emits its count and its digit as two digits while every count
 is below the base.  Longer numerals are placed by one cumulative sum of the
 per-run output widths.
 """
@@ -76,8 +75,3 @@ def _array_step(a: np.ndarray, base: int) -> np.ndarray:
         ends, rest = ends[more], rest[more]
         depth += 1
     return out
-
-
-def _token_array_step(a: np.ndarray) -> np.ndarray:
-    vals, counts = _array_runs(a)
-    return _run_pairs(counts, vals)

@@ -22,6 +22,7 @@ from typing import Callable, Hashable
 
 from . import particles
 from .core import _RUN_BOUNDED, _numeral
+from .splitting import _CUT
 
 Dfa = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]
 
@@ -138,29 +139,15 @@ def essential() -> Dfa:
     return _build(("", 0), succ, lambda s: s is not None)
 
 
-def _leads(texts: dict[str, str], f: str) -> set[str]:
-    """Leading digits of f's iterates f_1, f_2, ...: step(g)[0] for g = f,
-    first(f), first(first(f)), ..., each g's first run written as a numeral."""
-    seen: set[str] = set()
-    while f not in seen:
-        seen.add(f)
-        f = texts[f]
-    return {_NUMERAL[len(g) - len(g.lstrip(g[0]))][0] for g in seen}
-
-
 def junction_splits() -> dict[str, set[str]]:
     """For each particle e, the particles f for which e|f is a split.
 
-    e|f splits exactly when e's last digit starts neither f nor any of f's
-    iterates, whose leading digits the chart gives through first products.
+    That is exactly when the splitter's rule ``splitting._CUT`` cuts e + f
+    after e.  The rule is checked against the leading-digit criterion at
+    every length without these automata, so the argument is not circular.
     """
-    first = {
-        rule.parent.digits.text: rule.products[0].digits.text for rule in particles.decay_chart()
-    }
-    leads = {f: _leads(first, f) for f in first}
-    return {
-        e: {f for f in first if e[-1] != f[0] and e[-1] not in leads[f]} for e in first
-    }
+    texts = [rule.parent.digits.text for rule in particles.decay_chart()]
+    return {e: {f for f in texts if _CUT.match(e + f, len(e))} for e in texts}
 
 
 def compounds() -> Dfa:

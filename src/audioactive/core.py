@@ -13,12 +13,12 @@ one ASCII character per digit; larger alphabets are only supported through
 Texts are stepped run by run in Python, reading the runs with one compiled
 pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
-least 4096 digits and 64 runs, and token-mode length sequences.
+least 4096 digits and 64 runs.
 
-Digit-mode length sequences follow a multiset of pieces, cut in every base
-at the splits one orbit cutter proves.  Cutting base-3 strings into
-particles, the cut after a 0 among them, belongs to
-:mod:`audioactive.splitting`.
+Length sequences follow a multiset of pieces, cut in every base at the
+splits one orbit cutter proves; token mode is counted as a base-10 text
+from its second iterate on.  Cutting base-3 strings into particles, the
+cut after a 0 among them, belongs to :mod:`audioactive.splitting`.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ class SplitDomainError(AudioactiveError, ValueError):
 
 class SearchBudgetError(AudioactiveError, RuntimeError):
     """An exhaustive search would exceed the configured budget."""
-
-
-class LengthBudgetError(AudioactiveError, RuntimeError):
-    """An iterated string outgrew the configured memory budget."""
 
 
 class ConvergenceError(AudioactiveError, RuntimeError):
@@ -447,11 +443,6 @@ def fixed_point_search(
     return [DigitString(text, base) for text in sorted(found)]
 
 
-# Token mode builds whole arrays, so its length sequences stop past this
-# many tokens; digit mode counts pieces and needs no budget.
-DEFAULT_LENGTH_BUDGET = 10**9
-
-
 # ---------------------------------------------------------------------------
 # Length sequences through exact split pieces
 # ---------------------------------------------------------------------------
@@ -581,29 +572,26 @@ def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
 def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
-    Digit mode is tracked exactly through a multiset of pieces cut at every
+    Both modes are tracked exactly through a multiset of pieces cut at every
     split proven from leading-digit orbits (cheap at any depth: only the
-    counts grow, so it has no length budget).  Token mode steps a packed
-    numpy array, each run becoming a (count, value) pair; it is the one
-    mode that imports numpy, and it raises :class:`LengthBudgetError` once
-    an iterate passes ``DEFAULT_LENGTH_BUDGET`` tokens.
+    counts grow, so neither mode has a length budget).  Token mode takes
+    two token steps and counts the rest as a base-10 text.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
     if not isinstance(seed, TokenString):
         return _piece_lengths(seed.text, seed.base, iters)
-    import numpy as np
-
-    from ._arrays import _token_array_step
-
-    arr = np.asarray(seed.tokens, dtype=np.int64)
-    lengths = [int(arr.size)]
-    for n in range(iters):
-        arr = _token_array_step(arr)
-        if arr.size > DEFAULT_LENGTH_BUDGET:
-            raise LengthBudgetError(
-                f"iterate {n + 1} has {arr.size} digits, "
-                f"over the budget of {DEFAULT_LENGTH_BUDGET}"
-            )
-        lengths.append(int(arr.size))
-    return lengths
+    # From the first iterate on no run is longer than 3: a run of four equal
+    # tokens would need two neighbouring (count, value) pairs with the same
+    # value.  So from the second iterate on every count is 1, 2 or 3, and
+    # any other token is a value that sits alone between two counts.
+    # Writing all such values as one symbol then merges no runs.  That
+    # symbol is 0: it never starts an iterate, so _orbit_cutter cuts after
+    # it without a proof.  The result is a base-10 text whose steps match
+    # the token steps one for one, with equal lengths.
+    firsts = iterate_tokens(seed, min(iters, 2))
+    lengths = [len(t) for t in firsts]
+    if iters <= 2:
+        return lengths
+    text = "".join(_DIGIT_CHARS[t] if 1 <= t <= 3 else "0" for t in firsts[2].tokens)
+    return lengths[:2] + _piece_lengths(text, 10, iters - 2)

@@ -91,12 +91,7 @@ def selfdesc_step(v: FrequencyVector) -> FrequencyVector:
     The index range never shrinks: the result is at least as long as ``v``,
     growing only if some entry contains a digit beyond the current range.
     """
-    tally = Counter()
-    for entry in v.counts:
-        for ch in str(entry):
-            tally[int(ch)] += 1
-    width = max(len(v.counts), max(tally) + 1 if tally else 0)
-    return FrequencyVector(tuple(tally.get(d, 0) for d in range(width)))
+    return FrequencyVector.describe("".join(map(str, v.counts)), size=len(v.counts))
 
 
 def selfdesc_sequence(v: FrequencyVector, n: int) -> list[FrequencyVector]:

@@ -284,9 +284,9 @@ def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstim
 
     The estimate is the geometric mean of the final quarter of the
     consecutive length ratios, which discards the transient.  Lengths come
-    from :func:`length_sequence` (a multiset of split pieces in digit mode,
-    packed arrays in token mode).  Raises :class:`ValueError` when the
-    length ratio over that quarter passes the float range.
+    from :func:`length_sequence` (a multiset of split pieces in both
+    modes).  Raises :class:`ValueError` when the length ratio over that
+    quarter passes the float range.
     """
     if iters < 10:
         raise ValueError("need at least 10 iterations for a meaningful estimate")

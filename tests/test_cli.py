@@ -364,7 +364,7 @@ def fresh_cli(commands, module="numpy"):
 
 
 class TestNumpyStaysUnloaded:
-    """Only the eigenvalue table and token mode load numpy."""
+    """Only the eigenvalue table and long run-dense texts load numpy."""
 
     def test_commands_run_without_numpy(self, tmp_path):
         long_run = "1" + "2" * 100_000 + "3"  # a seed the numpy engine stepped before
@@ -384,10 +384,12 @@ class TestNumpyStaysUnloaded:
         for step, code, numpy, _ in seen:
             assert (code, numpy) == (0, False), step
 
-    def test_eigenvalue_table_and_token_mode_load_numpy(self):
+    def test_eigenvalue_table_loads_numpy(self):
         *_, (_, code, numpy, out) = fresh_cli([["spectrum", "--table", "eigenvalues"]])
         assert (code, numpy) == (0, True)
         assert out.splitlines()[1].startswith("1.324717957")
+
+    def test_token_mode_runs_without_numpy(self):
         estimate, numpy = fresh_python(
             "import sys\n"
             "from audioactive import TokenString, empirical_growth\n"
@@ -395,7 +397,7 @@ class TestNumpyStaysUnloaded:
             "print(est.estimate, 'numpy' in sys.modules)\n"
         ).split()
         assert abs(float(estimate) - ref.HIGH_BASE_GROWTH) < 0.02
-        assert numpy == "True"
+        assert numpy == "False"
 
 
 class TestDataclassesStayUnloaded:

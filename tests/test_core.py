@@ -18,7 +18,6 @@ from audioactive import (
     GrowthEstimate,
     InvalidDigitError,
     KValueReport,
-    LengthBudgetError,
     Particle,
     ParticleClass,
     Run,
@@ -49,6 +48,7 @@ from oracles import (
     all_base3_texts,
     brute_force_fixed,
     reference_step,
+    reference_token_lengths,
     within_caps,
 )
 
@@ -439,21 +439,33 @@ class TestLengthSequence:
         monkeypatch.setattr(core, "_ORBIT_STEPS", 1)
         assert [length_sequence(ds(seed, base), steps) for base, seed, steps in cases] == want
 
-    def test_token_lengths(self):
-        for seed in (TokenString((5,) * 10), TokenString((3, 1) + (7,) * 23 + (0,))):
-            seq = iterate_tokens(seed, 8)
-            assert length_sequence(seed, 8) == [len(t) for t in seq]
+    # Values of 10 and more, runs of 10 and more, zeros, more than 7 distinct
+    # values other than 1-3, and the empty seed.
+    TOKEN_SEEDS = [
+        (),
+        (0,),
+        (1,),
+        (7,),
+        (1000,),
+        (0,) * 12,
+        (5,) * 10,
+        (3, 1) + (7,) * 23 + (0,),
+        (2, 2, 2, 2, 1, 1, 1, 1, 3, 3, 3, 3, 3),
+        (4, 5, 6, 7, 8, 9, 10, 11, 12, 0, 999),
+        (10, 10, 10, 0, 0, 1, 1000, 1000, 2) + (42,) * 11 + (3,),
+        (0, 1, 0, 1, 0, 2, 0, 3, 3, 0, 0, 0),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        (17,) * 30 + (1,) * 4 + (250,) * 2,
+    ]
 
-    def test_token_budget_error_at_the_same_iterate(self, monkeypatch):
-        seed = TokenString((1,))
-        lengths = [len(t) for t in iterate_tokens(seed, 40)]
-        for budget in (0, 7, 5000):
-            n = next(i for i in range(1, len(lengths)) if lengths[i] > budget)
-            message = f"iterate {n} has {lengths[n]} digits, over the budget of {budget}"
-            monkeypatch.setattr(core, "DEFAULT_LENGTH_BUDGET", budget)
-            with pytest.raises(LengthBudgetError) as exc:
-                length_sequence(seed, 40)
-            assert str(exc.value) == message
+    def test_token_lengths(self):
+        for tokens in self.TOKEN_SEEDS:
+            for n in range(17):
+                got = length_sequence(TokenString(tokens), n)
+                assert got == reference_token_lengths(tokens, n), (tokens, n)
+
+    def test_token_lengths_at_depth(self):
+        assert length_sequence(TokenString((1,)), 60)[-1] == 16530884
 
 
 def _array_lengths(seed, base, steps=60, stop=200_000):
