@@ -10,9 +10,12 @@ they are equal.
 The step is a transducer on the splitting domain: it reads a run at a time
 (runs of at most 1, 4 and 3 for the digits 0, 1 and 2, and no final 1111)
 and writes the run's numeral, one of 1, 2, 10 and 11, then its digit.  So
-``pre(M)``, the domain strings whose step M accepts, is again regular.
-Starting from the compounds of the 24 particles, D_t = pre(D_{t-1}) holds
-exactly the domain strings that are all particles after at most t steps.
+``pre(M)``, the domain strings whose step M accepts, is again regular.  Its
+states are int triples (d, run, q): ``run`` copies of the digit d are open,
+and M is in state q after the runs before them; (3, 0, 0) is the start,
+with no run open, and (3, 0, -1) the dead state.  Starting from the
+compounds of the 24 particles, D_t = pre(D_{t-1}) holds exactly the
+domain strings that are all particles after at most t steps.
 """
 
 from __future__ import annotations
@@ -28,28 +31,17 @@ Dfa = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]
 
 _DIGITS = "012"
 # The splitting domain's run bounds (the longest run of each digit), read
-# from core's forbidden runs, and the base-3 numerals of those run lengths.
-_RUN_CAP = {f[0]: len(f) - 1 for f in _RUN_BOUNDED}
-_NUMERAL = {n: _numeral(n, 3) for n in range(1, max(_RUN_CAP.values()) + 1)}
+# from core's forbidden runs, and the digits (as ints) the step writes for
+# a run (digit, length): its base-3 numeral, then its digit.  The run (3, 0)
+# is the empty one before the first digit.
+_RUN_CAP = {int(f[0]): len(f) - 1 for f in _RUN_BOUNDED}
+_CLOSE = {(3, 0): ()} | {
+    (d, n): tuple(map(int, _numeral(n, 3) + str(d)))
+    for d, top in _RUN_CAP.items()
+    for n in range(1, top + 1)
+}
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
-
-
-def _explore(start: Hashable, succ: Callable) -> tuple[list, list[tuple[int, ...]]]:
-    """The states reachable from ``start``, breadth first in digit order,
-    and the indices of each one's successors on 0, 1 and 2."""
-    index = {start: 0}
-    states = [start]
-    edges = []
-    for s in states:  # grows while it is read
-        row = []
-        for t in succ(s):
-            if t not in index:
-                index[t] = len(states)
-                states.append(t)
-            row.append(index[t])
-        edges.append(tuple(row))
-    return states, edges
 
 
 def _build(start: Hashable, succ: Callable, accepting: Callable) -> Dfa:
@@ -58,30 +50,41 @@ def _build(start: Hashable, succ: Callable, accepting: Callable) -> Dfa:
     ``succ(s)`` gives the three successors of a state, on 0, 1 and 2, and
     ``accepting(s)`` whether it accepts.
     """
-    states, edges = _explore(start, succ)
-    accept = [bool(accepting(s)) for s in states]
+    index = {start: 0}
+    states = [start]
+    edges = []
+    for s in states:  # grows while it is read: breadth first in digit order
+        row = []
+        for t in succ(s):
+            if t not in index:
+                index[t] = len(states)
+                states.append(t)
+            row.append(index[t])
+        edges.append(tuple(row))
+    return _minimal(edges, [bool(accepting(s)) for s in states])
+
+
+def _minimal(edges: list[tuple[int, ...]], accept: list[bool]) -> Dfa:
+    """The minimal DFA of states 0, 1, ..., where state q goes to
+    ``edges[q][d]`` on digit d and accepts when ``accept[q]``.
+
+    The states must be numbered breadth first in digit order from state 0;
+    then so are the blocks, taken in the order of their first states.
+    """
+    zero, one, two = zip(*edges)
     block = list(map(int, accept))
     count = len(set(block))
     while True:  # split blocks by their successors' blocks until none splits
+        at = block.__getitem__
         ids: dict[tuple[int, int, int, int], int] = {}
-        block = [
-            ids.setdefault((block[q], block[x], block[y], block[z]), len(ids))
-            for q, (x, y, z) in enumerate(edges)
-        ]
+        keys = zip(block, map(at, zero), map(at, one), map(at, two))
+        block = [ids.setdefault(key, len(ids)) for key in keys]
         if len(ids) == count:
             break
         count = len(ids)
-    rep: dict[int, int] = {}
-    for q, b in enumerate(block):
-        rep.setdefault(b, q)
-    blocks, delta = _explore(block[0], lambda b: [block[r] for r in edges[rep[b]]])
-    return tuple(delta), tuple(accept[rep[b]] for b in blocks)
-
-
-def _feed(delta, q: int, text: str) -> int:
-    for c in text:
-        q = delta[q][int(c)]
-    return q
+    first = [block.index(b) for b in range(count)]  # each block's first state
+    delta = tuple(tuple(map(block.__getitem__, edges[q])) for q in first)
+    return delta, tuple(accept[q] for q in first)
 
 
 def recognizer(m: Dfa) -> Callable[[str], bool]:
@@ -99,32 +102,31 @@ def recognizer(m: Dfa) -> Callable[[str], bool]:
 
 def pre(m: Dfa) -> Dfa:
     """The splitting-domain strings whose step ``m`` accepts; ``pre(ANY)``
-    is the domain itself (no 00, 11111 or 2222, and no final 1111).
-
-    A state is (digit of the open run, its length so far, state of ``m``
-    after the numerals of the runs before it); None is the dead state.
-    """
+    is the domain itself (no 00, 11111 or 2222, and no final 1111).  One
+    breadth-first pass steps ``m`` over each state's closing run once."""
     delta, accept = m
-
-    def succ(s):
-        if s is None:
-            return None, None, None
-        d, run, q = s
-        closed = q if d is None else _feed(delta, q, _NUMERAL[run] + d)
-        return tuple(
-            ((d, run + 1, q) if run < _RUN_CAP[d] else None) if c == d else (c, 1, closed)
-            for c in _DIGITS
-        )
-
-    def accepting(s):
-        if s is None:
-            return False
-        d, run, q = s
-        if d is None:
-            return accept[q]
-        return not (d == "1" and run == 4) and accept[_feed(delta, q, _NUMERAL[run] + d)]
-
-    return _build((None, 0, 0), succ, accepting)
+    dead = (3, 0, -1)
+    index = {(3, 0, 0): 0}
+    states = [(3, 0, 0)]
+    edges, final = [], []
+    for i, (d, run, q) in enumerate(states):  # grows while it is read
+        if q < 0:  # dead
+            edges.append((i, i, i))
+            final.append(False)
+            continue
+        closed = q
+        for c in _CLOSE[d, run]:
+            closed = delta[closed][c]
+        final.append(accept[closed] and (d, run) != (1, 4))
+        row = []
+        for c in range(3):
+            s = (c, 1, closed) if c != d else (d, run + 1, q) if run < _RUN_CAP[d] else dead
+            j = index.setdefault(s, len(states))
+            if j == len(states):
+                states.append(s)
+            row.append(j)
+        edges.append(tuple(row))
+    return _minimal(edges, final)
 
 
 def essential() -> Dfa:
@@ -170,9 +172,7 @@ def compounds() -> Dfa:
                     nxt[int(f[0])].append((f, 1))
         return tuple(map(frozenset, nxt))
 
-    return _build(
-        frozenset({("", 0)}), succ, lambda states: any(i == len(p) for p, i in states)
-    )
+    return _build(frozenset({("", 0)}), succ, lambda states: any(i == len(p) for p, i in states))
 
 
 @cache

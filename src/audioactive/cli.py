@@ -217,86 +217,83 @@ def _cmd_particles(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_format(parser: argparse.ArgumentParser, choices=("text", "csv", "json")) -> None:
-    parser.add_argument("--format", choices=choices, default="text", help="output format")
+_ALL = ("text", "csv", "json")
+_TEXT_JSON = ("text", "json")
+# Each subcommand: its handler, its help line, the choices of its --format
+# (added last) and its other arguments, each a name or flag and keywords.
+_COMMANDS = {
+    "step": (_cmd_step, "iterate the describing step on a string", (), (
+        ("string", dict(help="digit string, or comma-separated tokens with --tokens")),
+        ("--base", dict(type=int, default=3, help="digit base (2..10, default 3)")),
+        ("--n", dict(type=int, default=1, help="number of iterations")),
+        ("--tokens", dict(action="store_true", help="token mode (counts stay atomic)")),
+    )),
+    "decompose": (_cmd_decompose, "factor a base-3 string into irreducible segments", _TEXT_JSON, (
+        ("string", {}),
+        ("--mode", dict(choices=("full", "conservative"), default="full")),
+    )),
+    "verify": (_cmd_verify, "verify decay of every essential ancient string", (), (
+        ("--out", dict(help="write the decay-table CSV to this path instead of stdout")),
+        ("--cap", dict(type=int, default=cosmology.DEFAULT_CAP, help="iteration cap")),
+    )),
+    "ancients": (_cmd_ancients, "enumerate essential ancient strings of one length", _ALL, (
+        ("--length", dict(type=int, required=True)),
+        ("--count-only", dict(action="store_true")),
+    )),
+    "fixedpoints": (_cmd_fixedpoints, "exhaustively search for step-fixed strings", _ALL, (
+        ("--base", dict(type=int, default=3)),
+        ("--max-len", dict(type=int, default=16)),
+        ("--all", dict(action="store_true",
+                       help="include concatenations of smaller fixed strings")),
+    )),
+    "growth": (_cmd_growth, "estimate the length growth rate empirically", _ALL, (
+        ("--seed", dict(default="1")),
+        ("--base", dict(type=int, default=3)),
+        ("--iters", dict(type=int, default=60)),
+    )),
+    "frequencies": (_cmd_frequencies, "limiting fermion frequencies", _ALL, ()),
+    "spectrum": (_cmd_spectrum, "dominant eigenvalue and characteristic polynomial", _TEXT_JSON, (
+        ("--table", dict(choices=("charpoly", "eigenvalues"), help="emit a CSV table")),
+    )),
+    "kvalue": (_cmd_kvalue, "long-run particle support of a seed string", _TEXT_JSON, (
+        ("string", {}),
+        ("--iters", dict(type=int, default=64, help="cap on iterations to become common")),
+    )),
+    "particles": (
+        _cmd_particles, "dump the particle registry and decay chart", ("json", "text"), ()
+    ),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Given a subcommand's name it holds that subcommand alone, which parses
+    and reports errors as the whole parser does; without one it holds all.
+    """
     parser = argparse.ArgumentParser(
         prog="audioactive",
         description="Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("step", help="iterate the describing step on a string")
-    p.add_argument("string", help="digit string, or comma-separated tokens with --tokens")
-    p.add_argument("--base", type=int, default=3, help="digit base (2..10, default 3)")
-    p.add_argument("--n", type=int, default=1, help="number of iterations")
-    p.add_argument("--tokens", action="store_true", help="token mode (counts stay atomic)")
-    p.set_defaults(func=_cmd_step)
-
-    p = sub.add_parser("decompose", help="factor a base-3 string into irreducible segments")
-    p.add_argument("string")
-    p.add_argument("--mode", choices=("full", "conservative"), default="full")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("verify", help="verify decay of every essential ancient string")
-    p.add_argument("--out", help="write the decay-table CSV to this path instead of stdout")
-    p.add_argument("--cap", type=int, default=cosmology.DEFAULT_CAP, help="iteration cap")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("ancients", help="enumerate essential ancient strings of one length")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_ancients)
-
-    p = sub.add_parser("fixedpoints", help="exhaustively search for step-fixed strings")
-    p.add_argument("--base", type=int, default=3)
-    p.add_argument("--max-len", type=int, default=16)
-    p.add_argument(
-        "--all",
-        action="store_true",
-        help="include concatenations of smaller fixed strings",
-    )
-    _add_format(p)
-    p.set_defaults(func=_cmd_fixedpoints)
-
-    p = sub.add_parser("growth", help="estimate the length growth rate empirically")
-    p.add_argument("--seed", default="1")
-    p.add_argument("--base", type=int, default=3)
-    p.add_argument("--iters", type=int, default=60)
-    _add_format(p)
-    p.set_defaults(func=_cmd_growth)
-
-    p = sub.add_parser("frequencies", help="limiting fermion frequencies")
-    _add_format(p)
-    p.set_defaults(func=_cmd_frequencies)
-
-    p = sub.add_parser("spectrum", help="dominant eigenvalue and characteristic polynomial")
-    p.add_argument("--table", choices=("charpoly", "eigenvalues"), help="emit a CSV table")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("kvalue", help="long-run particle support of a seed string")
-    p.add_argument("string")
-    p.add_argument("--iters", type=int, default=64, help="cap on iterations to become common")
-    _add_format(p, ("text", "json"))
-    p.set_defaults(func=_cmd_kvalue)
-
-    p = sub.add_parser("particles", help="dump the particle registry and decay chart")
-    _add_format(p, ("json", "text"))
-    p.set_defaults(func=_cmd_particles)
-
+    # A lone subcommand still shows them all in the usage line of an error.
+    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in [command] if command else _COMMANDS:
+        func, text, formats, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text", help="output format")
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SearchBudgetError) as exc:

@@ -176,7 +176,9 @@ def _zero_pieces(text: str) -> list[str]:
     (numerals have no leading zeros), so the two sides never interact.  The
     empty string has no pieces.
     """
-    return _ZERO_CUT.split(text) if text else []
+    # The pieces _ZERO_CUT leaves, each matched whole: no look-around, and
+    # compiled on first use rather than on import.
+    return re.findall(r"[^0]*0+|[^0]+", text)
 
 
 # flf looks ahead at most 4 characters: a prefix match of _FLF, or the end.

@@ -7,7 +7,7 @@ from hashlib import sha256
 import pytest
 
 import audioactive
-from audioactive.cli import main
+from audioactive.cli import build_parser, main
 
 import reference_values as ref
 
@@ -325,6 +325,94 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["audioactive", "step", "1", "--n", "2"])
+        assert main() == 0
+        assert capsys.readouterr().out.splitlines() == ["1", "11", "21"]
+
+
+COMMANDS = [
+    "step", "decompose", "verify", "ancients", "fixedpoints",
+    "growth", "frequencies", "spectrum", "kvalue", "particles",
+]
+CHOICES = "{" + ",".join(COMMANDS) + "}"
+USAGE = f"usage: audioactive [-h]\n{'':19}{CHOICES}\n{'':19}...\n"
+HELP = USAGE + f"""
+Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.
+
+positional arguments:
+  {CHOICES}
+    step                iterate the describing step on a string
+    decompose           factor a base-3 string into irreducible segments
+    verify              verify decay of every essential ancient string
+    ancients            enumerate essential ancient strings of one length
+    fixedpoints         exhaustively search for step-fixed strings
+    growth              estimate the length growth rate empirically
+    frequencies         limiting fermion frequencies
+    spectrum            dominant eigenvalue and characteristic polynomial
+    kvalue              long-run particle support of a seed string
+    particles           dump the particle registry and decay chart
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def exits(capsys, parse, argv):
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    """A known subcommand is parsed by a parser that holds it alone; help,
+    a missing or unknown subcommand and every error read as with all ten."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_subcommand_help_is_the_full_parsers(self, capsys, command):
+        want = exits(capsys, build_parser().parse_args, [command, "-h"])
+        assert exits(capsys, main, [command, "-h"]) == want
+        assert want[0] == 0 and want[1].startswith(f"usage: audioactive {command} [-h]")
+        assert build_parser(command) is not build_parser()
+
+    def test_subcommand_help_texts_are_unchanged(self, capsys):
+        # sha256 of the ten help texts, in order, as the one parser of all
+        # ten subcommands printed them before each had its own.
+        texts = "".join(exits(capsys, main, [command, "-h"])[1] for command in COMMANDS)
+        assert sha256(texts.encode()).hexdigest() == (
+            "0b484acc7e649deeac68e1d5b6e88c79a4ce2fb3369d22eaf1332ad0d314ee18"
+        )
+
+    def test_top_level_help(self, capsys):
+        assert exits(capsys, main, ["-h"]) == (0, HELP, "")
+
+    def test_missing_command(self, capsys):
+        error = "audioactive: error: the following arguments are required: command\n"
+        assert exits(capsys, main, []) == (2, "", USAGE + error)
+
+    def test_unknown_command(self, capsys):
+        choices = ", ".join(map(repr, COMMANDS))
+        error = f"audioactive: error: argument command: invalid choice: 'nosuch' (choose from {choices})\n"
+        assert exits(capsys, main, ["nosuch"]) == (2, "", USAGE + error)
+
+    @pytest.mark.parametrize("argv", [["step", "1", "--bogus"], ["verify", "--jobs", "2"]])
+    def test_errors_after_a_command_show_the_full_usage(self, capsys, argv):
+        want = exits(capsys, build_parser().parse_args, argv)
+        assert exits(capsys, main, argv) == want
+        assert want[2].startswith(USAGE)
+
+    def test_subcommand_errors_match(self, capsys):
+        argv = ["decompose", "1", "--mode", "x"]
+        want = exits(capsys, build_parser().parse_args, argv)
+        assert exits(capsys, main, argv) == want
+        assert want[2].startswith("usage: audioactive decompose [-h]")
 
 
 _CLI_PROBE = """

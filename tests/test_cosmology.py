@@ -89,6 +89,13 @@ class TestCountingFunction:
         for n in range(2, 41):
             assert f_closed(n) == f_recursive(n), n
 
+    def test_automaton_count_agrees_up_to_40(self):
+        # A third count: the essential strings a two-state "no 0" DFA accepts.
+        no_zero = (((1, 0, 0), (1, 1, 1)), (True, False))
+        counts = automata.count(40, automata.essential(), no_zero)
+        for n in range(2, 41):
+            assert counts[n] == f_closed(n) == f_recursive(n), n
+
     @pytest.mark.parametrize("n,value", [(2, 4), (3, 8), (4, 14), (5, 26), (7, 88), (16, 21218)])
     def test_pinned_values(self, n, value):
         assert f_recursive(n) == value
@@ -296,6 +303,29 @@ class TestDecayAutomata:
         assert sum(map(len, automata.junction_splits().values())) == 297
         assert len(decay_languages[0][0]) == 28
         assert max(len(delta) for delta, _ in decay_languages) == 56
+
+    def test_state_counts_and_least_new_strings(self, decay_languages):
+        # The least string D_t adds to D_{t-1} takes exactly t steps by
+        # stepping and factoring, which does not read the automata.
+        assert [len(delta) for delta, _ in decay_languages[:12]] == [
+            28, 42, 53, 56, 52, 50, 43, 37, 39, 26, 17, 10
+        ]
+        least = [automata.witness(b, a) for a, b in zip(decay_languages, decay_languages[1:12])]
+        assert least == [
+            "0", "2211", "221", "1211", "21", "11", "1", "111", "111122", "21221", "111121221"
+        ]
+        memo: dict[str, int] = {}
+        assert [decay_time(w, PARTICLE_TEXTS, memo) for w in least] == list(range(1, 12))
+
+    def test_states_are_numbered_breadth_first(self, decay_languages):
+        # Equal languages give equal tuples only under one numbering.
+        for delta, _ in [*decay_languages, automata.essential(), automata.pre(automata.ANY)]:
+            order = [0]
+            for q in order:  # grows while it is read
+                for t in delta[q]:
+                    if t not in order:
+                        order.append(t)
+            assert order == list(range(len(delta)))
 
     def test_step_keeps_the_splitting_domain(self):
         # So every iterate of a domain string can be factored, at every length.
