@@ -16,9 +16,11 @@ first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs.
 
 Length sequences follow a multiset of pieces, cut in every base at the
-splits one orbit cutter proves; token mode is counted as a base-10 text
-from its second iterate on.  Cutting base-3 strings into particles, the
-cut after a 0 among them, belongs to :mod:`audioactive.splitting`.
+splits one orbit cutter proves, and in bases 4..10 started from a frozen
+table of the pieces every orbit there settles into; token mode is counted
+as a base-10 text from its second iterate on.  Cutting base-3 strings
+into particles, the cut after a 0 among them, belongs to
+:mod:`audioactive.splitting`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import re
 from collections import Counter
 from functools import cache
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Mapping
 
 
 class AudioactiveError(Exception):
@@ -541,32 +543,157 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
     return cut
 
 
-def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
-    """Length sequence via a multiset of pieces cut at exact splits.
+# The pieces that base-10 "1" holds at steps 61-80, one line each: the piece,
+# then the pieces _orbit_cutter(10) cuts its step into, in order.  90 are
+# Conway's common elements; in the other 4 (1322, 311322, 1113122 and
+# 111213322) the 22 stays glued to what precedes it, a cut that 4 held runs
+# do not prove.  Digits 1-3 in runs of at most 3 step alike in every base
+# from 4 on, and the tests check that _orbit_cutter(b) cuts every entry's
+# step the same way for each b = 4..10.  Kept as text and parsed on first
+# use, so an import that never counts a high base does not build it.
+_HIGH_BASE_PIECES = """\
+3 13
+12 1112
+13 1113
+22 22
+132 111312
+312 131112
+1112 3112
+1113 3113
+1322 1113 22
+3112 132112
+3113 132113
+11132 311312
+13211 11131221
+31132 13211312
+32112 13122112
+111312 31131112
+131112 11133112
+132112 1113122112
+132113 1113122113
+311311 13211321
+311312 1321131112
+311322 132113 22
+311332 132 12 312
+1113122 311311 22
+1113222 311332
+1321132 111312211312
+1322112 1113222112
+1322113 1113222113
+3112112 1321122112
+3112221 132 13211
+11131221 3113112211
+11133112 312 32112
+13122112 111311222112
+13211312 11131221131112
+13211321 11131221131211
+31131112 1321133112
+111213322 3112112 3 22
+123222112 111213322112
+123222113 111213322113
+311311222 1321132 132
+1113122112 311311222112
+1113122113 311311222113
+1113222112 3113322112
+1113222113 3113322113
+1321122112 11131221222112
+1321131112 11131221133112
+1321133112 1113122 12 32112
+3113112211 132113212221
+3113322112 132 123222112
+3113322113 132 123222113
+13221133112 1113222 12 32112
+111213322112 31121123222112
+111213322113 31121123222113
+111311222112 31132 1322112
+111312211312 3113112221131112
+132113212221 111312211312113211
+311311222112 1321132 1322112
+311311222113 1321132 1322113
+1322113312211 1113222 12 3112221
+11131221131112 3113112221133112
+11131221131211 311311222113111221
+11131221133112 311311222 12 32112
+11131221222112 3113112211322112
+31121123222112 132112211213322112
+31121123222113 132112211213322113
+311322113212221 13211322211312113211
+3113112211322112 13211321222113222112
+3113112221131112 1321132 13221133112
+3113112221133112 1321132 1322 12 32112
+13221133122211332 1113222 12 311322 12 312
+111312211312113211 311311222113111221131221
+132112211213322112 111312212221121123222112
+132112211213322113 111312212221121123222113
+311311222113111221 1321132 1322113312211
+13211321222113222112 11131221131211322113322112
+13211322211312113211 1113122113322113111221131221
+132211331222113112211 1113222 12 311322113212221
+12322211331222113112211 111213322 12 311322113212221
+31131122211311122113222 1321132 13221133122211332
+111312212221121123222112 3113112211322112211213322112
+111312212221121123222113 3113112211322112211213322113
+311311222113111221131221 1321132 132211331222113112211
+11131221131211322113322112 31131122211311122113222 123222112
+312211322212221121123222112 13112221133211322112211213322112
+312211322212221121123222113 13112221133211322112211213322113
+1113122113322113111221131221 311311222 12322211331222113112211
+3113112211322112211213322112 1321132122211322212221121123222112
+3113112211322112211213322113 1321132122211322212221121123222113
+13112221133211322112211213322112 11132 1322 12 312211322212221121123222112
+13112221133211322112211213322113 11132 1322 12 312211322212221121123222113
+1321132122211322212221121123222112 111312211312113221133211322112211213322112
+1321132122211322212221121123222113 111312211312113221133211322112211213322113
+111312211312113221133211322112211213322112 31131122211311122113222 12 312211322212221121123222112
+111312211312113221133211322112211213322113 31131122211311122113222 12 312211322212221121123222113
+"""
 
-    Iterates factor into a small recurring set of pieces; each distinct
-    piece is stepped and re-cut once, and only the counts grow.  The
-    pieces are cut wherever ``_orbit_cutter`` proves a split.
+
+@cache
+def _high_base_table() -> dict[str, tuple[str, ...]]:
+    """The frozen pieces of bases 4-10, each mapped to the pieces of its step."""
+    return {line[0]: tuple(line[1:]) for line in map(str.split, _HIGH_BASE_PIECES.splitlines())}
+
+
+def _piece_counts(
+    text: str,
+    base: int,
+    cut: Callable[[str], list[str]],
+    known: Mapping[str, tuple[str, ...]],
+) -> Iterator[dict[str, int]]:
+    """The piece multiset of ``text`` and of each of its iterates, without end.
+
+    The piece engine: ``cut`` must cut only at exact splits, so every
+    iterate is the iterates of its pieces side by side.  Each distinct
+    piece is stepped and cut once, and only the counts grow.  ``known``
+    maps pieces to the pieces of their step, in order, as ``cut`` would
+    give them; those pieces are never stepped or cut.
     """
-    cutter = _orbit_cutter(base)
-
-    def tally(t: str) -> list[tuple[str, int]]:
-        return list(Counter(cutter(t)).items())
-
-    pieces = dict(tally(text))
-    lengths = [len(text)]
-    children: dict[str, list[tuple[str, int]]] = {}
-    for _ in range(iters):
+    children = dict(known)
+    pieces = dict(Counter(cut(text)))
+    while True:
+        yield pieces
         nxt: dict[str, int] = {}
         for piece, count in pieces.items():
             subs = children.get(piece)
             if subs is None:
-                subs = children[piece] = tally(_step_text(piece, base))
-            for sub, mult in subs:
-                nxt[sub] = nxt.get(sub, 0) + mult * count
+                subs = children[piece] = cut(_step_text(piece, base))
+            for sub in subs:
+                nxt[sub] = nxt.get(sub, 0) + count
         pieces = nxt
-        lengths.append(sum(len(p) * c for p, c in pieces.items()))
-    return lengths
+
+
+def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
+    """Length sequence of ``text`` from the piece engine.
+
+    The pieces are cut wherever ``_orbit_cutter`` proves a split.  Bases
+    4-10 start from the frozen table of the pieces every orbit there
+    settles into, so only the pieces a seed adds of its own are stepped
+    and cut: the transients, and pieces holding a digit above 3.
+    """
+    known = _high_base_table() if base >= 4 else {}
+    counts = islice(_piece_counts(text, base, _orbit_cutter(base), known), iters + 1)
+    return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]
 
 
 def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
@@ -574,8 +701,10 @@ def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
 
     Both modes are tracked exactly through a multiset of pieces cut at every
     split proven from leading-digit orbits (cheap at any depth: only the
-    counts grow, so neither mode has a length budget).  Token mode takes
-    two token steps and counts the rest as a base-10 text.
+    counts grow, so neither mode has a length budget).  In bases 4..10 the
+    pieces of the frozen table are never stepped or cut: their steps are
+    read from it.  Token mode takes two token steps and counts the rest as
+    a base-10 text.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")

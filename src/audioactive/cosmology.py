@@ -41,6 +41,7 @@ from .core import (
     ConvergenceError,
     DigitString,
     _Record,
+    _piece_counts,
     _set,
     _splittable,
     _step_text,
@@ -299,12 +300,28 @@ class KValueReport(_Record):
         }
 
 
+def _factor_counts(text: str) -> Iterator[dict[str, int] | None]:
+    """The ``_factor`` piece multiset of ``text`` and of each of its
+    iterates, without end; None for an iterate outside the splitting domain.
+
+    The step maps the domain into itself, so from the first iterate in it
+    on the pieces evolve alone, in the piece engine started from the decay
+    chart: only pieces that are not particles are stepped and factored.
+    """
+    while not _splittable(text):
+        yield None
+        text = _step_text(text, 3)
+    yield from _piece_counts(text, 3, _factor, particles._CHART_BY_TEXT)
+
+
 def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     """Iterate ``s`` until fully common, then measure its long-run support.
 
-    ``k`` is the size of the support when limsup and liminf agree;
-    otherwise both sizes are reported as a pair and ``stabilized`` is
-    False.
+    The iterates are followed as multisets of their factor pieces (see
+    ``_factor_counts``), never as whole texts once they are in the
+    splitting domain.  ``k`` is the size of the support when limsup and
+    liminf agree; otherwise both sizes are reported as a pair and
+    ``stabilized`` is False.
     """
     if s.base != 3:
         raise ValueError("k-values are defined for base-3 strings")
@@ -312,18 +329,15 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
         raise ValueError("seed must be non-empty")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    text = s.text
-    for iterations in range(max_iter + 1):
-        if _splittable(text):
-            texts = _factor(text)
-            if particles.PARTICLE_TEXTS.issuperset(texts):
-                break
-        text = _step_text(text, 3)
+    for iterations, pieces in zip(range(max_iter + 1), _factor_counts(s.text)):
+        if pieces is not None and particles.PARTICLE_TEXTS.issuperset(pieces):
+            break
     else:
         raise ConvergenceError(
             f"{s.text!r} did not become fully common within {max_iter} iterations"
         )
-    ms = particles.multiset(map(particles._SYMBOL_BY_TEXT.__getitem__, texts))
+    symbol = particles._SYMBOL_BY_TEXT
+    ms = particles.multiset({symbol[text]: count for text, count in pieces.items()})
     limsup, liminf = particles.limit_sets(ms)
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))

@@ -121,6 +121,11 @@ _PARTICLES = {
 _BY_TEXT = {p.digits.text: p for p in _PARTICLES.values()}
 _SYMBOL_BY_TEXT = {text: p.symbol for text, p in _BY_TEXT.items()}
 PARTICLE_TEXTS = frozenset(_BY_TEXT)
+# The decay chart keyed by text: each particle's digits -> its products' digits.
+_CHART_BY_TEXT = {
+    _PARTICLE_DIGITS[sym]: tuple(map(_PARTICLE_DIGITS.__getitem__, products))
+    for sym, products in _DECAY_PRODUCTS.items()
+}
 
 
 def registry() -> tuple[Particle, ...]:

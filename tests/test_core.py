@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 import sys
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -438,6 +439,12 @@ class TestLengthSequence:
         monkeypatch.setattr(core, "_HELD_RUNS", 1)
         monkeypatch.setattr(core, "_ORBIT_STEPS", 1)
         assert [length_sequence(ds(seed, base), steps) for base, seed, steps in cases] == want
+        # bases 4-10 take their settled pieces from the frozen table, so the
+        # weak cutter meets only transients there; emptied, it meets them all
+        monkeypatch.setattr(core, "_high_base_table", lambda: {})
+        high = [(case, lengths) for case, lengths in zip(cases, want) if case[0] >= 4]
+        for (base, seed, steps), lengths in high:
+            assert length_sequence(ds(seed, base), steps) == lengths, (base, seed)
 
     # Values of 10 and more, runs of 10 and more, zeros, more than 7 distinct
     # values other than 1-3, and the empty seed.
@@ -546,6 +553,50 @@ class TestOrbitCutter:
         assert cut("7") == ["7"]
         assert cut("0123") == ["0", "12", "3"]  # 3's iterates lead with 1 or 3
         assert cut("22") == ["22"]
+
+
+def _held_pieces(seed, base, steps):
+    """The pieces the engine holds at ``steps`` from ``seed``, without a table."""
+    counts = core._piece_counts(seed, base, _orbit_cutter(base), {})
+    return set().union(*islice(counts, steps.start, steps.stop))
+
+
+class TestHighBaseTable:
+    """The frozen pieces of bases 4..10 and the pieces of their steps."""
+
+    TABLE = core._high_base_table()
+    GLUED = {"1322": "13", "311322": "3113", "1113122": "11131", "111213322": "1112133"}
+
+    def test_entries_are_the_cutters_pieces_in_every_base(self):
+        for base in range(4, 11):
+            cut = _orbit_cutter(base)
+            for piece, subs in self.TABLE.items():
+                assert tuple(cut(_step_text(piece, base))) == subs, (base, piece)
+                assert "".join(subs) == reference_step(piece, base), (base, piece)
+
+    def test_keys_are_the_late_pieces_of_one_in_base_10(self):
+        assert set(self.TABLE) == _held_pieces("1", 10, range(61, 81))
+        assert len(self.TABLE) == 94
+        assert {sub for subs in self.TABLE.values() for sub in subs} <= set(self.TABLE)
+
+    def test_late_pieces_of_other_seeds_are_keys(self):
+        rng = random.Random(406)
+        for base in range(4, 11):
+            alphabet = "0123456789"[:base]
+            seeds = [*alphabet, "123", "31", "22"] + [
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 8))) for _ in range(4)
+            ]
+            for seed in seeds:
+                low = {p for p in _held_pieces(seed, base, range(51, 61)) if set(p) <= set("123")}
+                assert low <= set(self.TABLE), (base, seed, low - set(self.TABLE))
+
+    def test_four_entries_glue_a_22_that_six_held_runs_cut(self, monkeypatch):
+        # the other 90 are Conway's common elements, which have no split
+        monkeypatch.setattr(core, "_HELD_RUNS", 6)
+        for base in (4, 10):
+            cut = _orbit_cutter(base)
+            split = {piece: cut(piece) for piece in self.TABLE if cut(piece) != [piece]}
+            assert split == {piece: [head, "22"] for piece, head in self.GLUED.items()}
 
 
 def _eye(scale):

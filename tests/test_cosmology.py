@@ -23,6 +23,7 @@ from audioactive.particles import lookup
 import reference_values as ref
 from oracles import (
     ANCIENT_CAPS,
+    all_base3_texts,
     all_split_domain_texts,
     decay_time,
     in_split_domain,
@@ -427,9 +428,10 @@ class TestKValue:
             assert 1 <= len(report.limsup) <= 24
 
 
-def eager_k_value(text):
-    """k_value's report fields, decomposing every iterate into objects."""
-    for iterations in range(65):
+def eager_k_value(text, cap=64):
+    """k_value's report fields, decomposing every iterate into objects;
+    None when no iterate up to the ``cap``-th is common."""
+    for iterations in range(cap + 1):
         try:
             dec = decompose(ds(text))
         except SplitDomainError:
@@ -437,6 +439,8 @@ def eager_k_value(text):
         if dec is not None and dec.is_common:
             break
         text = reference_step(text, 3)
+    else:
+        return None
     ms = dec.multiset()
     limsup, liminf = particles.limit_sets(ms)
     return iterations, tuple(ms.items()), limsup, liminf
@@ -466,6 +470,24 @@ class TestKValueOnTexts:
         # the spy does see a decomposition being built
         decompose(ds("10"))
         assert built == [(("1",), {"1": ("10",)}, ())]
+
+    @pytest.mark.parametrize("cap", [64, 3])
+    def test_every_string_of_up_to_7_digits(self, cap):
+        # whole strings stepped and decomposed, against the piece engine
+        texts = all_base3_texts(7)[1:]
+        assert len(texts) == 3279
+        failed = 0
+        for text in texts:
+            want = eager_k_value(text, cap)
+            if want is None:
+                failed += 1
+                with pytest.raises(ConvergenceError):
+                    k_value(ds(text), max_iter=cap)
+                continue
+            report = k_value(ds(text), max_iter=cap)
+            got = report.iterations, report.counts, report.limsup, report.liminf
+            assert got == want, text
+        assert failed == (0 if cap == 64 else 1561)  # both branches are met
 
 
 class TestSmallWorldConsequence:
