@@ -2,10 +2,11 @@
 
 A DFA here is a pair ``(delta, accept)`` over the digits 0, 1, 2: state q
 goes to ``delta[q][d]`` on digit d, accepts when ``accept[q]`` is true, and
-state 0 is the start.  Every DFA this module returns is complete, minimal
+state 0 is the start.  Every DFA this module builds is complete, minimal
 (Moore refinement of the reachable states) and numbered in breadth-first
 order from the start, so two DFAs accept the same language exactly when
-they are equal.
+they are equal.  The shipped decay languages below are checked for their
+languages; the tests check that they are the built ones, tuple for tuple.
 
 The step is a transducer on the splitting domain: it reads a run at a time
 (runs of at most 1, 4 and 3 for the digits 0, 1 and 2, and no final 1111)
@@ -16,6 +17,16 @@ and M is in state q after the runs before them; (3, 0, 0) is the start,
 with no run open, and (3, 0, -1) the dead state.  Starting from the
 compounds of the 24 particles, D_t = pre(D_{t-1}) holds exactly the
 domain strings that are all particles after at most t steps.
+
+D_0-D_11 ship as a certificate, the text ``_DECAY_CERTIFICATE``, and
+``decay_languages()`` checks it instead of searching for the chain again.
+The check is a full proof: D_0 must equal ``compounds()``, each stored D_t
+must accept exactly pre(stored D_{t-1}), and D_11 exactly pre(D_11).  Each
+equation is one walk of pre's transducer states over D_{t-1} in lockstep
+with D_t's states, which fails at the first reachable pair whose acceptance
+differs.  A search must also minimize what it explores, with rounds of
+Moore refinement over every state it found; a check visits each reachable
+pair once and never compares states with each other.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ from functools import cache
 from typing import Callable, Hashable
 
 from . import particles
-from .core import _RUN_BOUNDED, _numeral
+from .core import _RUN_BOUNDED, AudioactiveError, _numeral
 from .splitting import _CUT
 
 Dfa = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]
@@ -40,6 +51,7 @@ _CLOSE = {(3, 0): ()} | {
     for d, top in _RUN_CAP.items()
     for n in range(1, top + 1)
 }
+_START, _DEAD = (3, 0, 0), (3, 0, -1)  # pre's transducer states with no run open
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
 
@@ -100,33 +112,63 @@ def recognizer(m: Dfa) -> Callable[[str], bool]:
     return accepts
 
 
+def _moves(m: Dfa, state: tuple[int, int, int]) -> tuple[bool, list[tuple[int, int, int]]]:
+    """Whether pre(``m``)'s transducer state (d, run, q) accepts, and its
+    successors on 0, 1 and 2.
+
+    It closes the open run through ``m``, rejects a final 1111, and opens a
+    new run on each other digit; the same digit extends the run up to its
+    cap and then dies.
+    """
+    d, run, q = state
+    if q < 0:  # dead
+        return False, [state, state, state]
+    delta, accept = m
+    closed = q
+    for c in _CLOSE[d, run]:
+        closed = delta[closed][c]
+    nxt = [(0, 1, closed), (1, 1, closed), (2, 1, closed)]
+    if d < 3:
+        nxt[d] = (d, run + 1, q) if run < _RUN_CAP[d] else _DEAD
+    return accept[closed] and (d, run) != (1, 4), nxt
+
+
 def pre(m: Dfa) -> Dfa:
     """The splitting-domain strings whose step ``m`` accepts; ``pre(ANY)``
     is the domain itself (no 00, 11111 or 2222, and no final 1111).  One
-    breadth-first pass steps ``m`` over each state's closing run once."""
-    delta, accept = m
-    dead = (3, 0, -1)
-    index = {(3, 0, 0): 0}
-    states = [(3, 0, 0)]
+    breadth-first pass explores the transducer states, then ``_minimal``."""
+    index = {_START: 0}
+    states = [_START]
     edges, final = [], []
-    for i, (d, run, q) in enumerate(states):  # grows while it is read
-        if q < 0:  # dead
-            edges.append((i, i, i))
-            final.append(False)
-            continue
-        closed = q
-        for c in _CLOSE[d, run]:
-            closed = delta[closed][c]
-        final.append(accept[closed] and (d, run) != (1, 4))
+    for s in states:  # grows while it is read
+        ok, nxt = _moves(m, s)
+        final.append(ok)
         row = []
-        for c in range(3):
-            s = (c, 1, closed) if c != d else (d, run + 1, q) if run < _RUN_CAP[d] else dead
-            j = index.setdefault(s, len(states))
+        for t in nxt:
+            j = index.setdefault(t, len(states))
             if j == len(states):
-                states.append(s)
+                states.append(t)
             row.append(j)
         edges.append(tuple(row))
     return _minimal(edges, final)
+
+
+def _is_pre(a: Dfa, b: Dfa) -> bool:
+    """Whether ``b`` accepts exactly pre(``a``), by one lockstep walk of
+    pre's transducer states over ``a`` with ``b``'s states; no minimization.
+    False at the first reachable pair whose acceptance differs."""
+    db, ab = b
+    seen = {(_START, 0)}
+    todo = [(_START, 0)]
+    for s, q in todo:  # grows while it is read
+        ok, nxt = _moves(a, s)
+        if ok != ab[q]:
+            return False
+        for pair in zip(nxt, db[q]):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 def essential() -> Dfa:
@@ -175,18 +217,61 @@ def compounds() -> Dfa:
     return _build(frozenset({("", 0)}), succ, lambda states: any(i == len(p) for p, i in states))
 
 
+# D_0-D_11, one line each: every state's successors on 0, 1 and 2, the
+# states in order, an accepting one marked *.  Written by _render from the
+# search (D_0 = compounds(), D_t = pre(D_{t-1})) and parsed on first use;
+# decay_languages() checks it before it answers anything.
+_DECAY_CERTIFICATE = """\
+*1,2,3 1,1,1 0,4,5 *1,6,7 0,8,9 *1,10,11 0,12,13 *1,14,15 0,16,17 *1,10,18 0,19,13 1,20,21 *0,8,22 *1,10,23 0,24,13 1,25,1 0,1,17 *1,10,1 1,21,15 1,8,1 *1,16,26 1,27,1 *1,10,17 1,1,21 0,8,17 1,16,1 1,1,17 *1,1,26
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 1,9,10 *1,11,12 1,13,14 *1,15,16 1,17,18 *1,19,20 1,21,14 4,22,16 *1,9,23 *1,11,24 1,25,14 *1,26,4 1,4,14 *1,27,20 1,28,14 4,29,16 4,9,4 *4,17,30 *1,11,31 4,4,16 1,9,14 *1,32,23 1,33,14 4,9,34 4,35,4 4,4,36 *1,11,16 1,9,37 4,9,38 4,4,39 *4,4,30 *1,11,4 *1,11,20 4,40,4 4,29,4 4,41,4 4,4,34
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 1,9,10 *1,11,12 1,13,14 *1,15,16 1,17,18 *1,19,20 1,21,14 4,22,16 *1,9,23 *1,11,24 1,25,26 *1,27,4 1,4,28 *1,29,30 1,31,14 4,32,16 4,9,33 *4,34,35 *1,36,37 4,4,16 *1,9,38 *1,11,20 *1,39,38 *1,36,12 1,21,40 4,41,16 4,9,42 4,34,4 4,43,4 *1,4,38 4,4,44 1,45,14 *1,36,16 *1,11,46 1,9,47 *1,11,48 4,34,42 4,4,49 4,50,4 *1,36,4 4,9,4 *1,51,16 *1,36,20 4,52,16 4,32,4 4,4,42 1,25,14 *4,4,35
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 1,9,10 *1,11,12 1,13,14 *1,15,16 1,17,18 *1,19,20 1,21,14 4,22,16 *1,9,23 *1,11,24 *1,25,26 *1,27,4 1,4,28 *1,29,12 1,30,14 4,31,16 1,9,32 *4,33,34 *1,35,36 4,4,16 *1,9,37 *1,11,8 *1,38,39 *1,7,12 1,40,41 4,9,42 4,33,4 *1,35,43 *1,4,37 4,4,44 1,45,14 *1,46,16 *1,47,8 1,9,48 *1,11,49 1,9,50 *1,11,43 4,4,51 4,52,16 *1,15,4 1,9,53 1,54,14 1,40,14 *1,35,12 *1,55,16 *1,35,24 4,31,4 *4,4,34 *1,35,20 4,9,4 1,25,14
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 1,9,10 *1,7,11 1,12,13 *1,14,15 1,16,17 *1,18,19 4,20,15 *1,9,21 *1,7,19 *1,22,3 *1,23,4 1,4,24 *1,25,11 1,26,6 4,27,15 *4,28,29 *1,30,31 *1,9,32 *1,33,34 *1,35,11 1,36,37 4,9,38 4,28,4 *1,4,32 4,4,39 1,33,13 *1,40,15 *1,41,8 *1,9,42 *1,7,43 *1,12,34 1,9,44 *1,7,45 4,4,46 *1,14,4 *1,47,3 1,12,6 *1,30,8 *1,48,15 *1,30,49 4,50,15 4,27,4 4,9,4 1,22,51 4,4,15 *4,4,29 *1,7,49
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 1,9,10 *1,11,12 *1,13,14 *1,15,16 1,17,18 *1,19,12 1,13,20 4,21,16 *1,9,22 *1,11,23 *1,24,25 *1,26,4 1,4,27 *1,28,12 *1,29,25 *1,11,30 *4,31,32 *1,26,33 *1,34,16 *1,9,35 *1,11,8 *1,36,14 *1,7,12 1,37,38 *4,9,32 4,39,16 *1,4,35 4,4,40 *1,41,16 1,24,42 *1,43,8 *1,9,44 1,9,45 *1,11,46 4,31,4 *1,15,4 *1,47,25 *1,11,48 *1,36,25 *1,26,8 *1,26,48 4,49,16 4,9,4 4,4,16 *4,4,32
+*1,2,3 *4,2,3 1,5,6 *1,7,8 4,4,4 *1,9,10 *1,11,12 *1,13,14 *1,15,16 1,17,18 *1,19,8 1,13,20 4,21,16 *1,9,22 *1,11,23 *1,24,25 *1,26,4 1,4,27 *1,28,12 *1,29,25 *1,11,30 *4,31,32 *1,15,33 *1,34,16 *1,9,35 *1,11,8 *1,24,14 *1,7,12 *1,13,36 *4,9,32 4,37,16 *1,4,35 4,4,38 *1,39,16 1,24,40 *1,15,8 *1,11,33 4,31,4 *1,15,4 *1,41,25 *1,11,42 4,9,4 4,4,16
+*1,2,3 *4,2,3 *1,5,3 *1,6,7 4,4,4 *1,8,9 *1,10,11 *1,12,13 1,14,15 *1,16,7 *1,8,17 *1,6,18 *1,19,3 *1,20,4 1,4,21 *1,22,23 *1,24,3 *1,12,25 *1,26,13 *1,8,27 *1,19,11 *1,6,23 *1,19,28 4,29,13 *4,8,30 *1,31,13 1,19,32 *1,12,7 *1,6,25 *4,33,30 4,4,34 *1,35,3 *1,6,36 *1,4,27 *1,12,4 4,8,4 4,4,13
+*1,2,3 *4,2,3 *1,5,6 *1,7,8 4,4,4 *1,9,10 *1,11,8 *1,12,13 *1,14,15 *1,16,17 *1,18,8 *1,19,6 *1,9,20 *1,11,21 *1,12,6 *1,7,4 1,4,22 *1,23,8 *1,24,6 *1,9,25 *1,14,8 *1,26,15 *1,27,28 *1,12,29 *4,9,30 *1,14,31 1,12,32 *1,19,13 4,33,15 *1,11,31 4,4,34 *1,35,15 *1,11,36 *4,37,30 *1,14,4 *1,38,6 4,4,15 *1,4,20 4,9,4
+*1,2,3 *4,2,3 *1,5,6 *1,7,8 4,4,4 *1,9,6 *1,2,8 *1,5,10 *1,2,11 *1,12,13 *1,2,14 *1,2,4 1,4,15 *1,16,8 *1,17,11 *1,18,8 *1,5,19 1,5,20 *1,21,10 *1,2,22 *1,2,23 *1,9,19 *1,24,11 4,4,11 *1,25,6 4,9,4
+*1,2,3 *4,2,3 *1,5,3 *1,2,6 4,4,4 *1,7,3 *1,2,8 *1,9,3 *1,2,4 1,4,10 *1,11,6 *1,5,12 *1,2,13 *1,14,8 1,5,15 *1,2,16 4,4,8
+*1,2,3 *4,2,3 *1,5,3 *1,2,6 4,4,4 *1,7,3 *1,2,8 *1,9,3 *1,2,4 1,4,3
+"""
+
+
+def _render(levels: tuple[Dfa, ...]) -> str:
+    """DFAs as certificate text, one line each."""
+    return "".join(
+        " ".join(("*" if ok else "") + ",".join(map(str, row)) for row, ok in zip(*m)) + "\n"
+        for m in levels
+    )
+
+
+def _parse(text: str) -> tuple[Dfa, ...]:
+    """The DFAs of certificate text, one per line."""
+    levels = []
+    for line in text.splitlines():
+        succ = iter(map(int, line.replace("*", "").replace(",", " ").split()))
+        levels.append((tuple(zip(succ, succ, succ)), tuple(["*" in s for s in line.split()])))
+    return tuple(levels)
+
+
 @cache
 def decay_languages() -> tuple[Dfa, ...]:
-    """D_0, D_1, ... up to the first D_t that ``pre`` maps to itself.
+    """D_0, D_1, ..., D_11, checked from the shipped certificate.
 
-    That is D_11, the whole splitting domain, so there are 12.  The DFAs
-    are immutable, so building them once per process changes no answer;
-    ``decay_languages.cache_clear()`` drops them.
+    D_11 is the whole splitting domain and pre maps it to itself, so every
+    later D_t equals it.  A certificate that fails the check raises
+    :class:`AudioactiveError` naming the first equation that fails.  The
+    DFAs are immutable, so checking them once per process changes no
+    answer; ``decay_languages.cache_clear()`` drops them.
     """
-    levels = [compounds()]
-    while (nxt := pre(levels[-1])) != levels[-1]:
-        levels.append(nxt)
-    return tuple(levels)
+    levels = _parse(_DECAY_CERTIFICATE)
+    if levels[0] != compounds():
+        raise AudioactiveError("decay certificate: D_0 is not the particle compounds")
+    for t, a in enumerate(levels, 1):
+        u = min(t, len(levels) - 1)  # the last equation is the fixpoint
+        if not _is_pre(a, levels[u]):
+            raise AudioactiveError(f"decay certificate: D_{u} is not pre(D_{t - 1})")
+    return levels
 
 
 def _dead(m: Dfa) -> int | None:
@@ -198,15 +283,30 @@ def count(top: int, a: Dfa, b: Dfa) -> list[int]:
     """How many strings of each length 0..``top`` both ``a`` and ``b`` accept."""
     (da, aa), (db, ab) = a, b
     dead_a, dead_b = _dead(a), _dead(b)
-    layer = {(0, 0): 1}
+    # the live pairs reachable from (0, 0), breadth first, and for each the
+    # indices of its live successors
+    index = {(0, 0): 0}
+    pairs = [(0, 0)]
+    moves = []
+    for p, q in pairs:  # grows while it is read
+        row = []
+        for pair in zip(da[p], db[q]):
+            if pair[0] != dead_a and pair[1] != dead_b:
+                j = index.setdefault(pair, len(pairs))
+                if j == len(pairs):
+                    pairs.append(pair)
+                row.append(j)
+        moves.append(row)
+    final = [i for i, (p, q) in enumerate(pairs) if aa[p] and ab[q]]
+    layer = [1] + [0] * (len(pairs) - 1)  # the strings of one length that end at each pair
     counts = []
     for _ in range(top + 1):
-        counts.append(sum(k for (p, q), k in layer.items() if aa[p] and ab[q]))
-        grown: dict[tuple[int, int], int] = {}
-        for (p, q), k in layer.items():
-            for pair in zip(da[p], db[q]):
-                if pair[0] != dead_a and pair[1] != dead_b:
-                    grown[pair] = grown.get(pair, 0) + k
+        counts.append(sum([layer[i] for i in final]))
+        grown = [0] * len(pairs)
+        for k, row in zip(layer, moves):
+            if k:
+                for j in row:
+                    grown[j] += k
         layer = grown
     return counts
 
@@ -226,3 +326,30 @@ def witness(a: Dfa, b: Dfa) -> str | None:
                 path[nxt] = path[p, q] + _DIGITS[d]
                 queue.append(nxt)
     return None
+
+
+def difference(top: int, a: Dfa, b: Dfa) -> list[list[str]]:
+    """The strings ``a`` accepts and ``b`` rejects, of each length
+    0..``top``, each length in digit order.
+
+    One walk of the product, a length at a time in digit order, keeps only
+    the prefixes whose pair can still reach such a string in the digits
+    left, so it builds no prefix that lists nothing.  Prefixes are shared
+    between the lengths.
+    """
+    (da, aa), (db, ab) = a, b
+    width = len(db)  # the pair (p, q) is p * width + q
+    succ = [tuple(zip(_DIGITS, [r * width + s for r, s in zip(rp, rq)])) for rp in da for rq in db]
+    ends = {p * width + q for p, ok in enumerate(aa) if ok for q, no in enumerate(ab) if not no}
+    within = [ends]  # within[r]: the pairs that reach an end in at most r digits
+    for _ in range(top):
+        last = within[-1]
+        within.append(last | {pq for pq, nxt in enumerate(succ) if any(n in last for _, n in nxt)})
+    listed = []
+    level = [("", 0)] if 0 in within[top] else []
+    for left in range(top, -1, -1):
+        listed.append([text for text, pq in level if pq in ends])
+        if left:
+            alive = within[left - 1]
+            level = [(text + d, n) for text, pq in level for d, n in succ[pq] if n in alive]
+    return listed

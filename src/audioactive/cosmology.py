@@ -24,16 +24,17 @@ D_{t-1}.  ``iterations_to_common`` is that membership test: it walks the
 text through D_0, D_1, ... in turn, and steps and factors nothing.
 ``verify_cosmological`` does not check the 71,775 strings one by one
 either.  Each cell of its table is a difference of two counts of essential
-strings in the same languages, and strings are listed only at lengths that
-have some over the cap.  :func:`automata.decay_languages` builds the
-languages once per process.
+strings in the same languages, and the strings over the cap are listed by
+a walk of the essential automaton with D_cap, pruned to the prefixes of
+such strings.
+:func:`automata.decay_languages` checks its shipped languages once per
+process; it never searches for them.
 """
 
 from __future__ import annotations
 
-from itertools import filterfalse
 from math import comb
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import particles
 from .core import (
@@ -203,12 +204,13 @@ class CosmologyReport(_Record):
         return self.table.total_strings
 
 
-def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], Callable[[str], bool]]:
-    """Decay rows and over-cap counts of lengths 1..16, and membership in D_cap.
+def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], list[list[str]]]:
+    """Decay rows, over-cap counts and over-cap strings of lengths 1..16.
 
     Row n, cell t is |E_n & D_t| - |E_n & D_{t-1}| for the essential strings
     E_n of length n.  The languages end at D_11, the whole domain, so the
-    cells of a cap above 11 are 0.
+    cells of a cap above 11 are 0.  The strings over the cap, in digit order
+    by length, are listed only when some are counted.
     """
     from . import automata  # deferred: only this and iterations_to_common compile it
 
@@ -221,7 +223,10 @@ def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], Callable[[str],
         for col in zip(*within)
     ]
     totals = automata.count(top, essential, automata.ANY)[1:]
-    return rows, [k - d for k, d in zip(totals, within[-1])], automata.recognizer(levels[-1])
+    over = [k - d for k, d in zip(totals, within[-1])]
+    if not any(over):
+        return rows, over, [[] for _ in over]
+    return rows, over, automata.difference(top, essential, levels[-1])[1:]
 
 
 def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyReport:
@@ -230,25 +235,20 @@ def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyRepor
     The verdict is success iff no string needs more than ``cap`` iterations;
     any counterexample is carried in ``failures`` (none is expected), by
     length and sorted within each length.  The strings are counted in
-    automata (see the module docstring) and listed only at lengths that
-    have failures; a length that lists a different number of strings than
-    it counts raises :class:`AudioactiveError`.  ``jobs`` is accepted and
-    ignored: every value runs the same serial count.
+    automata (see the module docstring) and listed only when some fail; a
+    length that lists a different number of strings than it counts raises
+    :class:`AudioactiveError`.  ``jobs`` is accepted and ignored: every
+    value runs the same serial count.
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    rows, fails, within_cap = _decay_counts(cap)
-    failures: list[str] = []
-    upto = max((n for n, count in enumerate(fails, 1) if count), default=0)
-    for n, (layer, count) in enumerate(zip(_essential_layers(upto), fails), 1):
-        if not count:
-            continue
-        bad = list(filterfalse(within_cap, layer))
-        if len(bad) != count:
+    rows, fails, listed = _decay_counts(cap)
+    for n, (layer, count) in enumerate(zip(listed, fails), 1):
+        if len(layer) != count:
             raise AudioactiveError(
-                f"length {n}: {len(bad)} strings listed over the cap, {count} counted"
+                f"length {n}: {len(layer)} strings listed over the cap, {count} counted"
             )
-        failures.extend(bad)
+    failures = [text for layer in listed for text in layer]
     max_seen = max((t for row in rows for t, c in enumerate(row) if c), default=0)
     table = DecayTable(
         tuple(map(tuple, rows)), tuple(range(1, MAX_ESSENTIAL_LENGTH + 1)), cap

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import cache
 from typing import Iterable, Mapping
 
 from .core import DigitString, _Record, _set, lookandsay_step
@@ -220,13 +221,24 @@ def limit_sets(ms: Mapping[str, int]) -> tuple[frozenset[str], frozenset[str]]:
     symbols, so the walk ends in a cycle: limsup is the union of the
     supports on that cycle and liminf their intersection.
     """
-    support = frozenset(multiset(ms))
-    orbit: list[frozenset[str]] = []
-    while support not in orbit:
-        orbit.append(support)
-        support = frozenset(product for sym in support for product in _DECAY_PRODUCTS[sym])
-    cycle = orbit[orbit.index(support):]
-    return frozenset.union(*cycle), frozenset.intersection(*cycle)
+    return _limits(frozenset(multiset(ms)))
+
+
+@cache
+def _limits(support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """``limit_sets`` of a support, memoized per support.
+
+    A support off its cycle has the limits of the cycle its walk enters,
+    so it asks for those of the cycle's first support, and the memo holds
+    both.  The chart is immutable, so the memo changes no answer;
+    ``_limits.cache_clear()`` drops it.
+    """
+    orbit = [support]
+    while (nxt := frozenset([p for sym in orbit[-1] for p in _DECAY_PRODUCTS[sym]])) not in orbit:
+        orbit.append(nxt)
+    if nxt != support:
+        return _limits(nxt)
+    return frozenset.union(*orbit), frozenset.intersection(*orbit)
 
 
 def total_digit_length(ms: Mapping[str, int]) -> int:

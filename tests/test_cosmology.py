@@ -180,8 +180,9 @@ class TestVerification:
         assert got == ref.LENGTH7_FIVE_ITERATIONS
 
     def test_answer_does_not_depend_on_earlier_runs(self, decay_languages):
-        # The languages are built once per process and equal a fresh build of
-        # D_0-D_11; clearing the cache rebuilds them and changes no answer.
+        # The languages are checked once per process and equal a fresh build
+        # of D_0-D_11; clearing the cache checks them again and changes no
+        # answer.
         built = automata.decay_languages()
         assert built == tuple(decay_languages[:12])
         texts = ["1", "21221", "111121221", "1121122", "2221222111212211"]
@@ -376,6 +377,93 @@ class TestDecayAutomata:
             if least == 11:
                 slowest.append(text)
         assert sorted(slowest) == ["0111121221", "111121221", "2111121221"]
+
+
+def brute_layers(top, languages):
+    """For each length 0..``top``, the state of each DFA after every base-3
+    string of that length, the strings in digit order."""
+    layer = [("", (0,) * len(languages))]
+    for _ in range(top + 1):
+        yield layer
+        layer = [
+            (text + str(d), tuple(m[0][q][d] for m, q in zip(languages, states)))
+            for text, states in layer
+            for d in range(3)
+        ]
+
+
+class TestDecayCertificate:
+    """The shipped D_0-D_11 and the lockstep check that proves them."""
+
+    def test_stored_text_is_the_search_chain(self, decay_languages):
+        chain = tuple(decay_languages[:12])
+        assert automata._render(chain) == automata._DECAY_CERTIFICATE
+        assert automata._parse(automata._DECAY_CERTIFICATE) == chain
+        assert len(automata._DECAY_CERTIFICATE) == 3550
+        automata.decay_languages.cache_clear()
+        assert automata.decay_languages() == chain
+
+    def test_verify_does_not_search(self, monkeypatch):
+        def no_search(m):
+            raise AssertionError("pre was called")
+
+        monkeypatch.setattr(automata, "pre", no_search)
+        automata.decay_languages.cache_clear()
+        report = verify_cosmological()
+        assert (report.verified, report.max_iterations, report.total_strings) == (True, 10, 71775)
+        assert iterations_to_common(ds("111121221"), 11) == 11
+
+    def test_every_flipped_bit_and_redirected_edge_fails(self, decay_languages, monkeypatch):
+        # Each state of each stored D_t, once with its accept bit flipped and
+        # once with one edge sent to the next state: every such certificate
+        # fails the check, at an equation that reads D_t.
+        chain = list(decay_languages[:12])
+        for t, (delta, accept) in enumerate(chain):
+            for q in range(len(delta)):
+                flipped = accept[:q] + (not accept[q],) + accept[q + 1:]
+                d = q % 3
+                row = list(delta[q])
+                row[d] = (row[d] + 1) % len(delta)
+                redirected = delta[:q] + (tuple(row),) + delta[q + 1:]
+                for bad in (delta, flipped), (redirected, accept):
+                    text = automata._render(tuple(chain[:t] + [bad] + chain[t + 1:]))
+                    monkeypatch.setattr(automata, "_DECAY_CERTIFICATE", text)
+                    automata.decay_languages.cache_clear()
+                    with pytest.raises(AudioactiveError, match=f"D_{t} is not"):
+                        automata.decay_languages()
+        monkeypatch.undo()
+        automata.decay_languages.cache_clear()
+        assert automata.decay_languages() == tuple(chain)
+
+    def test_lockstep_check_agrees_with_pre(self, decay_languages):
+        chain = decay_languages[:12]
+        for a in chain:
+            image = automata.pre(a)
+            for b in chain:
+                assert automata._is_pre(a, b) == (image == b)
+        dom = automata.pre(automata.ANY)
+        assert automata._is_pre(dom, dom)
+        assert automata.pre(dom) == dom
+
+    def test_count_and_difference_against_every_string(self, decay_languages):
+        # Every base-3 string of at most 10 digits, read through the
+        # essential automaton and each D_t.
+        top = 10
+        essential = automata.essential()
+        chain = decay_languages[:12]
+        counts = [[0] * (top + 1) for _ in chain]
+        rejected = [[[] for _ in range(top + 1)] for _ in chain]
+        for n, layer in enumerate(brute_layers(top, [essential, *chain])):
+            for text, (e, *states) in layer:
+                if essential[1][e]:
+                    for t, (m, q) in enumerate(zip(chain, states)):
+                        if m[1][q]:
+                            counts[t][n] += 1
+                        else:
+                            rejected[t][n].append(text)
+        for t, m in enumerate(chain):
+            assert automata.count(top, essential, m) == counts[t], t
+            assert automata.difference(top, essential, m) == rejected[t], t
 
 
 class TestKValue:
