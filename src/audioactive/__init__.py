@@ -28,14 +28,6 @@ from .core import (
     step_of_runs,
     token_step,
 )
-from .descriptors import (
-    CountDescriptor,
-    FrequencyVector,
-    counting_sequence,
-    counting_step,
-    selfdesc_sequence,
-    selfdesc_step,
-)
 from .particles import (
     DecayRule,
     Particle,
@@ -85,6 +77,26 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
+
+# No command uses the digit-tally sequences, so the names below are found
+# on first access (PEP 562) and importing the CLI compiles no descriptors.
+_DESCRIPTORS = frozenset({
+    "CountDescriptor",
+    "FrequencyVector",
+    "counting_sequence",
+    "counting_step",
+    "selfdesc_sequence",
+    "selfdesc_step",
+})
+
+
+def __getattr__(name: str):
+    if name in _DESCRIPTORS:
+        from . import descriptors
+
+        return getattr(descriptors, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AudioactiveError",

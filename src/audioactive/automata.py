@@ -1,37 +1,43 @@
-"""Base-3 decay languages as finite automata.
+"""Base-3 decay languages as finite automata: the checker.
 
 A DFA here is a pair ``(delta, accept)`` over the digits 0, 1, 2: state q
 goes to ``delta[q][d]`` on digit d, accepts when ``accept[q]`` is true, and
-state 0 is the start.  Every DFA this module builds is complete, minimal
-(Moore refinement of the reachable states) and numbered in breadth-first
-order from the start, so two DFAs accept the same language exactly when
-they are equal.  The shipped decay languages below are checked for their
-languages; the tests check that they are the built ones, tuple for tuple.
+state 0 is the start.  The DFAs are complete and numbered in breadth-first
+order from the start.
 
 The step is a transducer on the splitting domain: it reads a run at a time
 (runs of at most 1, 4 and 3 for the digits 0, 1 and 2, and no final 1111)
 and writes the run's numeral, one of 1, 2, 10 and 11, then its digit.  So
-``pre(M)``, the domain strings whose step M accepts, is again regular.  Its
+pre(M), the domain strings whose step M accepts, is again regular.  Its
 states are int triples (d, run, q): ``run`` copies of the digit d are open,
 and M is in state q after the runs before them; (3, 0, 0) is the start,
-with no run open, and (3, 0, -1) the dead state.  Starting from the
-compounds of the 24 particles, D_t = pre(D_{t-1}) holds exactly the
-domain strings that are all particles after at most t steps.
+with no run open, and (3, 0, -1) the dead state.  Starting from D_0, the
+compounds of the 24 particles, D_t = pre(D_{t-1}) holds exactly the domain
+strings that are all particles after at most t steps.
 
 D_0-D_11 ship as a certificate, the text ``_DECAY_CERTIFICATE``, and
-``decay_languages()`` checks it instead of searching for the chain again.
-The check is a full proof: D_0 must equal ``compounds()``, each stored D_t
-must accept exactly pre(stored D_{t-1}), and D_11 exactly pre(D_11).  Each
-equation is one walk of pre's transducer states over D_{t-1} in lockstep
-with D_t's states, which fails at the first reachable pair whose acceptance
-differs.  A search must also minimize what it explores, with rounds of
-Moore refinement over every state it found; a check visits each reachable
-pair once and never compares states with each other.
+``decay_languages()`` checks it instead of searching for the chain.  The
+check is a full proof, and each of its twelve equations is one lockstep
+walk (``_accepts_as``) of an automaton given by its moves with a stored
+DFA, which fails at the first reachable pair whose acceptance differs: D_0
+against the subset construction of the compounds, each D_t against pre's
+transducer over D_{t-1}, and D_11 against pre's over itself.  A walk visits
+each reachable pair once and never compares states with each other, so
+nothing is minimized.
+
+This module holds only what ``verify`` and ``iterations_to_common`` run:
+the transducer, the compounds' moves, the certificate and its check, the
+essential strings' DFA and counting by length.  The search that wrote the
+certificate (``pre``, ``compounds()``, Moore refinement) and the listing
+and witness walks live in :mod:`audioactive._automata_search`, which a
+verification never imports unless some string is over its cap: without
+cached bytecode, every import compiles its module in the command's time.
+The search's names still resolve here, importing it on first access.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Hashable
 
 from . import particles
@@ -54,49 +60,60 @@ _CLOSE = {(3, 0): ()} | {
 _START, _DEAD = (3, 0, 0), (3, 0, -1)  # pre's transducer states with no run open
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
+_SEARCH = frozenset({"_build", "_minimal", "_render", "compounds", "difference", "pre", "witness"})
 
 
-def _build(start: Hashable, succ: Callable, accepting: Callable) -> Dfa:
-    """The minimal DFA of the states reachable from ``start``.
+def __getattr__(name: str):
+    """The search's names, importing :mod:`audioactive._automata_search`."""
+    if name in _SEARCH:
+        from . import _automata_search
 
-    ``succ(s)`` gives the three successors of a state, on 0, 1 and 2, and
-    ``accepting(s)`` whether it accepts.
+        return getattr(_automata_search, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _explore(start: Hashable, moves: Callable) -> Dfa:
+    """The DFA of the states reachable from ``start``, numbered breadth
+    first in digit order.
+
+    ``moves(s)`` gives whether the state s accepts, and its three
+    successors, on 0, 1 and 2.
     """
     index = {start: 0}
     states = [start]
-    edges = []
-    for s in states:  # grows while it is read: breadth first in digit order
+    edges, accept = [], []
+    for s in states:  # grows while it is read
+        ok, nxt = moves(s)
+        accept.append(bool(ok))
         row = []
-        for t in succ(s):
-            if t not in index:
-                index[t] = len(states)
+        for t in nxt:
+            j = index.setdefault(t, len(states))
+            if j == len(states):
                 states.append(t)
-            row.append(index[t])
+            row.append(j)
         edges.append(tuple(row))
-    return _minimal(edges, [bool(accepting(s)) for s in states])
+    return tuple(edges), tuple(accept)
 
 
-def _minimal(edges: list[tuple[int, ...]], accept: list[bool]) -> Dfa:
-    """The minimal DFA of states 0, 1, ..., where state q goes to
-    ``edges[q][d]`` on digit d and accepts when ``accept[q]``.
+def _accepts_as(start: Hashable, moves: Callable, m: Dfa) -> bool:
+    """Whether ``m`` accepts exactly what the states reachable from
+    ``start`` under ``moves`` (as in :func:`_explore`) accept.
 
-    The states must be numbered breadth first in digit order from state 0;
-    then so are the blocks, taken in the order of their first states.
+    One lockstep walk of those states with ``m``'s; no minimization.  False
+    at the first reachable pair whose acceptance differs.
     """
-    zero, one, two = zip(*edges)
-    block = list(map(int, accept))
-    count = len(set(block))
-    while True:  # split blocks by their successors' blocks until none splits
-        at = block.__getitem__
-        ids: dict[tuple[int, int, int, int], int] = {}
-        keys = zip(block, map(at, zero), map(at, one), map(at, two))
-        block = [ids.setdefault(key, len(ids)) for key in keys]
-        if len(ids) == count:
-            break
-        count = len(ids)
-    first = [block.index(b) for b in range(count)]  # each block's first state
-    delta = tuple(tuple(map(block.__getitem__, edges[q])) for q in first)
-    return delta, tuple(accept[q] for q in first)
+    delta, accept = m
+    seen = {(start, 0)}
+    todo = [(start, 0)]
+    for s, q in todo:  # grows while it is read
+        ok, nxt = moves(s)
+        if ok != accept[q]:
+            return False
+        for pair in zip(nxt, delta[q]):
+            if pair not in seen:
+                seen.add(pair)
+                todo.append(pair)
+    return True
 
 
 def recognizer(m: Dfa) -> Callable[[str], bool]:
@@ -133,78 +150,57 @@ def _moves(m: Dfa, state: tuple[int, int, int]) -> tuple[bool, list[tuple[int, i
     return accept[closed] and (d, run) != (1, 4), nxt
 
 
-def pre(m: Dfa) -> Dfa:
-    """The splitting-domain strings whose step ``m`` accepts; ``pre(ANY)``
-    is the domain itself (no 00, 11111 or 2222, and no final 1111).  One
-    breadth-first pass explores the transducer states, then ``_minimal``."""
-    index = {_START: 0}
-    states = [_START]
-    edges, final = [], []
-    for s in states:  # grows while it is read
-        ok, nxt = _moves(m, s)
-        final.append(ok)
-        row = []
-        for t in nxt:
-            j = index.setdefault(t, len(states))
-            if j == len(states):
-                states.append(t)
-            row.append(j)
-        edges.append(tuple(row))
-    return _minimal(edges, final)
-
-
 def _is_pre(a: Dfa, b: Dfa) -> bool:
-    """Whether ``b`` accepts exactly pre(``a``), by one lockstep walk of
-    pre's transducer states over ``a`` with ``b``'s states; no minimization.
-    False at the first reachable pair whose acceptance differs."""
-    db, ab = b
-    seen = {(_START, 0)}
-    todo = [(_START, 0)]
-    for s, q in todo:  # grows while it is read
-        ok, nxt = _moves(a, s)
-        if ok != ab[q]:
-            return False
-        for pair in zip(nxt, db[q]):
-            if pair not in seen:
-                seen.add(pair)
-                todo.append(pair)
-    return True
+    """Whether ``b`` accepts exactly pre(``a``)."""
+    return _accepts_as(_START, partial(_moves, a), b)
 
 
 def essential() -> Dfa:
     """The essential ancient strings, and the empty string: runs of 1s and
-    2s of at most 3, then at most one 0, at the end."""
-    def succ(s):  # (digit of the last run, its length); None is the dead state
-        if s is None or s[0] == "0":
-            return None, None, None
-        d, run = s
-        return tuple(((d, run + 1) if run < 3 else None) if c == d else (c, 1) for c in _DIGITS)
+    2s of at most 3, then at most one 0, at the end.
 
-    return _build(("", 0), succ, lambda s: s is not None)
+    The explored DFA is already minimal; the tests check that it equals
+    its own Moore refinement.
+    """
+    def moves(s):  # (digit of the last run, its length); None is the dead state
+        if s is None or s[0] == "0":
+            return s is not None, (None, None, None)
+        d, run = s
+        nxt = (((d, run + 1) if run < 3 else None) if c == d else (c, 1) for c in _DIGITS)
+        return True, tuple(nxt)
+
+    return _explore(("", 0), moves)
 
 
 def junction_splits() -> dict[str, set[str]]:
     """For each particle e, the particles f for which e|f is a split.
 
     That is exactly when the splitter's rule ``splitting._CUT`` cuts e + f
-    after e.  The rule is checked against the leading-digit criterion at
-    every length without these automata, so the argument is not circular.
+    after e.  The rule looks back one digit, so e's last digit decides.  It
+    is checked against the leading-digit criterion at every length without
+    these automata, so the argument is not circular.
     """
     texts = [rule.parent.digits.text for rule in particles.decay_chart()]
-    return {e: {f for f in texts if _CUT.match(e + f, len(e))} for e in texts}
+    after = {c: {f for f in texts if _CUT.match(c + f, 1)} for c in {e[-1] for e in texts}}
+    return {e: set(after[e[-1]]) for e in texts}
 
 
-def compounds() -> Dfa:
-    """Concatenations of particles whose every junction is a split.
+_COMPOUND_START = frozenset({("", 0)})
 
-    The subset construction of an automaton whose states are (particle,
-    digits of it read); a finished particle e, or the start (e = ""), may
-    begin any particle that e|f splits.
+
+def _compound_moves() -> Callable:
+    """The moves of the particle compounds' subset construction, from
+    ``_COMPOUND_START``.
+
+    Concatenations of particles whose every junction is a split: an
+    automaton whose states are (particle, digits of it read), where a
+    finished particle e, or the start (e = ""), may begin any particle
+    that e|f splits.
     """
     follow = junction_splits()
     follow[""] = set(follow)
 
-    def succ(states):
+    def moves(states):
         nxt: tuple[list, list, list] = ([], [], [])
         for p, i in states:
             if i < len(p):
@@ -212,14 +208,14 @@ def compounds() -> Dfa:
             else:
                 for f in follow[p]:
                     nxt[int(f[0])].append((f, 1))
-        return tuple(map(frozenset, nxt))
+        return any(i == len(p) for p, i in states), tuple(map(frozenset, nxt))
 
-    return _build(frozenset({("", 0)}), succ, lambda states: any(i == len(p) for p, i in states))
+    return moves
 
 
 # D_0-D_11, one line each: every state's successors on 0, 1 and 2, the
-# states in order, an accepting one marked *.  Written by _render from the
-# search (D_0 = compounds(), D_t = pre(D_{t-1})) and parsed on first use;
+# states in order, an accepting one marked *.  Written by the search's
+# _render (D_0 = compounds(), D_t = pre(D_{t-1})) and parsed on first use;
 # decay_languages() checks it before it answers anything.
 _DECAY_CERTIFICATE = """\
 *1,2,3 1,1,1 0,4,5 *1,6,7 0,8,9 *1,10,11 0,12,13 *1,14,15 0,16,17 *1,10,18 0,19,13 1,20,21 *0,8,22 *1,10,23 0,24,13 1,25,1 0,1,17 *1,10,1 1,21,15 1,8,1 *1,16,26 1,27,1 *1,10,17 1,1,21 0,8,17 1,16,1 1,1,17 *1,1,26
@@ -235,14 +231,6 @@ _DECAY_CERTIFICATE = """\
 *1,2,3 *4,2,3 *1,5,3 *1,2,6 4,4,4 *1,7,3 *1,2,8 *1,9,3 *1,2,4 1,4,10 *1,11,6 *1,5,12 *1,2,13 *1,14,8 1,5,15 *1,2,16 4,4,8
 *1,2,3 *4,2,3 *1,5,3 *1,2,6 4,4,4 *1,7,3 *1,2,8 *1,9,3 *1,2,4 1,4,3
 """
-
-
-def _render(levels: tuple[Dfa, ...]) -> str:
-    """DFAs as certificate text, one line each."""
-    return "".join(
-        " ".join(("*" if ok else "") + ",".join(map(str, row)) for row, ok in zip(*m)) + "\n"
-        for m in levels
-    )
 
 
 def _parse(text: str) -> tuple[Dfa, ...]:
@@ -265,7 +253,7 @@ def decay_languages() -> tuple[Dfa, ...]:
     answer; ``decay_languages.cache_clear()`` drops them.
     """
     levels = _parse(_DECAY_CERTIFICATE)
-    if levels[0] != compounds():
+    if not _accepts_as(_COMPOUND_START, _compound_moves(), levels[0]):
         raise AudioactiveError("decay certificate: D_0 is not the particle compounds")
     for t, a in enumerate(levels, 1):
         u = min(t, len(levels) - 1)  # the last equation is the fixpoint
@@ -309,47 +297,3 @@ def count(top: int, a: Dfa, b: Dfa) -> list[int]:
                     grown[j] += k
         layer = grown
     return counts
-
-
-def witness(a: Dfa, b: Dfa) -> str | None:
-    """A shortest string ``a`` accepts and ``b`` rejects, least in digit
-    order, or None when ``a``'s language is inside ``b``'s."""
-    (da, aa), (db, ab) = a, b
-    path = {(0, 0): ""}
-    queue = [(0, 0)]
-    for p, q in queue:
-        if aa[p] and not ab[q]:
-            return path[p, q]
-        for d in range(3):
-            nxt = da[p][d], db[q][d]
-            if nxt not in path:
-                path[nxt] = path[p, q] + _DIGITS[d]
-                queue.append(nxt)
-    return None
-
-
-def difference(top: int, a: Dfa, b: Dfa) -> list[list[str]]:
-    """The strings ``a`` accepts and ``b`` rejects, of each length
-    0..``top``, each length in digit order.
-
-    One walk of the product, a length at a time in digit order, keeps only
-    the prefixes whose pair can still reach such a string in the digits
-    left, so it builds no prefix that lists nothing.  Prefixes are shared
-    between the lengths.
-    """
-    (da, aa), (db, ab) = a, b
-    width = len(db)  # the pair (p, q) is p * width + q
-    succ = [tuple(zip(_DIGITS, [r * width + s for r, s in zip(rp, rq)])) for rp in da for rq in db]
-    ends = {p * width + q for p, ok in enumerate(aa) if ok for q, no in enumerate(ab) if not no}
-    within = [ends]  # within[r]: the pairs that reach an end in at most r digits
-    for _ in range(top):
-        last = within[-1]
-        within.append(last | {pq for pq, nxt in enumerate(succ) if any(n in last for _, n in nxt)})
-    listed = []
-    level = [("", 0)] if 0 in within[top] else []
-    for left in range(top, -1, -1):
-        listed.append([text for text, pq in level if pq in ends])
-        if left:
-            alive = within[left - 1]
-            level = [(text + d, n) for text, pq in level for d, n in succ[pq] if n in alive]
-    return listed

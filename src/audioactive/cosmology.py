@@ -226,7 +226,9 @@ def _decay_counts(cap: int) -> tuple[list[list[int]], list[int], list[list[str]]
     over = [k - d for k, d in zip(totals, within[-1])]
     if not any(over):
         return rows, over, [[] for _ in over]
-    return rows, over, automata.difference(top, essential, levels[-1])[1:]
+    from ._automata_search import difference  # deferred: only a failing count lists strings
+
+    return rows, over, difference(top, essential, levels[-1])[1:]
 
 
 def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyReport:

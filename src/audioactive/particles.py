@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from functools import cache
 from typing import Iterable, Mapping
 
 from .core import DigitString, _Record, _set, lookandsay_step
@@ -224,21 +223,38 @@ def limit_sets(ms: Mapping[str, int]) -> tuple[frozenset[str], frozenset[str]]:
     return _limits(frozenset(multiset(ms)))
 
 
-@cache
-def _limits(support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-    """``limit_sets`` of a support, memoized per support.
+class _LimitMemo:
+    """``limit_sets`` of a support, memoized for every support a walk meets.
 
-    A support off its cycle has the limits of the cycle its walk enters,
-    so it asks for those of the cycle's first support, and the memo holds
-    both.  The chart is immutable, so the memo changes no answer;
-    ``_limits.cache_clear()`` drops it.
+    A support off its cycle has the limits of the cycle its walk enters, so
+    a walk stops at the first support already known, or at the first one
+    it met before (a cycle), and every support it met gets the same limits.
+    The chart is immutable, so the memo changes no answer; ``clear()``
+    empties it.
     """
-    orbit = [support]
-    while (nxt := frozenset([p for sym in orbit[-1] for p in _DECAY_PRODUCTS[sym]])) not in orbit:
-        orbit.append(nxt)
-    if nxt != support:
-        return _limits(nxt)
-    return frozenset.union(*orbit), frozenset.intersection(*orbit)
+
+    def __init__(self) -> None:
+        self.known: dict[frozenset[str], tuple[frozenset[str], frozenset[str]]] = {}
+
+    def __call__(self, support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
+        known = self.known
+        orbit = []
+        while support not in known and support not in orbit:
+            orbit.append(support)
+            support = frozenset([p for sym in support for p in _DECAY_PRODUCTS[sym]])
+        if support in known:
+            found = known[support]
+        else:  # the walk closed a cycle
+            cycle = orbit[orbit.index(support):]
+            found = frozenset.union(*cycle), frozenset.intersection(*cycle)
+        known.update(dict.fromkeys(orbit, found))
+        return found
+
+    def clear(self) -> None:
+        self.known.clear()
+
+
+_limits = _LimitMemo()
 
 
 def total_digit_length(ms: Mapping[str, int]) -> int:

@@ -523,3 +523,34 @@ class TestAutomataStayUnloaded:
         ]
         seen = fresh_cli(commands, "audioactive.automata")
         assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 5 + [(0, True)]
+
+
+class TestSearchStaysUnloaded:
+    """A verification compiles only the checker of its decay automata, not
+    the search that wrote their certificate, unless it lists strings over
+    its cap; no command compiles the digit-tally sequences."""
+
+    @pytest.mark.parametrize("module", ["audioactive._automata_search", "audioactive.descriptors"])
+    def test_verify_at_cap_10_runs_without(self, module, tmp_path):
+        commands = [
+            ["verify", "--out", str(tmp_path / "decay.csv")],
+            ["verify", "--cap", "9", "--out", str(tmp_path / "decay9.csv")],
+        ]
+        seen = fresh_cli(commands, module)
+        listed = module == "audioactive._automata_search"
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 3 + [(1, listed)]
+        assert seen[2][3] == "VERIFIED max_iterations=10 strings=71775\n"
+        failures = seen[3][3].splitlines()
+        assert len(failures) == 1187
+        assert failures[0] == "FAIL 21221 exceeded cap"
+
+    def test_other_commands_run_without_the_descriptors(self):
+        commands = [
+            ["decompose", "101102110211"],
+            ["kvalue", "10"],
+            ["growth", "--seed", "1", "--base", "10"],
+            ["spectrum", "--format", "json"],
+            ["frequencies"],
+        ]
+        seen = fresh_cli(commands, "audioactive.descriptors")
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * (len(commands) + 2)

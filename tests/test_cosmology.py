@@ -17,7 +17,7 @@ from audioactive import (
     k_value,
     verify_cosmological,
 )
-from audioactive import SplitDomainError, automata, cosmology, particles, splitting
+from audioactive import SplitDomainError, _automata_search, automata, cosmology, particles, splitting
 from audioactive.particles import lookup
 
 import reference_values as ref
@@ -464,6 +464,34 @@ class TestDecayCertificate:
         for t, m in enumerate(chain):
             assert automata.count(top, essential, m) == counts[t], t
             assert automata.difference(top, essential, m) == rejected[t], t
+
+
+class TestCheckerAndSearch:
+    """``automata`` holds only what a verification runs; the search that
+    wrote its certificate lives in ``_automata_search``."""
+
+    def test_compound_check_rejects_every_later_level(self):
+        levels = automata.decay_languages()
+        moves = automata._compound_moves()
+        checks = [automata._accepts_as(automata._COMPOUND_START, moves, m) for m in levels]
+        assert checks == [True] + [False] * 11
+
+    def test_essential_automaton_is_minimal(self):
+        essential = automata.essential()
+        assert essential == _automata_search._minimal(*essential)
+
+    def test_junction_splits_read_the_last_digit(self):
+        texts = [rule.parent.digits.text for rule in particles.decay_chart()]
+        pairs = {(e, f) for e in texts for f in texts if splitting._CUT.match(e + f, len(e))}
+        got = automata.junction_splits()
+        assert list(got) == texts
+        assert {(e, f) for e, follow in got.items() for f in follow} == pairs
+
+    def test_search_names_resolve_through_the_checker(self):
+        for name in ("pre", "compounds", "witness", "difference", "_render", "_minimal", "_build"):
+            assert getattr(automata, name) is getattr(_automata_search, name)
+        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+            automata.nosuch
 
 
 class TestKValue:

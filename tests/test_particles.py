@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import combinations
 
 import pytest
 
@@ -211,6 +213,48 @@ class TestLimitSets:
             assert 4 % (n - preperiod) == 0, p.symbol
             preperiods.append(preperiod)
         assert max(preperiods) == 14
+
+    def test_memo_answers_do_not_depend_on_call_order(self):
+        # Against a fresh walk of the support orbit, read from the public
+        # chart: every singleton, every pair and a random sample, first
+        # with the memo emptied before each call, then with it filled by
+        # the earlier calls, in two orders.
+        products = {r.parent.symbol: {p.symbol for p in r.products} for r in decay_chart()}
+
+        def orbit_limits(support):
+            orbit = [support]
+            while (nxt := frozenset().union(*(products[s] for s in orbit[-1]))) not in orbit:
+                orbit.append(nxt)
+            cycle = orbit[orbit.index(nxt):]
+            return frozenset.union(*cycle), frozenset.intersection(*cycle)
+
+        symbols = [p.symbol for p in registry()]
+        rng = random.Random(26)
+        supports = [frozenset({a}) for a in symbols]
+        supports += [frozenset(pair) for pair in combinations(symbols, 2)]
+        supports += [frozenset(rng.sample(symbols, rng.randint(3, 24))) for _ in range(200)]
+        assert len(supports) == 24 + 276 + 200
+        want = [orbit_limits(s) for s in supports]
+        for support, limits in zip(supports, want):
+            particles._limits.clear()
+            assert particles._limits(support) == limits, support
+        particles._limits.clear()
+        for order in (supports, supports[::-1]):
+            got = {s: limit_sets(dict.fromkeys(s, 1)) for s in order}
+            assert [got[s] for s in supports] == want
+        particles._limits.clear()
+        assert limit_sets({}) == (frozenset(), frozenset())
+
+    def test_memo_holds_every_support_a_walk_meets(self):
+        particles._limits.clear()
+        limit_sets({"Ph": 1})
+        state, met = {"Ph": 1}, set()
+        for _ in range(32):
+            met.add(frozenset(state))
+            state = evolve(state, 1)
+        assert set(particles._limits.known) == met
+        particles._limits.clear()
+        assert not particles._limits.known
 
 
 class TestJsonExport:
