@@ -66,7 +66,7 @@ def _cmd_verify(args) -> int:
     if not args.out:
         return _verify(args.cap, sys.stdout, sys.stderr)
     try:  # before the count, so a bad path costs nothing
-        fh = open(args.out, "w", encoding="ascii")
+        fh = open(args.out, "w", encoding="utf-8")
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

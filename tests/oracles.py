@@ -7,6 +7,7 @@ package) so that the tests never check a computation against itself.
 from __future__ import annotations
 
 import math
+import random
 from itertools import groupby, product
 
 
@@ -112,6 +113,20 @@ def in_split_domain(text: str) -> bool:
     """Run-bounded, and a run of four 1s is never the last run."""
     rs = run_list(text)
     return within_caps(text, RUN_BOUNDED_CAPS) and rs[-1:] != [("1", 4)]
+
+
+def random_split_domain_text(seed: str, length: int) -> str:
+    """A seeded random in-domain text of about ``length`` digits: runs drawn
+    within the run bounds, cut to ``length``, and one 1 dropped if the cut
+    leaves a final run of four 1s."""
+    rng = random.Random(seed)
+    runs, last, total = [], "", 0
+    while total < length:
+        last = rng.choice([d for d in "012" if d != last])
+        runs.append(last * rng.randint(1, RUN_BOUNDED_CAPS[last]))
+        total += len(runs[-1])
+    text = "".join(runs)[:length]
+    return text[:-1] if text.endswith("1111") else text
 
 
 def zero_run_cuts(text: str) -> list[int]:

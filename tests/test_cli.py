@@ -554,3 +554,14 @@ class TestSearchStaysUnloaded:
         ]
         seen = fresh_cli(commands, "audioactive.descriptors")
         assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * (len(commands) + 2)
+
+
+class TestAsciiCodecStaysUnloaded:
+    """``verify --out`` writes its ASCII CSV through the UTF-8 codec that
+    start-up has loaded, so a cold verification imports no other codec."""
+
+    def test_verify_out_runs_without_the_ascii_codec(self, tmp_path):
+        out = tmp_path / "decay.csv"
+        seen = fresh_cli([["verify", "--out", str(out)]], "encodings.ascii")
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 3
+        assert out.read_bytes().isascii()

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -17,7 +18,7 @@ from audioactive import (
 from audioactive.cosmology import _essential_texts
 from audioactive import core
 from audioactive.core import _orbit_cutter, _step_text
-from audioactive import automata, particles
+from audioactive import automata, particles, splitting
 from audioactive.splitting import _CUT, _CUT_AHEAD, _ZERO_CUT, Decomposition, _factor
 
 import reference_values as ref
@@ -27,6 +28,7 @@ from oracles import (
     cut_positions,
     in_split_domain,
     leading_digits,
+    random_split_domain_text,
     recursive_factor,
     reference_iterates,
     zero_run_cuts,
@@ -270,8 +272,14 @@ class TestDecompositionOnTexts:
     def test_full_mode_is_the_cut_on_every_string_to_length_10(self):
         checked = 0
         for text in all_base3_texts(10):
-            if text and in_split_domain(text):
+            # the domain is checked on the distinct chunks and the tail
+            try:
                 dec = decompose(ds(text))
+            except SplitDomainError:
+                assert not in_split_domain(text), text
+                continue
+            assert in_split_domain(text), text
+            if text:
                 assert dec.texts == tuple(_CUT.split(text)), text
                 assert_text_views(dec, eager_views(dec.texts))
                 checked += 1
@@ -311,10 +319,17 @@ class TestDecompositionOnTexts:
             (reference_iterates("12", 3, 24)[-1], "conservative"),
             (reference_iterates("1", 3, 40)[-1], "full"),
             (reference_iterates("1", 3, 40)[-1], "conservative"),
+            # chunks start at every 0222: here at the start, twice, and
+            # right before the final 0
+            ("022211202221120", "full"),
+            # most chunks distinct
+            (random_split_domain_text("views", 20_000), "full"),
         ],
     )
     def test_every_view_matches_the_eager_build(self, text, mode):
         dec = decompose(ds(text), mode)
+        cut = _CUT if mode == "full" else _ZERO_CUT
+        assert dec.texts == (tuple(cut.split(text)) if text else ())
         want = eager_views(dec.texts)
         assert dec.segments == want["segments"]
         assert dec.identified == want["identified"]
@@ -326,6 +341,30 @@ class TestDecompositionOnTexts:
         else:
             with pytest.raises(ValueError):
                 dec.multiset()
+
+    def test_work_is_once_per_distinct_body_and_segment(self, monkeypatch):
+        text = reference_iterates("1", 3, 40)[-1]
+        *bodies, tail = text.split("0")
+        calls = {"factor": Counter(), "dumps": Counter(), "symbol": Counter()}
+
+        def spy(name, func):
+            def counted(arg):
+                calls[name][arg] += 1
+                return func(arg)
+            return counted
+
+        monkeypatch.setattr(splitting, "_factor", spy("factor", _factor))
+        dec = decompose(ds(text))
+        assert set(calls["factor"]) <= {body + "0" for body in bodies} | {tail}
+        assert sum(calls["factor"].values()) <= len(set(bodies)) + 1
+        # segments repeat across bodies and chunks, yet each is shown once
+        monkeypatch.setattr(json, "dumps", spy("dumps", json.dumps))
+        monkeypatch.setattr(splitting, "_json_symbol", spy("symbol", splitting._json_symbol))
+        dec.json_parts()
+        distinct = set(dec.texts)
+        assert calls["symbol"] and set(calls["symbol"]) <= distinct
+        for counted in calls["dumps"], calls["symbol"]:
+            assert all(counted[seg] <= 1 for seg in distinct)
 
     def test_views_are_built_only_on_demand(self, monkeypatch):
         s = ds(reference_iterates("1", 3, 40)[-1])
