@@ -33,10 +33,6 @@ LAMBDA_DECIMALS = 9
 FREQ_DECIMALS = 6
 
 
-def _registry_sorted(symbols) -> list[str]:
-    return sorted(symbols, key=particles_mod.REGISTRY_ORDER.index)
-
-
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -197,8 +193,8 @@ def _cmd_kvalue(args) -> int:
             print(f"k={report.k}")
         print(f"stabilized={'true' if report.stabilized else 'false'}")
         print(f"iterations_to_common={report.iterations}")
-        print("limsup=" + ",".join(_registry_sorted(report.limsup)))
-        print("liminf=" + ",".join(_registry_sorted(report.liminf)))
+        print("limsup=" + ",".join(particles_mod._registry_sorted(report.limsup)))
+        print("liminf=" + ",".join(particles_mod._registry_sorted(report.liminf)))
     return 0
 
 
@@ -266,12 +262,8 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls.
-
-    Given a subcommand's name it holds that subcommand alone, which parses
-    and reports errors as the whole parser does; without one it holds all.
-    """
+def _parsers(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
+    """The top parser and its subcommand parsers by name (see ``build_parser``)."""
     parser = argparse.ArgumentParser(
         prog="audioactive",
         description="Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.",
@@ -287,13 +279,31 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default="text", help="output format")
         p.set_defaults(func=func)
-    return parser
+    return parser, sub.choices
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls.
+
+    Given a subcommand's name it holds that subcommand alone, which parses
+    and reports errors as the whole parser does; without one it holds all.
+    """
+    return _parsers(command)[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:
+        # The subcommand's own parser reads the rest, as the top parser would
+        # hand it over; leftovers get the top parser's error, as in parse_args.
+        parser, subparsers = _parsers(argv[0])
+        args, extras = subparsers[argv[0]].parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0])
+        )
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, SearchBudgetError) as exc:

@@ -29,7 +29,7 @@ import re
 from collections import Counter
 from functools import cache
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 class AudioactiveError(Exception):
@@ -655,32 +655,36 @@ def _high_base_table() -> dict[str, tuple[str, ...]]:
     return {line[0]: tuple(line[1:]) for line in map(str.split, _HIGH_BASE_PIECES.splitlines())}
 
 
-def _piece_counts(
-    text: str,
-    base: int,
-    cut: Callable[[str], list[str]],
-    known: Mapping[str, tuple[str, ...]],
-) -> Iterator[dict[str, int]]:
-    """The piece multiset of ``text`` and of each of its iterates, without end.
+class _Memo(dict):
+    """``func`` of each key, computed on the key's first lookup."""
 
-    The piece engine: ``cut`` must cut only at exact splits, so every
-    iterate is the iterates of its pieces side by side.  Each distinct
-    piece is stepped and cut once, and only the counts grow.  ``known``
-    maps pieces to the pieces of their step, in order, as ``cut`` would
-    give them; those pieces are never stepped or cut.
+    def __init__(self, func: Callable):
+        self.func = func
+
+    def __missing__(self, key):
+        self[key] = value = self.func(key)
+        return value
+
+
+def _piece_counts(
+    pieces: Iterable[str], children: Mapping[str, Sequence[str]]
+) -> Iterator[dict[str, int]]:
+    """The multiset of ``pieces``, a text cut at exact splits, and of each
+    of its iterates, without end.
+
+    The piece engine: every iterate is the iterates of its pieces side by
+    side, so only the counts grow.  ``children[piece]`` is the pieces of
+    the piece's step, in order, cut as the first pieces were; a ``_Memo``
+    steps and cuts each distinct piece on its first lookup.
     """
-    children = dict(known)
-    pieces = dict(Counter(cut(text)))
+    counts = dict(Counter(pieces))
     while True:
-        yield pieces
+        yield counts
         nxt: dict[str, int] = {}
-        for piece, count in pieces.items():
-            subs = children.get(piece)
-            if subs is None:
-                subs = children[piece] = cut(_step_text(piece, base))
-            for sub in subs:
+        for piece, count in counts.items():
+            for sub in children[piece]:
                 nxt[sub] = nxt.get(sub, 0) + count
-        pieces = nxt
+        counts = nxt
 
 
 def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
@@ -691,8 +695,11 @@ def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
     settles into, so only the pieces a seed adds of its own are stepped
     and cut: the transients, and pieces holding a digit above 3.
     """
-    known = _high_base_table() if base >= 4 else {}
-    counts = islice(_piece_counts(text, base, _orbit_cutter(base), known), iters + 1)
+    cut = _orbit_cutter(base)
+    children = _Memo(lambda piece: cut(_step_text(piece, base)))
+    if base >= 4:
+        children.update(_high_base_table())
+    counts = islice(_piece_counts(cut(text), children), iters + 1)
     return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]
 
 

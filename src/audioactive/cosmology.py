@@ -41,6 +41,7 @@ from .core import (
     AudioactiveError,
     ConvergenceError,
     DigitString,
+    _Memo,
     _Record,
     _piece_counts,
     _set,
@@ -295,11 +296,19 @@ class KValueReport(_Record):
             "seed": self.seed.text,
             "iterations_to_common": self.iterations,
             "multiset": dict(self.counts),
-            "limsup": sorted(self.limsup, key=particles.REGISTRY_ORDER.index),
-            "liminf": sorted(self.liminf, key=particles.REGISTRY_ORDER.index),
+            "limsup": particles._registry_sorted(self.limsup),
+            "liminf": particles._registry_sorted(self.liminf),
             "stabilized": self.stabilized,
             "k": list(self.k) if isinstance(self.k, tuple) else self.k,
         }
+
+
+# Each piece met -> the ``_factor`` pieces of its step, seeded with the decay
+# chart.  It lives as long as the process and grows with the distinct pieces
+# that k-values meet; ``clear()`` empties it, and each entry is recomputed
+# alike, being a pure function of its key.
+_children = _Memo(lambda piece: _factor(_step_text(piece, 3)))
+_children.update(particles._CHART_BY_TEXT)
 
 
 def _factor_counts(text: str) -> Iterator[dict[str, int] | None]:
@@ -307,13 +316,14 @@ def _factor_counts(text: str) -> Iterator[dict[str, int] | None]:
     iterates, without end; None for an iterate outside the splitting domain.
 
     The step maps the domain into itself, so from the first iterate in it
-    on the pieces evolve alone, in the piece engine started from the decay
-    chart: only pieces that are not particles are stepped and factored.
+    on the pieces evolve alone, in the piece engine over ``_children``:
+    each piece is stepped and factored once per process, and particles
+    not at all.
     """
     while not _splittable(text):
         yield None
         text = _step_text(text, 3)
-    yield from _piece_counts(text, 3, _factor, particles._CHART_BY_TEXT)
+    yield from _piece_counts(_factor(text), _children)
 
 
 def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
@@ -338,9 +348,10 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
         raise ConvergenceError(
             f"{s.text!r} did not become fully common within {max_iter} iterations"
         )
-    symbol = particles._SYMBOL_BY_TEXT
-    ms = particles.multiset({symbol[text]: count for text, count in pieces.items()})
-    limsup, liminf = particles.limit_sets(ms)
+    # Every piece is a particle's text, so the counts need no validation;
+    # _SYMBOL_BY_TEXT runs in registry order, as multisets do.
+    ms = {sym: pieces[text] for text, sym in particles._SYMBOL_BY_TEXT.items() if text in pieces}
+    limsup, liminf = particles._limits(frozenset(ms))
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))
     return KValueReport(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .core import DigitString, _Record, _set, lookandsay_step
 
@@ -181,6 +181,11 @@ def derive_decay_chart() -> tuple[DecayRule, ...]:
 # ---------------------------------------------------------------------------
 # Particle multisets
 # ---------------------------------------------------------------------------
+
+def _registry_sorted(symbols: Collection[str]) -> list[str]:
+    """The registry symbols in ``symbols``, in registry order."""
+    return [sym for sym in REGISTRY_ORDER if sym in symbols]
+
 
 def multiset(counts: Mapping[str, int] | Iterable[str]) -> dict[str, int]:
     """Normalize symbol counts into a plain dict, validating symbols."""

@@ -72,7 +72,7 @@ from itertools import chain
 from typing import Callable, Literal, Mapping
 
 from . import particles
-from .core import DigitString, SplitDomainError, _Record, _set, _splittable
+from .core import DigitString, SplitDomainError, _Memo, _Record, _set, _splittable
 
 SplitMode = Literal["full", "conservative"]
 
@@ -181,17 +181,6 @@ class Decomposition(_Record):
             json.dumps(self.is_common),
             "}",
         )
-
-
-class _Memo(dict):
-    """``func`` of each key, computed on the key's first lookup."""
-
-    def __init__(self, func: Callable):
-        self.func = func
-
-    def __missing__(self, key):
-        self[key] = value = self.func(key)
-        return value
 
 
 def _json_symbol(text: str) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -413,6 +414,59 @@ class TestParserPerCommand:
         want = exits(capsys, build_parser().parse_args, argv)
         assert exits(capsys, main, argv) == want
         assert want[2].startswith("usage: audioactive decompose [-h]")
+
+
+class _Parsed(Exception):
+    """Raised with a parse's result, so ``main`` stops before the command."""
+
+
+class TestOneParse:
+    """``main`` parses a known subcommand once, with that subcommand's
+    parser: the namespace and every leftover-argument error are the full
+    parser's."""
+
+    @pytest.fixture(autouse=True)
+    def _width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", [
+        ["step", "1", "--n", "3"],
+        ["decompose", "1210", "--format", "json"],
+        ["verify", "--cap", "9", "--out", "decay.csv"],
+        ["ancients", "--length", "4", "--count-only"],
+        ["fixedpoints", "--max-len", "8", "--all", "--format", "csv"],
+        ["growth", "--seed", "1", "--base", "10", "--iters", "20", "--format", "json"],
+        ["frequencies", "--format", "csv"],
+        ["spectrum", "--table", "charpoly"],
+        ["kvalue", "10", "--iters", "8", "--format", "json"],
+        ["particles"],
+    ])
+    def test_namespace_is_the_full_parsers(self, monkeypatch, argv):
+        want = build_parser().parse_args(argv)
+        parses = []
+        real = argparse.ArgumentParser.parse_known_args
+
+        def spy(self, *args, **kwargs):
+            parses.append(self.prog)
+            raise _Parsed(real(self, *args, **kwargs))
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        with pytest.raises(_Parsed) as parsed:
+            main(argv)
+        got, extras = parsed.value.args[0]
+        assert parses == [f"audioactive {argv[0]}"]
+        assert extras == [] and vars(got) == vars(want)
+
+    @pytest.mark.parametrize("argv", [
+        ["kvalue", "10", "extra"],
+        ["decompose", "1", "2"],
+        ["growth", "--seed", "1", "junk"],
+    ])
+    def test_leftover_arguments_read_as_with_the_full_parser(self, capsys, argv):
+        want = exits(capsys, build_parser().parse_args, argv)
+        assert exits(capsys, main, argv) == want
+        assert want[0] == 2 and want[2].startswith(USAGE)
+        assert want[2].endswith(f"audioactive: error: unrecognized arguments: {argv[-1]}\n")
 
 
 _CLI_PROBE = """

@@ -557,7 +557,8 @@ class TestOrbitCutter:
 
 def _held_pieces(seed, base, steps):
     """The pieces the engine holds at ``steps`` from ``seed``, without a table."""
-    counts = core._piece_counts(seed, base, _orbit_cutter(base), {})
+    cut = _orbit_cutter(base)
+    counts = core._piece_counts(cut(seed), core._Memo(lambda piece: cut(_step_text(piece, base))))
     return set().union(*islice(counts, steps.start, steps.stop))
 
 

@@ -606,6 +606,49 @@ class TestKValueOnTexts:
         assert failed == (0 if cap == 64 else 1561)  # both branches are met
 
 
+def random_texts(count, seed):
+    """``count`` random base-3 texts of 6 to 20 digits."""
+    rng = random.Random(seed)
+    return ["".join(rng.choice("012") for _ in range(rng.randint(6, 20))) for _ in range(count)]
+
+
+class TestPieceMemo:
+    """k_value steps and factors each piece once per process, in
+    ``cosmology._children``; what the memo holds changes no answer."""
+
+    SEEDS = random_texts(300, 28)
+
+    @pytest.fixture(autouse=True)
+    def _reseeded_memo(self):
+        yield
+        cosmology._children.clear()
+        cosmology._children.update(particles._CHART_BY_TEXT)
+
+    def test_entries_are_the_factors_of_each_step(self):
+        for text in self.SEEDS:
+            k_value(ds(text))
+        assert len(cosmology._children) > len(particles._CHART_BY_TEXT)
+        for piece, subs in cosmology._children.items():
+            assert list(subs) == splitting._factor(reference_step(piece, 3)), piece
+
+    def test_one_memo_matches_a_cleared_one_and_the_eager_reports(self):
+        shared = [k_value(ds(text)) for text in self.SEEDS]
+        cleared = []
+        for text in self.SEEDS:
+            cosmology._children.clear()
+            cleared.append(k_value(ds(text)))
+        assert shared == cleared
+        for text, report in zip(self.SEEDS, shared):
+            got = report.iterations, report.counts, report.limsup, report.liminf
+            assert got == eager_k_value(text), text
+
+    def test_clear_changes_no_answer(self):
+        before = [k_value(ds(text)) for text in self.SEEDS[:50]]
+        cosmology._children.clear()
+        assert not cosmology._children
+        assert [k_value(ds(text)) for text in self.SEEDS[:50]] == before
+
+
 class TestSmallWorldConsequence:
     def test_random_strings_become_common_quickly(self):
         rng = random.Random(77)
