@@ -16,7 +16,6 @@ only to list the strings over its cap; the tests use all of it.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Hashable
 
 from .automata import _COMPOUND_START, _DIGITS, _START, Dfa, _compound_moves, _explore, _moves
 
@@ -42,15 +41,6 @@ def _minimal(edges: tuple[tuple[int, ...], ...], accept: tuple[bool, ...]) -> Df
     first = [block.index(b) for b in range(count)]  # each block's first state
     delta = tuple(tuple(map(block.__getitem__, edges[q])) for q in first)
     return delta, tuple(accept[q] for q in first)
-
-
-def _build(start: Hashable, succ: Callable, accepting: Callable) -> Dfa:
-    """The minimal DFA of the states reachable from ``start``.
-
-    ``succ(s)`` gives the three successors of a state, on 0, 1 and 2, and
-    ``accepting(s)`` whether it accepts.
-    """
-    return _minimal(*_explore(start, lambda s: (accepting(s), succ(s))))
 
 
 def pre(m: Dfa) -> Dfa:

@@ -32,7 +32,6 @@ certificate (``pre``, ``compounds()``, Moore refinement) and the listing
 and witness walks live in :mod:`audioactive._automata_search`, which a
 verification never imports unless some string is over its cap: without
 cached bytecode, every import compiles its module in the command's time.
-The search's names still resolve here, importing it on first access.
 """
 
 from __future__ import annotations
@@ -60,16 +59,6 @@ _CLOSE = {(3, 0): ()} | {
 _START, _DEAD = (3, 0, 0), (3, 0, -1)  # pre's transducer states with no run open
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
-_SEARCH = frozenset({"_build", "_minimal", "_render", "compounds", "difference", "pre", "witness"})
-
-
-def __getattr__(name: str):
-    """The search's names, importing :mod:`audioactive._automata_search`."""
-    if name in _SEARCH:
-        from . import _automata_search
-
-        return getattr(_automata_search, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _explore(start: Hashable, moves: Callable) -> Dfa:

@@ -457,7 +457,7 @@ def fixed_point_search(
 # cut inside a piece splits the whole string, and all such cuts hold at once.
 
 _HELD_RUNS = 4  # runs of R held while proving a cut
-_ORBIT_STEPS = 256  # steps of R searched for a repeated held state
+_ORBIT_STEPS = 256  # held states of R's orbit, R's own first, searched for a repeat
 
 
 def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
@@ -469,16 +469,16 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
     iterate's first ``_HELD_RUNS`` runs.  A partial state drops its last run
     (it may continue) before stepping; the runs before it emit an exact
     prefix, so the leading digit stays exact.  A repeated state proves the
-    whole set of leading digits.  A prefix that runs out, or no repeat
-    within ``_ORBIT_STEPS`` steps, proves nothing and leaves the cut uncut,
-    which is always sound.  The proofs are memoized for the life of the
-    returned function.
+    whole set of leading digits.  The walk starts from R's own state, whose
+    first digit is never L's last (the cut is at a run boundary), so it
+    changes no answer.  A prefix that runs out, or no repeat among
+    ``_ORBIT_STEPS`` states counting R's own, proves nothing and leaves the
+    cut uncut, which is always sound.  The proofs are memoized for the life
+    of the returned function.
     """
     held = _HELD_RUNS
     # state -> leading digits of it and of every later state, None if unproven
     future: dict[tuple[bool, str], frozenset[str] | None] = {}
-    # R's first state -> leading digits of R_1, R_2, ..., None if unproven
-    after: dict[tuple[bool, str], frozenset[str] | None] = {}
 
     def step(state: tuple[bool, str]) -> tuple[bool, str] | None:
         complete, t = state
@@ -527,11 +527,7 @@ def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
             a = text[p - 1]
             if a != "0":
                 last = min(k + held, len(starts) - 1)
-                key = (last == len(starts) - 1, text[p : starts[last]])
-                if key in after:
-                    got = after[key]
-                else:
-                    got = after[key] = leads(step(key))
+                got = leads((last == len(starts) - 1, text[p : starts[last]]))
                 if got is None or a in got:
                     continue
             pieces.append(text[prev:p])
@@ -667,14 +663,15 @@ class _Memo(dict):
 
 
 def _piece_counts(
-    pieces: Iterable[str], children: Mapping[str, Sequence[str]]
+    pieces: Iterable[str] | Mapping[str, int], children: Mapping[str, Sequence[str]]
 ) -> Iterator[dict[str, int]]:
     """The multiset of ``pieces``, a text cut at exact splits, and of each
     of its iterates, without end.
 
     The piece engine: every iterate is the iterates of its pieces side by
-    side, so only the counts grow.  ``children[piece]`` is the pieces of
-    the piece's step, in order, cut as the first pieces were; a ``_Memo``
+    side, so only the counts grow.  ``pieces`` may also be a mapping of
+    each piece to its count.  ``children[piece]`` is the pieces of the
+    piece's step, in order, cut as the first pieces were; a ``_Memo``
     steps and cuts each distinct piece on its first lookup.
     """
     counts = dict(Counter(pieces))

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from collections import Counter
 from enum import Enum
+from functools import cache
+from itertools import islice
 from typing import Collection, Iterable, Mapping
 
-from .core import DigitString, _Record, _set, lookandsay_step
+from .core import DigitString, _Record, _piece_counts, _set, lookandsay_step
 
 
 class ParticleClass(Enum):
@@ -201,65 +203,46 @@ def multiset(counts: Mapping[str, int] | Iterable[str]) -> dict[str, int]:
 def evolve(ms: Mapping[str, int], n: int = 1) -> dict[str, int]:
     """Apply the decay chart ``n`` times to a particle multiset.
 
-    Counts are exact Python integers; fermion counts grow beyond 64 bits
-    after a couple of hundred steps.
+    The chart drives the piece engine, ``core._piece_counts``.  Counts are
+    exact Python integers; fermion counts grow beyond 64 bits after a
+    couple of hundred steps.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
-    current = multiset(ms)
-    for _ in range(n):
-        nxt: Counter = Counter()
-        for sym, count in current.items():
-            for product in _DECAY_PRODUCTS[sym]:
-                nxt[product] += count
-        current = {sym: nxt[sym] for sym in REGISTRY_ORDER if nxt.get(sym)}
-    return current
+    counts = next(islice(_piece_counts(multiset(ms), _DECAY_PRODUCTS), n, None))
+    return {sym: counts[sym] for sym in REGISTRY_ORDER if sym in counts}
 
 
 def limit_sets(ms: Mapping[str, int]) -> tuple[frozenset[str], frozenset[str]]:
     """(limsup, liminf) of the particle support under evolution.
 
-    Every particle has a product and counts stay positive, so the next
-    support is the set of products of the current one; the counts
-    themselves are never needed.  The supports are subsets of the 24
-    symbols, so the walk ends in a cycle: limsup is the union of the
-    supports on that cycle and liminf their intersection.
+    Every particle has a product and counts stay positive, so the support
+    of a multiset is the union of its particles' supports; the counts
+    themselves are never needed.
     """
     return _limits(frozenset(multiset(ms)))
 
 
-class _LimitMemo:
-    """``limit_sets`` of a support, memoized for every support a walk meets.
-
-    A support off its cycle has the limits of the cycle its walk enters, so
-    a walk stops at the first support already known, or at the first one
-    it met before (a cycle), and every support it met gets the same limits.
-    The chart is immutable, so the memo changes no answer; ``clear()``
-    empties it.
-    """
-
-    def __init__(self) -> None:
-        self.known: dict[frozenset[str], tuple[frozenset[str], frozenset[str]]] = {}
-
-    def __call__(self, support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
-        known = self.known
-        orbit = []
-        while support not in known and support not in orbit:
-            orbit.append(support)
-            support = frozenset([p for sym in support for p in _DECAY_PRODUCTS[sym]])
-        if support in known:
-            found = known[support]
-        else:  # the walk closed a cycle
-            cycle = orbit[orbit.index(support):]
-            found = frozenset.union(*cycle), frozenset.intersection(*cycle)
-        known.update(dict.fromkeys(orbit, found))
-        return found
-
-    def clear(self) -> None:
-        self.known.clear()
+# Every particle's support is periodic from step 14 with a period dividing
+# 4 (tests/test_particles.py proves it in
+# test_support_orbits_settle_by_14_with_period_dividing_4), so its supports
+# at steps 14-17 are its whole cycle, one phase each.
+@cache
+def _phase_table() -> dict[str, tuple[frozenset[str], ...]]:
+    """Each particle's supports at steps 14, 15, 16 and 17."""
+    return {
+        sym: tuple(map(frozenset, islice(_piece_counts([sym], _DECAY_PRODUCTS), 14, 18)))
+        for sym in REGISTRY_ORDER
+    }
 
 
-_limits = _LimitMemo()
+def _limits(support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
+    """``limit_sets`` of a support: the union and the intersection, over
+    the 4 phases, of the union of the support's rows of the phase table
+    (both empty for the empty support)."""
+    rows = map(_phase_table().__getitem__, support)
+    phases = [frozenset().union(*phase) for phase in zip(*rows)] or [frozenset()]
+    return frozenset.union(*phases), frozenset.intersection(*phases)
 
 
 def total_digit_length(ms: Mapping[str, int]) -> int:

@@ -291,9 +291,9 @@ class TestClassCount:
 @pytest.fixture(scope="module")
 def decay_languages():
     """D_0 (the particle compounds) to D_12, each D_t = pre(D_{t-1})."""
-    levels = [automata.compounds()]
+    levels = [_automata_search.compounds()]
     for _ in range(12):
-        levels.append(automata.pre(levels[-1]))
+        levels.append(_automata_search.pre(levels[-1]))
     return levels
 
 
@@ -312,7 +312,8 @@ class TestDecayAutomata:
         assert [len(delta) for delta, _ in decay_languages[:12]] == [
             28, 42, 53, 56, 52, 50, 43, 37, 39, 26, 17, 10
         ]
-        least = [automata.witness(b, a) for a, b in zip(decay_languages, decay_languages[1:12])]
+        pairs = zip(decay_languages, decay_languages[1:12])
+        least = [_automata_search.witness(b, a) for a, b in pairs]
         assert least == [
             "0", "2211", "221", "1211", "21", "11", "1", "111", "111122", "21221", "111121221"
         ]
@@ -321,7 +322,8 @@ class TestDecayAutomata:
 
     def test_states_are_numbered_breadth_first(self, decay_languages):
         # Equal languages give equal tuples only under one numbering.
-        for delta, _ in [*decay_languages, automata.essential(), automata.pre(automata.ANY)]:
+        dom = _automata_search.pre(automata.ANY)
+        for delta, _ in [*decay_languages, automata.essential(), dom]:
             order = [0]
             for q in order:  # grows while it is read
                 for t in delta[q]:
@@ -331,12 +333,12 @@ class TestDecayAutomata:
 
     def test_step_keeps_the_splitting_domain(self):
         # So every iterate of a domain string can be factored, at every length.
-        dom = automata.pre(automata.ANY)
+        dom = _automata_search.pre(automata.ANY)
         assert len(dom[0]) == 10
-        assert automata.witness(dom, automata.pre(dom)) is None
+        assert _automata_search.witness(dom, _automata_search.pre(dom)) is None
 
     def test_domain_automaton_is_the_domain_predicate(self):
-        accepts = automata.recognizer(automata.pre(automata.ANY))
+        accepts = automata.recognizer(_automata_search.pre(automata.ANY))
         for n in range(11):
             for digits in product("012", repeat=n):
                 text = "".join(digits)
@@ -344,13 +346,13 @@ class TestDecayAutomata:
 
     def test_essential_strings_of_every_length_decay_in_ten_steps(self, decay_languages):
         essential = automata.essential()
-        assert automata.witness(essential, decay_languages[10]) is None
-        assert automata.witness(essential, decay_languages[9]) == "21221"
+        assert _automata_search.witness(essential, decay_languages[10]) is None
+        assert _automata_search.witness(essential, decay_languages[9]) == "21221"
 
     def test_domain_strings_of_every_length_decay_in_eleven_steps(self, decay_languages):
-        dom = automata.pre(automata.ANY)
-        assert automata.witness(dom, decay_languages[11]) is None
-        assert automata.witness(dom, decay_languages[10]) == "111121221"
+        dom = _automata_search.pre(automata.ANY)
+        assert _automata_search.witness(dom, decay_languages[11]) is None
+        assert _automata_search.witness(dom, decay_languages[10]) == "111121221"
         assert decay_languages[11] == decay_languages[12] == dom
 
     def test_membership_is_the_string_decay_time(self, decay_languages):
@@ -397,7 +399,7 @@ class TestDecayCertificate:
 
     def test_stored_text_is_the_search_chain(self, decay_languages):
         chain = tuple(decay_languages[:12])
-        assert automata._render(chain) == automata._DECAY_CERTIFICATE
+        assert _automata_search._render(chain) == automata._DECAY_CERTIFICATE
         assert automata._parse(automata._DECAY_CERTIFICATE) == chain
         assert len(automata._DECAY_CERTIFICATE) == 3550
         automata.decay_languages.cache_clear()
@@ -407,7 +409,7 @@ class TestDecayCertificate:
         def no_search(m):
             raise AssertionError("pre was called")
 
-        monkeypatch.setattr(automata, "pre", no_search)
+        monkeypatch.setattr(_automata_search, "pre", no_search)
         automata.decay_languages.cache_clear()
         report = verify_cosmological()
         assert (report.verified, report.max_iterations, report.total_strings) == (True, 10, 71775)
@@ -426,7 +428,7 @@ class TestDecayCertificate:
                 row[d] = (row[d] + 1) % len(delta)
                 redirected = delta[:q] + (tuple(row),) + delta[q + 1:]
                 for bad in (delta, flipped), (redirected, accept):
-                    text = automata._render(tuple(chain[:t] + [bad] + chain[t + 1:]))
+                    text = _automata_search._render(tuple(chain[:t] + [bad] + chain[t + 1:]))
                     monkeypatch.setattr(automata, "_DECAY_CERTIFICATE", text)
                     automata.decay_languages.cache_clear()
                     with pytest.raises(AudioactiveError, match=f"D_{t} is not"):
@@ -438,12 +440,12 @@ class TestDecayCertificate:
     def test_lockstep_check_agrees_with_pre(self, decay_languages):
         chain = decay_languages[:12]
         for a in chain:
-            image = automata.pre(a)
+            image = _automata_search.pre(a)
             for b in chain:
                 assert automata._is_pre(a, b) == (image == b)
-        dom = automata.pre(automata.ANY)
+        dom = _automata_search.pre(automata.ANY)
         assert automata._is_pre(dom, dom)
-        assert automata.pre(dom) == dom
+        assert _automata_search.pre(dom) == dom
 
     def test_count_and_difference_against_every_string(self, decay_languages):
         # Every base-3 string of at most 10 digits, read through the
@@ -463,7 +465,7 @@ class TestDecayCertificate:
                             rejected[t][n].append(text)
         for t, m in enumerate(chain):
             assert automata.count(top, essential, m) == counts[t], t
-            assert automata.difference(top, essential, m) == rejected[t], t
+            assert _automata_search.difference(top, essential, m) == rejected[t], t
 
 
 class TestCheckerAndSearch:
@@ -486,12 +488,6 @@ class TestCheckerAndSearch:
         got = automata.junction_splits()
         assert list(got) == texts
         assert {(e, f) for e, follow in got.items() for f in follow} == pairs
-
-    def test_search_names_resolve_through_the_checker(self):
-        for name in ("pre", "compounds", "witness", "difference", "_render", "_minimal", "_build"):
-            assert getattr(automata, name) is getattr(_automata_search, name)
-        with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
-            automata.nosuch
 
 
 class TestKValue:

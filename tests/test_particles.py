@@ -159,6 +159,30 @@ class TestEvolve:
         with pytest.raises(KeyError):
             evolve({"Q": 1}, 1)
 
+    def test_rejects_negative_counts_and_steps(self):
+        with pytest.raises(ValueError, match="negative count for E"):
+            evolve({"E": -1}, 1)
+        with pytest.raises(ValueError, match="step count must be non-negative"):
+            evolve({"E": 1}, -1)
+
+    def test_matches_a_chart_loop(self):
+        # Against a loop over the public chart, on seeded random multisets
+        # and every step count 0-40; the items must also come in registry
+        # order, as multisets do.
+        products = {r.parent.symbol: [p.symbol for p in r.products] for r in decay_chart()}
+        symbols = [p.symbol for p in registry()]
+        rng = random.Random(29)
+        for _ in range(40):
+            ms = {sym: rng.randint(0, 5) for sym in rng.sample(symbols, rng.randint(0, 24))}
+            state = {sym: ms[sym] for sym in symbols if ms.get(sym)}
+            for n in range(41):
+                assert list(evolve(ms, n).items()) == list(state.items()), (ms, n)
+                nxt = dict.fromkeys(symbols, 0)
+                for sym, count in state.items():
+                    for product in products[sym]:
+                        nxt[product] += count
+                state = {sym: count for sym, count in nxt.items() if count}
+
 
 class TestLimitSets:
     def test_single_fermion_saturates(self):
@@ -215,19 +239,9 @@ class TestLimitSets:
         assert max(preperiods) == 14
 
     def test_memo_answers_do_not_depend_on_call_order(self):
-        # Against a fresh walk of the support orbit, read from the public
-        # chart: every singleton, every pair and a random sample, first
-        # with the memo emptied before each call, then with it filled by
-        # the earlier calls, in two orders.
-        products = {r.parent.symbol: {p.symbol for p in r.products} for r in decay_chart()}
-
-        def orbit_limits(support):
-            orbit = [support]
-            while (nxt := frozenset().union(*(products[s] for s in orbit[-1]))) not in orbit:
-                orbit.append(nxt)
-            cycle = orbit[orbit.index(nxt):]
-            return frozenset.union(*cycle), frozenset.intersection(*cycle)
-
+        # Against a fresh walk of the support orbit: every singleton, every
+        # pair and a random sample, through ``_limits`` and then through
+        # ``limit_sets`` in two orders.
         symbols = [p.symbol for p in registry()]
         rng = random.Random(26)
         supports = [frozenset({a}) for a in symbols]
@@ -236,25 +250,36 @@ class TestLimitSets:
         assert len(supports) == 24 + 276 + 200
         want = [orbit_limits(s) for s in supports]
         for support, limits in zip(supports, want):
-            particles._limits.clear()
             assert particles._limits(support) == limits, support
-        particles._limits.clear()
         for order in (supports, supports[::-1]):
             got = {s: limit_sets(dict.fromkeys(s, 1)) for s in order}
             assert [got[s] for s in supports] == want
-        particles._limits.clear()
         assert limit_sets({}) == (frozenset(), frozenset())
 
-    def test_memo_holds_every_support_a_walk_meets(self):
-        particles._limits.clear()
-        limit_sets({"Ph": 1})
-        state, met = {"Ph": 1}, set()
-        for _ in range(32):
-            met.add(frozenset(state))
-            state = evolve(state, 1)
-        assert set(particles._limits.known) == met
-        particles._limits.clear()
-        assert not particles._limits.known
+    def test_phase_table_matches_the_support_walk(self):
+        # Every support of at most 3 particles, then 20,000 seeded random
+        # supports.
+        symbols = [p.symbol for p in registry()]
+        supports = [frozenset(c) for size in range(4) for c in combinations(symbols, size)]
+        assert len(supports) == 2325
+        rng = random.Random(29)
+        supports += [frozenset(rng.sample(symbols, rng.randint(4, 24))) for _ in range(20_000)]
+        for support in supports:
+            assert particles._limits(support) == orbit_limits(support), support
+
+
+CHART_PRODUCTS = {r.parent.symbol: {p.symbol for p in r.products} for r in decay_chart()}
+
+
+def orbit_limits(support):
+    """(limsup, liminf) of ``support`` by walking its orbit, read from the
+    public chart, until a support repeats: the union and intersection over
+    the cycle."""
+    orbit = [support]
+    while (nxt := frozenset().union(*(CHART_PRODUCTS[s] for s in orbit[-1]))) not in orbit:
+        orbit.append(nxt)
+    cycle = orbit[orbit.index(nxt):]
+    return frozenset.union(*cycle), frozenset.intersection(*cycle)
 
 
 class TestJsonExport:

@@ -18,7 +18,7 @@ from audioactive import (
 from audioactive.cosmology import _essential_texts
 from audioactive import core
 from audioactive.core import _orbit_cutter, _step_text
-from audioactive import automata, particles, splitting
+from audioactive import _automata_search, automata, particles, splitting
 from audioactive.splitting import _CUT, _CUT_AHEAD, _ZERO_CUT, Decomposition, _factor
 
 import reference_values as ref
@@ -445,18 +445,19 @@ def led_by(a, m):
     """The strings ``m`` accepts that start with the digit ``a``."""
     delta, accept = m
 
-    def succ(q):
+    def moves(q):
         if q == "start":
-            return tuple(delta[0][d] if str(d) == a else None for d in range(3))
-        return (None,) * 3 if q is None else delta[q]
+            return False, tuple(delta[0][d] if str(d) == a else None for d in range(3))
+        return q is not None and accept[q], ((None,) * 3 if q is None else delta[q])
 
-    return automata._build("start", succ, lambda q: q not in ("start", None) and accept[q])
+    return _automata_search._minimal(*automata._explore("start", moves))
 
 
 def union(a, b):
-    return automata._build(
-        (0, 0), lambda s: tuple(zip(a[0][s[0]], b[0][s[1]])), lambda s: a[1][s[0]] or b[1][s[1]]
-    )
+    def moves(s):
+        return a[1][s[0]] or b[1][s[1]], tuple(zip(a[0][s[0]], b[0][s[1]]))
+
+    return _automata_search._minimal(*automata._explore((0, 0), moves))
 
 
 def led_by_after_steps(a):
@@ -466,11 +467,11 @@ def led_by_after_steps(a):
     the first preimage that adds nothing: pre is monotone and distributes
     over union, so no later one adds anything either.
     """
-    dom = automata.pre(automata.ANY)
-    layer = grown = automata.pre(led_by(a, dom))
+    dom = _automata_search.pre(automata.ANY)
+    layer = grown = _automata_search.pre(led_by(a, dom))
     for n in range(2, 10):
-        layer = automata.pre(layer)
-        if automata.witness(layer, grown) is None:
+        layer = _automata_search.pre(layer)
+        if _automata_search.witness(layer, grown) is None:
             return grown, n
         grown = union(grown, layer)
     raise AssertionError(f"no fixed point for {a} within 9 preimages")
@@ -486,7 +487,7 @@ class TestSplitRulesAtEveryLength:
     def test_cut_is_the_orbit_criterion(self, a):
         g, preimages = led_by_after_steps(a)
         assert preimages <= 4
-        dom = automata.pre(automata.ANY)
+        dom = _automata_search.pre(automata.ANY)
         dead = automata._dead(dom)
         depth = _CUT_AHEAD + 2
         # (domain state after a + R, R's trie node, G_a state); R[0] != a
