@@ -5,16 +5,26 @@ scriptable output.  Exit codes: 0 on success, 1 on a verification or
 convergence failure, 2 on usage or input errors.  Progress goes to
 stderr only, keeping stdout clean for piping; ``verify`` prints one line
 per length with the number of strings it checked, once its count is done.
+A reader closing the pipe early ends the command quietly with exit code 1.
+
+``main`` reads a subcommand's arguments straight from ``_COMMANDS`` when
+they are well formed: exact long flags, each value as the next argument,
+and positionals, where no value or positional starts with ``-`` and every
+value passes its flag's ``type`` and ``choices``.  Anything else (``-h``,
+``--flag=value``, abbreviations, ``--``, a bad, missing or leftover
+argument) goes unchanged to argparse, which writes all help and error
+text; argparse is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
+import os
 import sys
+import types
 from collections import Counter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import cosmology
 from . import particles as particles_mod
@@ -28,6 +38,9 @@ from .core import (
     iterate,
     iterate_tokens,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 LAMBDA_DECIMALS = 9
 FREQ_DECIMALS = 6
@@ -261,9 +274,19 @@ _COMMANDS = {
 }
 
 
+def _arguments_of(command: str) -> tuple:
+    """The arguments of ``command``, its ``--format`` (if any) last."""
+    _, _, formats, arguments = _COMMANDS[command]
+    if formats:
+        arguments += (("--format", dict(choices=formats, default="text", help="output format")),)
+    return arguments
+
+
 @functools.cache
 def _parsers(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
     """The top parser and its subcommand parsers by name (see ``build_parser``)."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="audioactive",
         description="Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.",
@@ -272,12 +295,10 @@ def _parsers(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
     metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in [command] if command else _COMMANDS:
-        func, text, formats, arguments = _COMMANDS[name]
+        func, text, _, _ = _COMMANDS[name]
         p = sub.add_parser(name, help=text)
-        for flag, options in arguments:
+        for flag, options in _arguments_of(name):
             p.add_argument(flag, **options)
-        if formats:
-            p.add_argument("--format", choices=formats, default="text", help="output format")
         p.set_defaults(func=func)
     return parser, sub.choices
 
@@ -291,21 +312,89 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return _parsers(command)[0]
 
 
+@functools.cache
+def _flag_table(command: str) -> tuple[dict, list, dict, list]:
+    """``command``'s namespace before its arguments are read (its defaults),
+    its positionals and its flags, each with its dest and options, and the
+    dests that must be given, all as ``_parsers`` adds them."""
+    defaults = {"command": command, "func": _COMMANDS[command][0]}
+    positionals, flags, required = [], {}, []
+    for name, options in _arguments_of(command):
+        if name.startswith("--"):
+            dest = name[2:].replace("-", "_")
+            flags[name] = dest, options
+            store_true = options.get("action") == "store_true"
+            defaults[dest] = options.get("default", False if store_true else None)
+            if options.get("required"):
+                required.append(dest)
+        else:
+            positionals.append((name, options))
+            defaults[name] = None
+            required.append(name)
+    return defaults, positionals, flags, required
+
+
+def _read(argv: Sequence[str]) -> types.SimpleNamespace | None:
+    """The full parser's namespace for ``argv``, a known subcommand and its
+    arguments, when they are well formed (see the module docstring), or
+    None: the parser must then read them."""
+    defaults, positionals, flags, required = _flag_table(argv[0])
+    values, free, rest = dict(defaults), iter(positionals), iter(argv[1:])
+    for arg in rest:
+        if arg in flags:
+            dest, options = flags[arg]
+            if options.get("action") == "store_true":
+                values[dest] = True
+                continue
+            arg = next(rest, "-")
+        else:
+            dest, options = next(free, (None, None))
+        if dest is None or arg.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(arg)
+        except ValueError:
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        values[dest] = value
+    if any(values[dest] is None for dest in required):
+        return None
+    return types.SimpleNamespace(**values)
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """What the full parser gives for ``argv``, a known subcommand and its
+    arguments, or its exit with help or an error, from a parser that holds
+    that subcommand alone."""
+    import argparse
+
+    # The subcommand's own parser reads the rest, as the top parser would
+    # hand it over; leftovers get the top parser's error, as in parse_args.
+    parser, subparsers = _parsers(argv[0])
+    args, extras = subparsers[argv[0]].parse_known_args(
+        argv[1:], argparse.Namespace(command=argv[0])
+    )
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:
-        # The subcommand's own parser reads the rest, as the top parser would
-        # hand it over; leftovers get the top parser's error, as in parse_args.
-        parser, subparsers = _parsers(argv[0])
-        args, extras = subparsers[argv[0]].parse_known_args(
-            argv[1:], argparse.Namespace(command=argv[0])
-        )
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _read(argv) or _parse(argv)
     else:
         args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # As the Python docs advise for SIGPIPE: the exit's own flush of
+        # stdout would fail again, so send what is left to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

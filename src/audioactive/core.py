@@ -204,7 +204,13 @@ class TokenString(_Record):
         text = text.strip()
         if not text:
             return cls(())
-        return cls(tuple(int(part) for part in text.split(",")))
+        tokens = []
+        for pos, part in enumerate(text.split(",")):
+            try:
+                tokens.append(int(part))
+            except ValueError:
+                raise ValueError(f"token {part!r} at position {pos} is not an integer") from None
+        return cls(tuple(tokens))
 
     def render(self) -> str:
         return ",".join(str(t) for t in self.tokens)

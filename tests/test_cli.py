@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,8 +8,10 @@ import sys
 from hashlib import sha256
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import audioactive
+from audioactive import cli
 from audioactive.cli import build_parser, main
 
 import reference_values as ref
@@ -39,6 +43,10 @@ class TestStep:
         code, _, err = run(capsys, "step", "39", "--base", "3")
         assert code == 2
         assert "position 0" in err
+
+    @pytest.mark.parametrize("tokens, bad", [("1,2,", "'' at position 2"), ("1,x,2", "'x' at position 1")])
+    def test_malformed_token_is_named(self, capsys, tokens, bad):
+        assert run(capsys, "step", tokens, "--tokens") == (2, "", f"error: token {bad} is not an integer\n")
 
 
 class TestDecompose:
@@ -416,13 +424,9 @@ class TestParserPerCommand:
         assert want[2].startswith("usage: audioactive decompose [-h]")
 
 
-class _Parsed(Exception):
-    """Raised with a parse's result, so ``main`` stops before the command."""
-
-
 class TestOneParse:
-    """``main`` parses a known subcommand once, with that subcommand's
-    parser: the namespace and every leftover-argument error are the full
+    """``main`` reads a well-formed known subcommand without argparse, into
+    the full parser's namespace; every leftover-argument error is the full
     parser's."""
 
     @pytest.fixture(autouse=True)
@@ -441,21 +445,24 @@ class TestOneParse:
         ["kvalue", "10", "--iters", "8", "--format", "json"],
         ["particles"],
     ])
-    def test_namespace_is_the_full_parsers(self, monkeypatch, argv):
+    def test_namespace_is_the_full_parsers(self, monkeypatch, tmp_path, capsys, argv):
         want = build_parser().parse_args(argv)
-        parses = []
-        real = argparse.ArgumentParser.parse_known_args
+        read = []
 
-        def spy(self, *args, **kwargs):
-            parses.append(self.prog)
-            raise _Parsed(real(self, *args, **kwargs))
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"{self.prog} parsed {args}")
 
-        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
-        with pytest.raises(_Parsed) as parsed:
-            main(argv)
-        got, extras = parsed.value.args[0]
-        assert parses == [f"audioactive {argv[0]}"]
-        assert extras == [] and vars(got) == vars(want)
+        def spy(argv, real=cli._read):
+            read.append(real(argv))
+            return read[-1]
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+        monkeypatch.setattr(cli, "_read", spy)
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        capsys.readouterr()
+        assert code == (1 if argv[0] == "verify" else 0)  # cap 9 leaves 1,187 strings undecayed
+        assert len(read) == 1 and vars(read[0]) == vars(want)
 
     @pytest.mark.parametrize("argv", [
         ["kvalue", "10", "extra"],
@@ -467,6 +474,93 @@ class TestOneParse:
         assert exits(capsys, main, argv) == want
         assert want[0] == 2 and want[2].startswith(USAGE)
         assert want[2].endswith(f"audioactive: error: unrecognized arguments: {argv[-1]}\n")
+
+
+def _table(command):
+    """Each argument of ``command``, by name or flag, with its options."""
+    return dict(cli._arguments_of(command))
+
+
+def _flags(command):
+    return [name for name in _table(command) if name.startswith("--")]
+
+
+def _good_values(options):
+    if "choices" in options:
+        return list(options["choices"])
+    return ["0", "3", "16"] if options.get("type") is int else ["1201", "1,2", ""]
+
+
+_VALUES = st.sampled_from([
+    "0", "3", "16", "+2", "x", "", "1,2", "1201", "-1", "-h", "--",
+    "text", "csv", "json", "full", "conservative", "charpoly", "nope",
+])
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and a few arguments drawn from its table entry: mostly
+    exact flags with values their options accept, and among them
+    positionals, abbreviated and ``=`` flags, bad values, help and ``--``."""
+    command = draw(st.sampled_from(COMMANDS))
+    table = _table(command)
+    flags = st.sampled_from(_flags(command) or ["--format"])
+
+    def good(name):
+        options = table[name]
+        if options.get("action") == "store_true":
+            return st.just([name])
+        value = st.sampled_from(_good_values(options))
+        return value.map(lambda v: [name, v] if name.startswith("--") else [v])
+
+    accepted = [st.sampled_from(list(table)).flatmap(good)] * 4 if table else []
+    pieces = st.one_of(
+        *accepted,
+        st.tuples(flags, _VALUES).map(list),
+        _VALUES.map(lambda value: [value]),
+        flags.map(lambda flag: [flag[:-1]]),
+        st.tuples(flags, _VALUES).map(lambda pair: ["=".join(pair)]),
+        st.sampled_from(["-h", "--help", "--"]).map(lambda arg: [arg]),
+    )
+    return [command] + sum(draw(st.lists(pieces, max_size=4)), [])
+
+
+class TestReaderMatchesArgparse:
+    """``main``'s direct reader gives the full parser's namespace whenever it
+    reads an argv, and reads every argv of exact flags and plain values that
+    the parser accepts."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_argvs())
+    def test_reader_agrees_with_the_full_parser(self, argv):
+        got = cli._read(argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                want = vars(build_parser().parse_args(argv))
+            except SystemExit:
+                want = None
+        if got is not None:
+            assert vars(got) == want
+        plain = all(arg in _flags(argv[0]) or not arg.startswith("-") for arg in argv[1:])
+        if plain and want is not None:
+            assert got is not None
+
+    @pytest.mark.parametrize("argv", [
+        ["kvalue", "10", "--format=json"],
+        ["kvalue", "10", "--form", "json"],
+        ["kvalue", "10", "-h"],
+        ["kvalue", "--", "10"],
+        ["kvalue", "-1"],
+        ["kvalue", "10", "--iters", "-1"],
+        ["kvalue", "10", "--iters", "x"],
+        ["kvalue", "10", "--format", "csv"],
+        ["kvalue"],
+        ["kvalue", "10", "11"],
+        ["ancients", "--count-only"],
+        ["verify", "--out"],
+    ])
+    def test_other_forms_are_left_to_argparse(self, argv):
+        assert cli._read(argv) is None
 
 
 _CLI_PROBE = """
@@ -485,15 +579,19 @@ print(json.dumps(seen))
 """
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(audioactive.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 def fresh_python(code, *args):
     """Standard output of ``code`` run in a new interpreter that imports this package."""
-    src = os.path.dirname(os.path.dirname(audioactive.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=fresh_env(),
         timeout=300,
         check=True,
     )
@@ -619,3 +717,45 @@ class TestAsciiCodecStaysUnloaded:
         seen = fresh_cli([["verify", "--out", str(out)]], "encodings.ascii")
         assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 3
         assert out.read_bytes().isascii()
+
+
+class TestArgparseStaysUnloaded:
+    """The benchmark's commands are read without argparse, whose import and
+    first parser (``gettext``, ``locale``) cost about 5 ms of a cold start;
+    help, errors and rarer forms such as ``--format=json`` load it."""
+
+    @pytest.mark.parametrize("module", ["argparse", "gettext", "locale"])
+    def test_benchmark_commands_run_without(self, module, tmp_path):
+        commands = [
+            ["verify", "--out", str(tmp_path / "decay.csv")],
+            ["decompose", "101102110211", "--format", "json"],
+            ["kvalue", "1201", "--format", "json"],
+            ["growth", "--seed", "1", "--base", "2", "--iters", "50", "--format", "json"],
+            ["spectrum", "--format", "json"],
+            ["frequencies", "--format", "json"],
+        ]
+        seen = fresh_cli(commands, module)
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * (len(commands) + 2)
+
+    def test_equals_form_loads_argparse(self):
+        seen = fresh_cli([["kvalue", "1201", "--format", "json"], ["kvalue", "1201", "--format=json"]], "argparse")
+        assert [(code, loaded) for _, code, loaded, _ in seen] == [(0, False)] * 3 + [(0, True)]
+        assert seen[3][3] == seen[2][3]
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early ends the command quietly, with
+    exit code 1, as the Python docs advise for SIGPIPE."""
+
+    def test_early_close_ends_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from audioactive.cli import main; sys.exit(main())",
+             "ancients", "--length", "16"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=fresh_env(),
+        )
+        first = proc.stdout.readline()  # of 32,754 lines, far more than a pipe holds
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=300)
+        assert (first, proc.returncode, err) == (b"1112111211121110\n", 1, b"")
