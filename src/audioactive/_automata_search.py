@@ -2,9 +2,10 @@
 
 The checker, :mod:`audioactive.automata`, proves the shipped D_0-D_11 and
 counts with them; this module finds them.  ``compounds()`` and ``pre``
-explore with the checker's ``_explore`` (the compounds' subset moves and
-pre's transducer ``_moves``, so there is one transducer and one explorer)
-and then minimize with Moore refinement, which numbers the blocks breadth
+explore with the checker's ``_explore`` (the compounds' subset moves, and
+``_moves``, which reads pre's transducer from the same run tables as the
+checker's ``_is_pre``, so there is one transducer and one explorer) and
+then minimize with Moore refinement, which numbers the blocks breadth
 first, so two DFAs built here accept the same language exactly when they
 are equal.  ``_render`` writes the chain as certificate text.
 
@@ -17,7 +18,9 @@ from __future__ import annotations
 
 from functools import partial
 
-from .automata import _COMPOUND_START, _DIGITS, _START, Dfa, _compound_moves, _explore, _moves
+from .automata import (
+    _COMPOUND_START, _DIGITS, _ENDS, _NEXT, _START, _WRITES, Dfa, _compound_moves, _explore,
+)
 
 
 def _minimal(edges: tuple[tuple[int, ...], ...], accept: tuple[bool, ...]) -> Dfa:
@@ -41,6 +44,23 @@ def _minimal(edges: tuple[tuple[int, ...], ...], accept: tuple[bool, ...]) -> Df
     first = [block.index(b) for b in range(count)]  # each block's first state
     delta = tuple(tuple(map(block.__getitem__, edges[q])) for q in first)
     return delta, tuple(accept[q] for q in first)
+
+
+def _moves(m: Dfa, state: tuple[int, int]) -> tuple[bool, list[tuple[int, int]]]:
+    """Whether pre(``m``)'s transducer state (k, q) accepts, and its
+    successors on 0, 1 and 2, read from the checker's run tables.
+
+    It closes the open run k through ``m``, rejects a final 1111, and opens
+    a new run on each other digit; the same digit extends the run up to its
+    cap and then dies.
+    """
+    k, q = state
+    delta, accept = m
+    closed = q
+    for c in _WRITES[k]:
+        closed = delta[closed][c]
+    src = closed, q, -1
+    return _ENDS[k] and accept[closed], [(j, src[s]) for j, s in _NEXT[k]]
 
 
 def pre(m: Dfa) -> Dfa:

@@ -9,34 +9,38 @@ The step is a transducer on the splitting domain: it reads a run at a time
 (runs of at most 1, 4 and 3 for the digits 0, 1 and 2, and no final 1111)
 and writes the run's numeral, one of 1, 2, 10 and 11, then its digit.  So
 pre(M), the domain strings whose step M accepts, is again regular.  Its
-states are int triples (d, run, q): ``run`` copies of the digit d are open,
-and M is in state q after the runs before them; (3, 0, 0) is the start,
-with no run open, and (3, 0, -1) the dead state.  Starting from D_0, the
-compounds of the 24 particles, D_t = pre(D_{t-1}) holds exactly the domain
-strings that are all particles after at most t steps.
+transducer is a set of tables over the runs it can hold open (``_WRITES``,
+``_ENDS``, ``_NEXT``, built from the run bounds), and its states are int
+pairs (k, q): run k is open, and M is in state q after the runs before it;
+(0, 0) is the start, with no run open, and ``_DEAD`` the dead state.
+Starting from D_0, the compounds of the 24 particles, D_t = pre(D_{t-1})
+holds exactly the domain strings that are all particles after at most t
+steps.
 
 D_0-D_11 ship as a certificate, the text ``_DECAY_CERTIFICATE``, and
 ``decay_languages()`` checks it instead of searching for the chain.  The
 check is a full proof, and each of its twelve equations is one lockstep
-walk (``_accepts_as``) of an automaton given by its moves with a stored
-DFA, which fails at the first reachable pair whose acceptance differs: D_0
-against the subset construction of the compounds, each D_t against pre's
-transducer over D_{t-1}, and D_11 against pre's over itself.  A walk visits
+walk of an automaton with a stored DFA, which fails at the first reachable
+pair whose acceptance differs: D_0 against the subset construction of the
+compounds (``_accepts_as``), each D_t against pre's transducer over
+D_{t-1}, and D_11 against pre's over itself (``_is_pre``, one flat walk
+over triples (k, q, p) that reads the transducer's tables).  A walk visits
 each reachable pair once and never compares states with each other, so
 nothing is minimized.
 
 This module holds only what ``verify`` and ``iterations_to_common`` run:
-the transducer, the compounds' moves, the certificate and its check, the
-essential strings' DFA and counting by length.  The search that wrote the
-certificate (``pre``, ``compounds()``, Moore refinement) and the listing
-and witness walks live in :mod:`audioactive._automata_search`, which a
-verification never imports unless some string is over its cap: without
-cached bytecode, every import compiles its module in the command's time.
+the transducer's tables, the compounds' moves, the certificate and its
+check, the essential strings' DFA and counting by length.  The search that
+wrote the certificate (``pre`` and its transducer moves, ``compounds()``,
+Moore refinement) and the listing and witness walks live in
+:mod:`audioactive._automata_search`, which a verification never imports
+unless some string is over its cap: without cached bytecode, every import
+compiles its module in the command's time.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from typing import Callable, Hashable
 
 from . import particles
@@ -56,7 +60,30 @@ _CLOSE = {(3, 0): ()} | {
     for d, top in _RUN_CAP.items()
     for n in range(1, top + 1)
 }
-_START, _DEAD = (3, 0, 0), (3, 0, -1)  # pre's transducer states with no run open
+# pre's transducer as tables over the runs it holds open: run k is
+# _CLOSE's k-th key, run 0 the empty one, and run _DEAD[0] the dead
+# state's.  For each run: the digits written when it closes, whether a
+# string may end with it open (not with a final 1111, nor dead), and on
+# each digit the next run and where M's state in it comes from: 0 the state
+# after this run closes (the digit opens a run), 1 the state before it (the
+# digit extends it), 2 none (the digit takes it over its cap: dead).
+_RUNS = [*_CLOSE]
+_OPENS = [_RUNS.index((c, 1)) for c in range(3)]
+_START, _DEAD = (0, 0), (len(_RUNS), -1)
+_WRITES = (*_CLOSE.values(), ())
+_ENDS = (*(run != (1, 4) for run in _RUNS), False)
+_NEXT = (
+    *(
+        tuple(
+            (_OPENS[c], 0) if c != d
+            else (_RUNS.index((d, n + 1)), 1) if n < _RUN_CAP[d]
+            else (_DEAD[0], 2)
+            for c in range(3)
+        )
+        for d, n in _RUNS
+    ),
+    ((_DEAD[0], 2),) * 3,
+)
 ANY: Dfa = (((0, 0, 0),), (True,))  # every string
 _ROW = bytes.maketrans(_DIGITS.encode(), bytes((0, 1, 2)))  # digit byte -> its index
 
@@ -118,30 +145,30 @@ def recognizer(m: Dfa) -> Callable[[str], bool]:
     return accepts
 
 
-def _moves(m: Dfa, state: tuple[int, int, int]) -> tuple[bool, list[tuple[int, int, int]]]:
-    """Whether pre(``m``)'s transducer state (d, run, q) accepts, and its
-    successors on 0, 1 and 2.
-
-    It closes the open run through ``m``, rejects a final 1111, and opens a
-    new run on each other digit; the same digit extends the run up to its
-    cap and then dies.
-    """
-    d, run, q = state
-    if q < 0:  # dead
-        return False, [state, state, state]
-    delta, accept = m
-    closed = q
-    for c in _CLOSE[d, run]:
-        closed = delta[closed][c]
-    nxt = [(0, 1, closed), (1, 1, closed), (2, 1, closed)]
-    if d < 3:
-        nxt[d] = (d, run + 1, q) if run < _RUN_CAP[d] else _DEAD
-    return accept[closed] and (d, run) != (1, 4), nxt
-
-
 def _is_pre(a: Dfa, b: Dfa) -> bool:
-    """Whether ``b`` accepts exactly pre(``a``)."""
-    return _accepts_as(_START, partial(_moves, a), b)
+    """Whether ``b`` accepts exactly pre(``a``).
+
+    The lockstep walk of :func:`_accepts_as` with pre's transducer read
+    straight from its tables, over flat triples (k, q, p): the transducer
+    state (k, q) and ``b``'s state p.  False at the first reachable triple
+    whose acceptance differs.
+    """
+    (da, aa), (db, ab) = a, b
+    seen = {(*_START, 0)}
+    todo = [(*_START, 0)]
+    for k, q, p in todo:  # grows while it is read
+        closed = q
+        for c in _WRITES[k]:
+            closed = da[closed][c]
+        if ab[p] != (_ENDS[k] and aa[closed]):
+            return False
+        src = closed, q, -1
+        for (j, s), r in zip(_NEXT[k], db[p]):
+            t = j, src[s], r
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return True
 
 
 def essential() -> Dfa:
@@ -169,7 +196,7 @@ def junction_splits() -> dict[str, set[str]]:
     is checked against the leading-digit criterion at every length without
     these automata, so the argument is not circular.
     """
-    texts = [rule.parent.digits.text for rule in particles.decay_chart()]
+    texts = [*particles._BY_TEXT]  # registry order
     after = {c: {f for f in texts if _CUT.match(c + f, 1)} for c in {e[-1] for e in texts}}
     return {e: set(after[e[-1]]) for e in texts}
 
@@ -188,16 +215,23 @@ def _compound_moves() -> Callable:
     """
     follow = junction_splits()
     follow[""] = set(follow)
+    # what a finished particle begins on each digit, once per last digit
+    begin = {}
+    for e, fs in follow.items():
+        if e[-1:] not in begin:
+            begin[e[-1:]] = [[(f, 1) for f in fs if f[0] == c] for c in _DIGITS]
 
     def moves(states):
         nxt: tuple[list, list, list] = ([], [], [])
+        done = False
         for p, i in states:
             if i < len(p):
                 nxt[int(p[i])].append((p, i + 1))
             else:
-                for f in follow[p]:
-                    nxt[int(f[0])].append((f, 1))
-        return any(i == len(p) for p, i in states), tuple(map(frozenset, nxt))
+                done = True
+                for succ, new in zip(nxt, begin[p[-1:]]):
+                    succ += new
+        return done, tuple(map(frozenset, nxt))
 
     return moves
 
@@ -260,21 +294,25 @@ def count(top: int, a: Dfa, b: Dfa) -> list[int]:
     """How many strings of each length 0..``top`` both ``a`` and ``b`` accept."""
     (da, aa), (db, ab) = a, b
     dead_a, dead_b = _dead(a), _dead(b)
+    width = len(db)  # the pair (p, q) is p * width + q
     # the live pairs reachable from (0, 0), breadth first, and for each the
     # indices of its live successors
-    index = {(0, 0): 0}
-    pairs = [(0, 0)]
+    index = {0: 0}
+    pairs = [0]
     moves = []
-    for p, q in pairs:  # grows while it is read
+    for pq in pairs:  # grows while it is read
         row = []
-        for pair in zip(da[p], db[q]):
-            if pair[0] != dead_a and pair[1] != dead_b:
-                j = index.setdefault(pair, len(pairs))
-                if j == len(pairs):
-                    pairs.append(pair)
+        ra, rb = da[pq // width], db[pq % width]
+        for d in 0, 1, 2:
+            if ra[d] != dead_a and rb[d] != dead_b:
+                rs = ra[d] * width + rb[d]
+                j = index.get(rs)
+                if j is None:
+                    j = index[rs] = len(pairs)
+                    pairs.append(rs)
                 row.append(j)
         moves.append(row)
-    final = [i for i, (p, q) in enumerate(pairs) if aa[p] and ab[q]]
+    final = [i for i, pq in enumerate(pairs) if aa[pq // width] and ab[pq % width]]
     layer = [1] + [0] * (len(pairs) - 1)  # the strings of one length that end at each pair
     counts = []
     for _ in range(top + 1):

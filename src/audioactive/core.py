@@ -57,6 +57,7 @@ class ConvergenceError(AudioactiveError, RuntimeError):
 
 
 _DIGIT_CHARS = "0123456789"
+_DIGIT_BYTES = _DIGIT_CHARS.encode()
 _MAX_RUN = 2**63 - 1
 
 
@@ -121,12 +122,19 @@ class DigitString(_Record):
 
     def __init__(self, text: str, base: int = 3):
         _check_base(base)
-        pos = _valid_prefix(base).match(text).end()
-        if pos != len(text):
-            raise InvalidDigitError(
-                f"digit {text[pos]!r} at position {pos} is not valid in base {base}",
-                position=pos,
-            )
+        # Valid text is ASCII, and deleting its digits leaves nothing: one C
+        # pass.  Anything else runs the regex, which finds the first bad digit.
+        if not (
+            text.__class__ is str
+            and text.isascii()
+            and not text.encode().translate(None, _DIGIT_BYTES[:base])
+        ):
+            pos = _valid_prefix(base).match(text).end()
+            if pos != len(text):
+                raise InvalidDigitError(
+                    f"digit {text[pos]!r} at position {pos} is not valid in base {base}",
+                    position=pos,
+                )
         _set(self, "text", text)
         _set(self, "base", base)
 

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 import sys
 from itertools import islice
 
@@ -110,6 +111,25 @@ class TestDigitString:
         with pytest.raises(InvalidDigitError, match=message) as exc:
             DigitString(text, 3)
         assert exc.value.position == pos
+
+    @pytest.mark.parametrize("base", range(2, 11))
+    def test_first_bad_digit_in_every_base(self, base):
+        # Valid text is checked in one pass and only invalid text is
+        # searched for its first bad digit: the same message and position for
+        # ASCII and non-ASCII characters, after a short or a 300,000-digit
+        # valid prefix, and valid text of any length is accepted.
+        valid = "0123456789"[:base]
+        bad = ["a", "١", "-", " ", "\x00", "٣"] + (["0123456789"[base]] if base < 10 else [])
+        assert DigitString("", base).text == ""
+        for n in (0, 5, 300_000):
+            prefix = (valid * (n // base + 1))[:n]
+            assert DigitString(prefix, base).text == prefix
+            for c in bad:
+                message = rf"^digit {re.escape(repr(c))} at position {n} is not valid in base {base}$"
+                for text in (prefix + c, prefix + c + valid, prefix + c + "a"):
+                    with pytest.raises(InvalidDigitError, match=message) as exc:
+                        DigitString(text, base)
+                    assert exc.value.position == n
 
     @pytest.mark.parametrize(
         "build",

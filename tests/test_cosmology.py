@@ -438,14 +438,24 @@ class TestDecayCertificate:
         assert automata.decay_languages() == tuple(chain)
 
     def test_lockstep_check_agrees_with_pre(self, decay_languages):
+        # Every ordered pair of the chain, and of the chain with the essential
+        # strings, every string and the domain, in both argument orders.
         chain = decay_languages[:12]
+        dom = _automata_search.pre(automata.ANY)
+        others = [automata.essential(), automata.ANY, dom]
         for a in chain:
             image = _automata_search.pre(a)
             for b in chain:
                 assert automata._is_pre(a, b) == (image == b)
-        dom = _automata_search.pre(automata.ANY)
+        for a, b in [(a, b) for m in chain for o in others for a, b in ((m, o), (o, m))]:
+            assert automata._is_pre(a, b) == (_automata_search.pre(a) == b)
+        for m in others:
+            assert automata._is_pre(m, m) == (_automata_search.pre(m) == m)
+        assert automata._is_pre(automata.ANY, dom)
         assert automata._is_pre(dom, dom)
         assert _automata_search.pre(dom) == dom
+        for t in range(11):
+            assert _automata_search.pre(chain[t]) == chain[t + 1], t
 
     def test_count_and_difference_against_every_string(self, decay_languages):
         # Every base-3 string of at most 10 digits, read through the
