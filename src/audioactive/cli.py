@@ -12,8 +12,9 @@ they are well formed: exact long flags, each value as the next argument,
 and positionals, where no value or positional starts with ``-`` and every
 value passes its flag's ``type`` and ``choices``.  Anything else (``-h``,
 ``--flag=value``, abbreviations, ``--``, a bad, missing or leftover
-argument) goes unchanged to argparse, which writes all help and error
-text; argparse is imported only then.
+argument) goes unchanged to the one parser of all ten subcommands,
+``build_parser()``, which writes all help and error text; argparse is
+imported only then.
 """
 
 from __future__ import annotations
@@ -283,40 +284,29 @@ def _arguments_of(command: str) -> tuple:
 
 
 @functools.cache
-def _parsers(command: str | None) -> tuple[argparse.ArgumentParser, dict]:
-    """The top parser and its subcommand parsers by name (see ``build_parser``)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of all ten subcommands, built on first use and
+    shared by later calls."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="audioactive",
         description="Base-3 look-and-say dynamics: iteration, splitting, verification, spectra.",
     )
-    # A lone subcommand still shows them all in the usage line of an error.
-    metavar = "{" + ",".join(_COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if command else _COMMANDS:
-        func, text, _, _ = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (func, text, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for flag, options in _arguments_of(name):
             p.add_argument(flag, **options)
         p.set_defaults(func=func)
-    return parser, sub.choices
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls.
-
-    Given a subcommand's name it holds that subcommand alone, which parses
-    and reports errors as the whole parser does; without one it holds all.
-    """
-    return _parsers(command)[0]
+    return parser
 
 
 @functools.cache
 def _flag_table(command: str) -> tuple[dict, list, dict, list]:
     """``command``'s namespace before its arguments are read (its defaults),
     its positionals and its flags, each with its dest and options, and the
-    dests that must be given, all as ``_parsers`` adds them."""
+    dests that must be given, all as ``build_parser`` adds them."""
     defaults = {"command": command, "func": _COMMANDS[command][0]}
     positionals, flags, required = [], {}, []
     for name, options in _arguments_of(command):
@@ -363,29 +353,9 @@ def _read(argv: Sequence[str]) -> types.SimpleNamespace | None:
     return types.SimpleNamespace(**values)
 
 
-def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """What the full parser gives for ``argv``, a known subcommand and its
-    arguments, or its exit with help or an error, from a parser that holds
-    that subcommand alone."""
-    import argparse
-
-    # The subcommand's own parser reads the rest, as the top parser would
-    # hand it over; leftovers get the top parser's error, as in parse_args.
-    parser, subparsers = _parsers(argv[0])
-    args, extras = subparsers[argv[0]].parse_known_args(
-        argv[1:], argparse.Namespace(command=argv[0])
-    )
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        args = _read(argv) or _parse(argv)
-    else:
-        args = build_parser().parse_args(argv)
+    args = argv and argv[0] in _COMMANDS and _read(argv) or build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -15,12 +15,13 @@ pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs.
 
-Length sequences follow a multiset of pieces, cut in every base at the
-splits one orbit cutter proves, and in bases 4..10 started from a frozen
-table of the pieces every orbit there settles into; token mode is counted
-as a base-10 text from its second iterate on.  Cutting base-3 strings
-into particles, the cut after a 0 among them, belongs to
-:mod:`audioactive.splitting`.
+Length sequences follow a multiset of pieces.  Base 3 cuts and steps
+them as :mod:`audioactive.splitting` does, which owns cutting base-3
+strings into particles, the cut after a 0 among them, and the one base-3
+piece memo.  Every other base cuts at the splits the orbit cutter proves,
+and bases 4..10 start from a frozen table of the pieces every orbit there
+settles into; token mode is counted as a base-10 text from its second
+iterate on.
 """
 
 from __future__ import annotations
@@ -701,15 +702,20 @@ def _piece_counts(
 def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
     """Length sequence of ``text`` from the piece engine.
 
-    The pieces are cut wherever ``_orbit_cutter`` proves a split.  Bases
-    4-10 start from the frozen table of the pieces every orbit there
+    Base 3 cuts and steps its pieces as :mod:`audioactive.splitting` does
+    (``splitting._cut``, and the per-process memo ``splitting._children``).
+    Every other base cuts wherever ``_orbit_cutter`` proves a split, and
+    bases 4-10 start from the frozen table of the pieces every orbit there
     settles into, so only the pieces a seed adds of its own are stepped
     and cut: the transients, and pieces holding a digit above 3.
     """
-    cut = _orbit_cutter(base)
-    children = _Memo(lambda piece: cut(_step_text(piece, base)))
-    if base >= 4:
-        children.update(_high_base_table())
+    if base == 3:
+        from .splitting import _children as children, _cut as cut  # splitting imports core
+    else:
+        cut = _orbit_cutter(base)
+        children = _Memo(lambda piece: cut(_step_text(piece, base)))
+        if base >= 4:
+            children.update(_high_base_table())
     counts = islice(_piece_counts(cut(text), children), iters + 1)
     return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]
 
@@ -717,9 +723,10 @@ def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
 def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
-    Both modes are tracked exactly through a multiset of pieces cut at every
-    split proven from leading-digit orbits (cheap at any depth: only the
-    counts grow, so neither mode has a length budget).  In bases 4..10 the
+    Both modes are tracked exactly through a multiset of pieces cut at
+    proven splits: base 3 at those of :mod:`audioactive.splitting`, other
+    bases at those proven from leading-digit orbits (cheap at any depth:
+    only the counts grow, so neither mode has a length budget).  In bases 4..10 the
     pieces of the frozen table are never stepped or cut: their steps are
     read from it.  Token mode takes two token steps and counts the rest as
     a base-10 text.

@@ -29,6 +29,9 @@ a walk of the essential automaton with D_cap, pruned to the prefixes of
 such strings.
 :func:`automata.decay_languages` checks its shipped languages once per
 process; it never searches for them.
+
+``k_value`` follows a seed's pieces, cut by ``splitting._cut`` and stepped
+through the memo ``splitting._children`` that base-3 growth shares.
 """
 
 from __future__ import annotations
@@ -41,14 +44,11 @@ from .core import (
     AudioactiveError,
     ConvergenceError,
     DigitString,
-    _Memo,
     _Record,
     _piece_counts,
     _set,
-    _splittable,
-    _step_text,
 )
-from .splitting import _factor, _require_domain
+from .splitting import _children, _cut, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -58,29 +58,21 @@ DEFAULT_CAP = 10
 # Enumeration and counting
 # ---------------------------------------------------------------------------
 
-def _essential_layers(top: int) -> Iterator[list[str]]:
-    """Essential ancient strings of lengths 1..``top``, one list per length.
-
-    Each layer is the last one with 1 or 2 prepended, skipping a run of 4.
-    Prepending in digit order to a sorted layer keeps the layer sorted, and
-    no string outside the caps is ever built, where filtering would visit
-    all 3**n.
-    """
-    layer = ["0", "1", "2"]
-    for n in range(top):
-        if n:
-            layer = [
-                d + s for d, run in (("1", "111"), ("2", "222")) for s in layer
-                if not s.startswith(run)
-            ]
-        yield layer
-
-
 def _essential_texts(length: int) -> list[str]:
-    """Essential ancient strings of exactly ``length`` digits, lexicographic."""
+    """Essential ancient strings of exactly ``length`` digits, lexicographic.
+
+    They are the strings one digit shorter with 1 or 2 prepended, skipping
+    a run of 4, starting from the three of one digit.  Prepending in digit
+    order to a sorted list keeps it sorted, and no string outside the caps
+    is ever built, where filtering would visit all 3**n.
+    """
     if not 1 <= length <= MAX_ESSENTIAL_LENGTH:
         raise ValueError(f"length must be 1..{MAX_ESSENTIAL_LENGTH}, got {length}")
-    *_, layer = _essential_layers(length)
+    layer = ["0", "1", "2"]
+    for _ in range(length - 1):
+        layer = [
+            d + s for d, run in (("1", "111"), ("2", "222")) for s in layer if not s.startswith(run)
+        ]
     return layer
 
 
@@ -303,37 +295,18 @@ class KValueReport(_Record):
         }
 
 
-# Each piece met -> the ``_factor`` pieces of its step, seeded with the decay
-# chart.  It lives as long as the process and grows with the distinct pieces
-# that k-values meet; ``clear()`` empties it, and each entry is recomputed
-# alike, being a pure function of its key.
-_children = _Memo(lambda piece: _factor(_step_text(piece, 3)))
-_children.update(particles._CHART_BY_TEXT)
-
-
-def _factor_counts(text: str) -> Iterator[dict[str, int] | None]:
-    """The ``_factor`` piece multiset of ``text`` and of each of its
-    iterates, without end; None for an iterate outside the splitting domain.
-
-    The step maps the domain into itself, so from the first iterate in it
-    on the pieces evolve alone, in the piece engine over ``_children``:
-    each piece is stepped and factored once per process, and particles
-    not at all.
-    """
-    while not _splittable(text):
-        yield None
-        text = _step_text(text, 3)
-    yield from _piece_counts(_factor(text), _children)
-
-
 def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     """Iterate ``s`` until fully common, then measure its long-run support.
 
-    The iterates are followed as multisets of their factor pieces (see
-    ``_factor_counts``), never as whole texts once they are in the
-    splitting domain.  ``k`` is the size of the support when limsup and
-    liminf agree; otherwise both sizes are reported as a pair and
-    ``stabilized`` is False.
+    The iterates are followed as multisets of their pieces, never as whole
+    texts: the seed is cut by ``splitting._cut`` and each piece's step is
+    read from the shared memo ``splitting._children``.  A piece outside the
+    splitting domain is cut only after its 0s, and one of those pieces
+    then holds what the domain forbids, so it is no particle: the first
+    iterate that is all particles, and its multiset, are those of the
+    whole text fully factored.  ``k`` is the size of the support when
+    limsup and liminf agree; otherwise both sizes are reported as a pair
+    and ``stabilized`` is False.
     """
     if s.base != 3:
         raise ValueError("k-values are defined for base-3 strings")
@@ -341,8 +314,8 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
         raise ValueError("seed must be non-empty")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    for iterations, pieces in zip(range(max_iter + 1), _factor_counts(s.text)):
-        if pieces is not None and particles.PARTICLE_TEXTS.issuperset(pieces):
+    for iterations, pieces in zip(range(max_iter + 1), _piece_counts(_cut(s.text), _children)):
+        if particles.PARTICLE_TEXTS.issuperset(pieces):
             break
     else:
         raise ConvergenceError(

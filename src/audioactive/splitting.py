@@ -60,6 +60,12 @@ every segment (texts, ``DigitString`` and ``Particle`` objects) are built
 only on first read.  Conservative mode cuts with ``_zero_pieces`` (rule 1
 alone, which this module owns) and keeps each piece as a chunk that is its
 own segment.
+
+This module owns the one base-3 cutter of the piece engine, ``_cut``:
+``_factor`` in the domain and ``_zero_pieces`` outside it, every cut
+exact.  Its per-process memo ``_children`` maps each piece to the cut of
+its step, starting from the decay chart; ``cosmology.k_value`` and base-3
+length sequences (``core.length_sequence``) both read it.
 """
 
 from __future__ import annotations
@@ -72,7 +78,7 @@ from itertools import chain
 from typing import Callable, Literal, Mapping
 
 from . import particles
-from .core import DigitString, SplitDomainError, _Memo, _Record, _set, _splittable
+from .core import DigitString, SplitDomainError, _Memo, _Record, _set, _splittable, _step_text
 
 SplitMode = Literal["full", "conservative"]
 
@@ -229,6 +235,21 @@ def _factor(t: str) -> list[str]:
     its own.  No particle has a split either, so each comes out whole.
     """
     return _CUT.split(t) if t else []
+
+
+def _cut(t: str) -> list[str]:
+    """``t`` cut at every split it is proven to have: ``_factor`` in the
+    splitting domain, ``_zero_pieces`` outside it."""
+    return _factor(t) if _splittable(t) else _zero_pieces(t)
+
+
+# The one base-3 piece memo: each piece met -> the ``_cut`` pieces of its
+# step, seeded with the decay chart.  ``k_value`` and base-3 length
+# sequences share it.  It lives as long as the process and grows with the
+# distinct pieces met; ``clear()`` empties it, and each entry is recomputed
+# alike, being a pure function of its key.
+_children = _Memo(lambda piece: _cut(_step_text(piece, 3)))
+_children.update(particles._CHART_BY_TEXT)
 
 
 def _base3_text(s: DigitString) -> str:

@@ -447,9 +447,29 @@ class TestLengthSequence:
             got = length_sequence(ds(seed, base), len(want) - 1)
             assert got == want, (base, seed[:40])
 
+    def test_base3_cuts_with_splitting_alone(self, monkeypatch):
+        # base 3 cuts its pieces as splitting does, and never asks the orbit
+        # cutter, which every other base still uses
+        real = core._orbit_cutter
+
+        def refuse(base):
+            assert base != 3, "base 3 asked the orbit cutter"
+            return real(base)
+
+        seeds = ["1", "12000", "2", "1111011112", "20221110"]
+        want = [_array_lengths(seed, 3, steps=40) for seed in seeds]
+        monkeypatch.setattr(core, "_orbit_cutter", refuse)
+        for seed, lengths in zip(seeds, want):
+            assert length_sequence(ds(seed, 3), len(lengths) - 1) == lengths, seed
+            est = spectral.empirical_growth(ds(seed, 3), len(lengths) - 1)
+            assert est.lengths == tuple(lengths), seed
+        assert length_sequence(ds("1", 2), 12) == [len(s) for s in iterate(ds("1", 2), 12)]
+
     def test_unproven_cuts_stay_uncut(self, monkeypatch):
         # one held run exhausts every partial state and one orbit step finds
-        # no cycle: the cutter proves less and the lengths must not change
+        # no cycle: the cutter proves less and the lengths must not change.
+        # Base 3 cuts with splitting, not the orbit cutter, so its cases run
+        # splitting's cutter, which the weakening leaves alone.
         cases = [
             (base, seed, len(_array_lengths(seed, base, stop=10_000)) - 1)
             for base, seed in _length_seeds()

@@ -128,7 +128,7 @@ class TestIterationsToCommon:
         # length costs no recursion, and D_0 already accepts it.
         text = iterate(ds("1"), 40)[-1].text
         assert len(text) == 147673
-        assert len(cosmology._factor(text)) == 33403
+        assert len(splitting._factor(text)) == 33403
         assert iterations_to_common(ds(text)) == 0
 
     def test_monotone_once_common(self):
@@ -246,7 +246,7 @@ class TestClassCount:
     def test_head_width(self):
         # The splits of d + s' are position 1, decided on the first
         # 1 + _CUT_AHEAD characters alone, plus the splits of s' shifted by one;
-        # _essential_layers builds every layer by such prepending.
+        # _essential_texts builds every length by such prepending.
         head = splitting._CUT_AHEAD
         for rest in essential_upto(12):
             rest_splits = [m.start() + 1 for m in splitting._CUT.finditer(rest)]
@@ -619,29 +619,38 @@ def random_texts(count, seed):
 
 
 class TestPieceMemo:
-    """k_value steps and factors each piece once per process, in
-    ``cosmology._children``; what the memo holds changes no answer."""
+    """k_value steps and cuts each piece once per process, in
+    ``splitting._children``; what the memo holds changes no answer."""
 
     SEEDS = random_texts(300, 28)
 
     @pytest.fixture(autouse=True)
     def _reseeded_memo(self):
         yield
-        cosmology._children.clear()
-        cosmology._children.update(particles._CHART_BY_TEXT)
+        splitting._children.clear()
+        splitting._children.update(particles._CHART_BY_TEXT)
 
     def test_entries_are_the_factors_of_each_step(self):
+        # Each entry is the step of its piece, fully factored in the
+        # splitting domain and cut only after its 0s outside it.
         for text in self.SEEDS:
             k_value(ds(text))
-        assert len(cosmology._children) > len(particles._CHART_BY_TEXT)
-        for piece, subs in cosmology._children.items():
-            assert list(subs) == splitting._factor(reference_step(piece, 3)), piece
+        assert len(splitting._children) > len(particles._CHART_BY_TEXT)
+        outside = 0
+        for piece, subs in splitting._children.items():
+            step = reference_step(piece, 3)
+            if in_split_domain(step):
+                assert list(subs) == splitting._factor(step), piece
+            else:
+                outside += 1
+                assert list(subs) == splitting._zero_pieces(step), piece
+        assert outside  # both branches are met
 
     def test_one_memo_matches_a_cleared_one_and_the_eager_reports(self):
         shared = [k_value(ds(text)) for text in self.SEEDS]
         cleared = []
         for text in self.SEEDS:
-            cosmology._children.clear()
+            splitting._children.clear()
             cleared.append(k_value(ds(text)))
         assert shared == cleared
         for text, report in zip(self.SEEDS, shared):
@@ -650,8 +659,8 @@ class TestPieceMemo:
 
     def test_clear_changes_no_answer(self):
         before = [k_value(ds(text)) for text in self.SEEDS[:50]]
-        cosmology._children.clear()
-        assert not cosmology._children
+        splitting._children.clear()
+        assert not splitting._children
         assert [k_value(ds(text)) for text in self.SEEDS[:50]] == before
 
 
