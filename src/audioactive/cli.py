@@ -115,7 +115,7 @@ def _print_texts(fmt: str, texts: list[str], meta: dict, key: str) -> None:
 
 
 def _cmd_ancients(args) -> int:
-    strings = [s.text for s in cosmology.enumerate_essential_ancient(args.length)]
+    strings = cosmology._essential_texts(args.length)
     meta = {"length": args.length, "count": len(strings)}
     if not args.count_only:
         _print_texts(args.format, strings, meta, "strings")

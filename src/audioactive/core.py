@@ -77,6 +77,11 @@ class _Record:
     """An immutable value: the attributes that ``_fields`` names are set once,
     in ``__init__``, and compared, hashed and shown as one tuple.
 
+    The constructor takes the fields by position, then by keyword, and the
+    rest from ``_defaults``; a missing field, an unknown keyword, a field
+    given twice or too many positions raise :class:`TypeError`.  A subclass
+    that checks its arguments does so first, then calls this constructor.
+
     It takes the place of the standard library's frozen data classes, whose
     module loads ``inspect`` and ``ast`` and whose decorators build their
     methods with ``exec``: together about 31 ms of a 167 ms cold
@@ -86,6 +91,24 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: Mapping[str, object] = {}
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(values)}")
+        for name, value in zip(fields, values):
+            _set(self, name, value)
+        for name in fields[len(values):]:
+            if name in named:
+                _set(self, name, named.pop(name))
+            elif name in self._defaults:
+                _set(self, name, self._defaults[name])
+            else:
+                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
+        for name in named:
+            problem = "got two values for" if name in fields else "has no"
+            raise TypeError(f"{type(self).__name__}() {problem} field {name!r}")
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -46,7 +46,6 @@ from .core import (
     DigitString,
     _Record,
     _piece_counts,
-    _set,
 )
 from .splitting import _children, _cut, _require_domain
 
@@ -79,7 +78,7 @@ def _essential_texts(length: int) -> list[str]:
 def enumerate_essential_ancient(length: int) -> Iterator[DigitString]:
     """Stream the essential ancient strings of a given length, sorted."""
     for text in _essential_texts(length):
-        yield DigitString(text, 3)
+        yield DigitString._valid(text, 3)  # built from 0, 1 and 2 only
 
 
 def _comb0(m: int, j: int) -> int:
@@ -142,16 +141,11 @@ def iterations_to_common(s: DigitString, cap: int = DEFAULT_CAP) -> int | None:
 # ---------------------------------------------------------------------------
 
 class DecayTable(_Record):
-    """Counts of essential ancient strings by (length, decay time)."""
+    """Counts of essential ancient strings by (length, decay time): one row
+    of ``cells`` per entry of ``lengths``, one cell per time 0..``cap``."""
 
     _fields = ("cells", "lengths", "cap")
-
-    def __init__(
-        self, cells: tuple[tuple[int, ...], ...], lengths: tuple[int, ...], cap: int = DEFAULT_CAP
-    ):
-        _set(self, "cells", cells)
-        _set(self, "lengths", lengths)
-        _set(self, "cap", cap)
+    _defaults = {"cap": DEFAULT_CAP}
 
     def row(self, length: int) -> tuple[int, ...]:
         return self.cells[self.lengths.index(length)]
@@ -182,15 +176,9 @@ class DecayTable(_Record):
 
 
 class CosmologyReport(_Record):
-    _fields = ("table", "verified", "max_iterations", "failures")
+    """What :func:`verify_cosmological` found; ``failures`` are texts."""
 
-    def __init__(
-        self, table: DecayTable, verified: bool, max_iterations: int, failures: tuple[str, ...]
-    ):
-        _set(self, "table", table)
-        _set(self, "verified", verified)
-        _set(self, "max_iterations", max_iterations)
-        _set(self, "failures", failures)
+    _fields = ("table", "verified", "max_iterations", "failures")
 
     @property
     def total_strings(self) -> int:
@@ -245,15 +233,8 @@ def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyRepor
             )
     failures = [text for layer in listed for text in layer]
     max_seen = max((t for row in rows for t, c in enumerate(row) if c), default=0)
-    table = DecayTable(
-        tuple(map(tuple, rows)), tuple(range(1, MAX_ESSENTIAL_LENGTH + 1)), cap
-    )
-    return CosmologyReport(
-        table=table,
-        verified=not failures,
-        max_iterations=max_seen,
-        failures=tuple(failures),
-    )
+    table = DecayTable(tuple(map(tuple, rows)), tuple(range(1, MAX_ESSENTIAL_LENGTH + 1)), cap)
+    return CosmologyReport(table, not failures, max_seen, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +242,14 @@ def verify_cosmological(cap: int = DEFAULT_CAP, jobs: int = 1) -> CosmologyRepor
 # ---------------------------------------------------------------------------
 
 class KValueReport(_Record):
-    """Support of the particle population in all old enough descendants."""
+    """Support of the particle population in all old enough descendants.
+
+    ``counts`` pairs each symbol of the first fully common iterate with its
+    count; ``limsup`` and ``liminf`` are frozensets of symbols, and ``k`` is
+    an int, or the pair (|liminf|, |limsup|) when they differ.
+    """
 
     _fields = ("seed", "iterations", "counts", "limsup", "liminf", "stabilized", "k")
-
-    def __init__(
-        self,
-        seed: DigitString,
-        iterations: int,
-        counts: tuple[tuple[str, int], ...],
-        limsup: frozenset[str],
-        liminf: frozenset[str],
-        stabilized: bool,
-        k: int | tuple[int, int],
-    ):
-        _set(self, "seed", seed)
-        _set(self, "iterations", iterations)
-        _set(self, "counts", counts)
-        _set(self, "limsup", limsup)
-        _set(self, "liminf", liminf)
-        _set(self, "stabilized", stabilized)
-        _set(self, "k", k)
 
     def to_json(self) -> dict:
         return {
@@ -327,12 +295,4 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     limsup, liminf = particles._limits(frozenset(ms))
     stabilized = limsup == liminf
     k: int | tuple[int, int] = len(limsup) if stabilized else (len(liminf), len(limsup))
-    return KValueReport(
-        seed=s,
-        iterations=iterations,
-        counts=tuple(ms.items()),
-        limsup=limsup,
-        liminf=liminf,
-        stabilized=stabilized,
-        k=k,
-    )
+    return KValueReport(s, iterations, tuple(ms.items()), limsup, liminf, stabilized, k)

@@ -4,16 +4,26 @@ Two small iterations that describe a string by digit counts rather than by
 runs.  A :class:`CountDescriptor` lists "count, digit" pairs for the digits
 present ("two 1s, one 2, ..."), sorted by digit; a :class:`FrequencyVector`
 lists the count of every digit from 0 up to the largest index tracked,
-keeping zero placeholders.  Both kinds of sequence are eventually periodic;
-counts are rendered in base 10, and multi-digit counts contribute each of
-their decimal digits to the next tally.
+keeping zero placeholders.  Counts are rendered in base 10, and
+multi-digit counts contribute each of their decimal digits to the next
+tally.
+
+Both kinds of sequence are eventually periodic, from every start.  A
+vector's width never shrinks and never grows past max(start width, 10).
+Each entry of a step's output is at most the number of decimal digits in
+the input's entries, or in the rendering of a descriptor, which has at most
+10 pairs.  So within a few steps every entry is below 100: a vector of
+width w <= 10 then sums to at most 2w, and a descriptor's counts to at most
+30.  The sequence stays in a finite set from then on, and a map on a finite
+set is eventually periodic.  The tests check the paper's T7/T8 pair and
+criterion 12's examples, not every start.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import DigitString, _Record, _iterates, _set
+from .core import DigitString, _Record, _iterates
 
 
 def _digit_tally(text: str) -> Counter:
@@ -40,7 +50,7 @@ class CountDescriptor(_Record):
             if digit <= last:
                 raise ValueError("digits must be strictly increasing")
             last = digit
-        _set(self, "pairs", pairs)
+        super().__init__(pairs)
 
     @classmethod
     def describe(cls, text: str | DigitString) -> "CountDescriptor":
@@ -73,7 +83,7 @@ class FrequencyVector(_Record):
         for c in counts:
             if c < 0:
                 raise ValueError(f"count {c} must be non-negative")
-        _set(self, "counts", counts)
+        super().__init__(counts)
 
     @classmethod
     def describe(cls, text: str | DigitString, size: int | None = None) -> "FrequencyVector":

@@ -19,7 +19,7 @@ from functools import cache
 from itertools import islice
 from typing import Collection, Iterable, Mapping
 
-from .core import DigitString, _Record, _piece_counts, _set, lookandsay_step
+from .core import DigitString, _Record, _piece_counts, lookandsay_step
 
 
 class ParticleClass(Enum):
@@ -29,20 +29,15 @@ class ParticleClass(Enum):
 
 
 class Particle(_Record):
-    _fields = ("symbol", "digits", "kind")
+    """A registry particle; ``digits`` is a base-3 ``DigitString``."""
 
-    def __init__(self, symbol: str, digits: DigitString, kind: ParticleClass):
-        _set(self, "symbol", symbol)
-        _set(self, "digits", digits)
-        _set(self, "kind", kind)
+    _fields = ("symbol", "digits", "kind")
 
 
 class DecayRule(_Record):
-    _fields = ("parent", "products")
+    """A chart entry: ``products`` are the particles, in order, of ``parent``'s step."""
 
-    def __init__(self, parent: Particle, products: tuple[Particle, ...]):
-        _set(self, "parent", parent)
-        _set(self, "products", products)
+    _fields = ("parent", "products")
 
 
 FERMION_ORDER = ("E", "M", "U", "D", "S", "C", "B", "T")

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from . import particles
-from .core import ConvergenceError, DigitString, TokenString, _Record, _set, length_sequence
+from .core import ConvergenceError, DigitString, TokenString, _Record, length_sequence
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 
@@ -47,8 +47,7 @@ class TransitionMatrix(_Record):
             raise ValueError("entries must be non-negative")
         if len(set(order)) != n:
             raise ValueError("symbols in the order must be distinct")
-        _set(self, "entries", entries)
-        _set(self, "order", order)
+        super().__init__(entries, order)
 
     @property
     def size(self) -> int:
@@ -251,23 +250,10 @@ def limiting_frequencies(m: TransitionMatrix | None = None) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 class GrowthEstimate(_Record):
-    """Observed length growth of an iterated seed."""
+    """Observed length growth of an iterated seed, kept as its text; its
+    ``base`` is ``None`` in token mode."""
 
     _fields = ("seed", "base", "lengths", "ratios", "estimate")
-
-    def __init__(
-        self,
-        seed: str,
-        base: int | None,  # the seed's base; None marks token mode
-        lengths: tuple[int, ...],
-        ratios: tuple[float, ...],
-        estimate: float,
-    ):
-        _set(self, "seed", seed)
-        _set(self, "base", base)
-        _set(self, "lengths", lengths)
-        _set(self, "ratios", ratios)
-        _set(self, "estimate", estimate)
 
     def to_json(self) -> dict:
         return {
@@ -299,17 +285,8 @@ def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstim
         estimate = (lengths[-1] / lengths[-1 - tail]) ** (1.0 / tail)
     except OverflowError:
         raise ValueError(f"{iters} iterations are too many for a float estimate") from None
-    if isinstance(seed, TokenString):
-        seed_text, seed_base = seed.render(), None
-    else:
-        seed_text, seed_base = seed.text, seed.base
-    return GrowthEstimate(
-        seed=seed_text,
-        base=seed_base,
-        lengths=tuple(lengths),
-        ratios=ratios,
-        estimate=float(estimate),
-    )
+    text, base = (seed.render(), None) if isinstance(seed, TokenString) else (seed.text, seed.base)
+    return GrowthEstimate(text, base, tuple(lengths), ratios, float(estimate))
 
 
 # ---------------------------------------------------------------------------

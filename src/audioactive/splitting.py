@@ -75,10 +75,10 @@ import re
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Literal, Mapping
+from typing import Callable, Literal
 
 from . import particles
-from .core import DigitString, SplitDomainError, _Memo, _Record, _set, _splittable, _step_text
+from .core import DigitString, SplitDomainError, _Memo, _Record, _splittable, _step_text
 
 SplitMode = Literal["full", "conservative"]
 
@@ -101,13 +101,6 @@ class Decomposition(_Record):
     """
 
     _fields = ("bodies", "table", "tail")
-
-    def __init__(
-        self, bodies: tuple[str, ...], table: Mapping[str, tuple[str, ...]], tail: tuple[str, ...]
-    ):
-        _set(self, "bodies", bodies)
-        _set(self, "table", table)
-        _set(self, "tail", tail)
 
     def __hash__(self) -> int:
         return hash((self.bodies, self.tail))  # the table is a dict

@@ -734,6 +734,24 @@ class TestValueSemantics:
             assert type(copied) is cls and copied == value
         assert repr(value).startswith(f"{cls.__name__}(")
 
+    @pytest.mark.parametrize(
+        "cls, make, defaults, changed", _VALUES, ids=[case[0].__name__ for case in _VALUES]
+    )
+    def test_construction(self, cls, make, defaults, changed):
+        full = {**defaults, **make()}
+        values = [full[name] for name in cls._fields]
+        assert cls(*values) == cls(**make())
+        required = [name for name in cls._fields if name not in defaults]
+        calls = [((), {k: v for k, v in full.items() if k != name}) for name in required]
+        calls += [  # above: each required field left out
+            ((), {**make(), "nosuch": 1}),  # an unknown keyword
+            (values[:1], make()),  # the first field by position and by keyword
+            ((*values, values[0]), {}),  # one position too many
+        ]
+        for args, named in calls:
+            with pytest.raises(TypeError, match=cls.__name__):
+                cls(*args, **named)
+
     def test_every_record_class_has_a_case(self):
         classes = [case[0] for case in _VALUES]
         assert len(set(classes)) == 13 and set(classes) == set(core._Record.__subclasses__())

@@ -77,6 +77,15 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_essential_ancient(17))
 
+    def test_strings_equal_checked_ones(self):
+        # the texts are wrapped unchecked; the checking constructor agrees
+        for n in (1, 7, 16):
+            for s in enumerate_essential_ancient(n):
+                assert type(s) is DigitString and s == ds(s.text), s
+        for n in (0, 17):
+            with pytest.raises(ValueError, match="length must be 1..16"):
+                next(enumerate_essential_ancient(n))
+
 
 class TestCountingFunction:
     def test_small_values_against_enumeration(self):
