@@ -44,7 +44,7 @@ from functools import cache
 from typing import Callable, Hashable
 
 from . import particles
-from .core import _RUN_BOUNDED, AudioactiveError, _numeral
+from .core import _RUN_BOUNDED, AudioactiveError, _numeral, _splittable
 from .splitting import _CUT
 
 Dfa = tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]
@@ -63,15 +63,16 @@ _CLOSE = {(3, 0): ()} | {
 # pre's transducer as tables over the runs it holds open: run k is
 # _CLOSE's k-th key, run 0 the empty one, and run _DEAD[0] the dead
 # state's.  For each run: the digits written when it closes, whether a
-# string may end with it open (not with a final 1111, nor dead), and on
-# each digit the next run and where M's state in it comes from: 0 the state
-# after this run closes (the digit opens a run), 1 the state before it (the
-# digit extends it), 2 none (the digit takes it over its cap: dead).
+# string may end with it open (when the run alone is in core's domain,
+# which has no final 1111, and not dead), and on each digit the next run
+# and where M's state in it comes from: 0 the state after this run closes
+# (the digit opens a run), 1 the state before it (the digit extends it),
+# 2 none (the digit takes it over its cap: dead).
 _RUNS = [*_CLOSE]
 _OPENS = [_RUNS.index((c, 1)) for c in range(3)]
 _START, _DEAD = (0, 0), (len(_RUNS), -1)
 _WRITES = (*_CLOSE.values(), ())
-_ENDS = (*(run != (1, 4) for run in _RUNS), False)
+_ENDS = (*(_splittable(str(d) * n) for d, n in _RUNS), False)
 _NEXT = (
     *(
         tuple(

@@ -39,12 +39,10 @@ from .core import (
     iterate,
     iterate_tokens,
 )
+from .spectral import FREQ_DECIMALS, LAMBDA_DECIMALS
 
 if TYPE_CHECKING:
     import argparse
-
-LAMBDA_DECIMALS = 9
-FREQ_DECIMALS = 6
 
 
 # ---------------------------------------------------------------------------

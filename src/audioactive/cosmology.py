@@ -268,13 +268,14 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
 
     The iterates are followed as multisets of their pieces, never as whole
     texts: the seed is cut by ``splitting._cut`` and each piece's step is
-    read from the shared memo ``splitting._children``.  A piece outside the
-    splitting domain is cut only after its 0s, and one of those pieces
-    then holds what the domain forbids, so it is no particle: the first
-    iterate that is all particles, and its multiset, are those of the
-    whole text fully factored.  ``k`` is the size of the support when
-    limsup and liminf agree; otherwise both sizes are reported as a pair
-    and ``stabilized`` is False.
+    read from the shared memo ``splitting._children``, which steps and cuts
+    each piece, particles included, on its first lookup in the process.
+    A piece outside the splitting domain is cut only after its 0s, and one
+    of those pieces then holds what the domain forbids, so it is no
+    particle: the first iterate that is all particles, and its multiset,
+    are those of the whole text fully factored.  ``k`` is the size of the
+    support when limsup and liminf agree; otherwise both sizes are reported
+    as a pair and ``stabilized`` is False.
     """
     if s.base != 3:
         raise ValueError("k-values are defined for base-3 strings")

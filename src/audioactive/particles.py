@@ -19,7 +19,7 @@ from functools import cache
 from itertools import islice
 from typing import Collection, Iterable, Mapping
 
-from .core import DigitString, _Record, _piece_counts, lookandsay_step
+from .core import DigitString, _Record, _piece_counts
 
 
 class ParticleClass(Enum):
@@ -118,11 +118,6 @@ _PARTICLES = {
 _BY_TEXT = {p.digits.text: p for p in _PARTICLES.values()}
 _SYMBOL_BY_TEXT = {text: p.symbol for text, p in _BY_TEXT.items()}
 PARTICLE_TEXTS = frozenset(_BY_TEXT)
-# The decay chart keyed by text: each particle's digits -> its products' digits.
-_CHART_BY_TEXT = {
-    _PARTICLE_DIGITS[sym]: tuple(map(_PARTICLE_DIGITS.__getitem__, products))
-    for sym, products in _DECAY_PRODUCTS.items()
-}
 
 
 def registry() -> tuple[Particle, ...]:
@@ -152,26 +147,25 @@ def decay_chart() -> tuple[DecayRule, ...]:
 
 
 def derive_decay_chart() -> tuple[DecayRule, ...]:
-    """Recompute the chart by stepping and factoring each particle.
+    """Recompute the chart from each particle's entry in the base-3 piece
+    memo, ``splitting._children``: its step, cut at every split.
 
-    Acts as the oracle for :func:`decay_chart`: every segment of each
+    Acts as the oracle for :func:`decay_chart`: every piece of each
     particle's step must identify as a registry particle, and the derived
-    rules must match the hardcoded ones exactly.
+    rules must match the hardcoded ones exactly.  The memo is what
+    ``k_value`` and base-3 growth read, so this checks the very entries
+    they use.
     """
-    from .splitting import decompose  # deferred: splitting imports this module
+    from .splitting import _children  # deferred: splitting imports this module
 
     rules = []
     for sym in REGISTRY_ORDER:
-        parent = _PARTICLES[sym]
-        parts = decompose(lookandsay_step(parent.digits))
         products = []
-        for seg, part in zip(parts.segments, parts.identified):
-            if part is None:
-                raise AssertionError(
-                    f"decay of {sym} produced unidentified segment {seg.text!r}"
-                )
-            products.append(part)
-        rules.append(DecayRule(parent, tuple(products)))
+        for text in _children[_PARTICLE_DIGITS[sym]]:
+            if text not in _BY_TEXT:
+                raise AssertionError(f"decay of {sym} produced unidentified segment {text!r}")
+            products.append(_BY_TEXT[text])
+        rules.append(DecayRule(_PARTICLES[sym], tuple(products)))
     return tuple(rules)
 
 

@@ -293,9 +293,15 @@ def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstim
 # CSV emission
 # ---------------------------------------------------------------------------
 
+# Decimals printed, in every format, for eigenvalues and growth rates and
+# for frequencies.
+LAMBDA_DECIMALS = 9
+FREQ_DECIMALS = 6
+
+
 def frequencies_csv(freqs: dict[str, float]) -> str:
     lines = ["particle,frequency"]
-    lines += [f"{sym},{freqs[sym]:.6f}" for sym in MATRIX_ORDER]
+    lines += [f"{sym},{freqs[sym]:.{FREQ_DECIMALS}f}" for sym in MATRIX_ORDER]
     return "\n".join(lines) + "\n"
 
 
@@ -308,5 +314,5 @@ def charpoly_csv(coeffs: Sequence[int]) -> str:
 
 def eigenvalues_csv(values: Sequence[complex]) -> str:
     lines = ["re,im"]
-    lines += [f"{z.real:.9f},{z.imag:.9f}" for z in values]
+    lines += [f"{z.real:.{LAMBDA_DECIMALS}f},{z.imag:.{LAMBDA_DECIMALS}f}" for z in values]
     return "\n".join(lines) + "\n"

@@ -64,8 +64,9 @@ own segment.
 This module owns the one base-3 cutter of the piece engine, ``_cut``:
 ``_factor`` in the domain and ``_zero_pieces`` outside it, every cut
 exact.  Its per-process memo ``_children`` maps each piece to the cut of
-its step, starting from the decay chart; ``cosmology.k_value`` and base-3
-length sequences (``core.length_sequence``) both read it.
+its step.  It starts empty and fills on lookup, particles included;
+``cosmology.k_value``, base-3 length sequences (``core.length_sequence``)
+and ``particles.derive_decay_chart`` all read it.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ import json
 import re
 from collections import Counter
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Callable, Literal
 
 from . import particles
@@ -190,9 +191,6 @@ def _json_symbol(text: str) -> str:
 # Text-level machinery (base 3 throughout)
 # ---------------------------------------------------------------------------
 
-_ZERO_CUT = re.compile(r"(?<=0)(?=[^0])")
-
-
 def _zero_pieces(text: str) -> list[str]:
     """``text`` cut after every 0 that precedes a non-0; exact in every base.
 
@@ -201,8 +199,8 @@ def _zero_pieces(text: str) -> list[str]:
     (numerals have no leading zeros), so the two sides never interact.  The
     empty string has no pieces.
     """
-    # The pieces _ZERO_CUT leaves, each matched whole: no look-around, and
-    # compiled on first use rather than on import.
+    # Each piece matched whole: no look-around, and compiled on first use
+    # rather than on import.
     return re.findall(r"[^0]*0+|[^0]+", text)
 
 
@@ -211,7 +209,7 @@ _FLF = r"(?:0|1(?:0|11|2(?!2)|222))"
 _IS_FLF = re.compile(rf"\Z|{_FLF}")
 # Every split: after a 0 (rule 1), before 22 + flf after a 1 (rule 2), and
 # before a nonempty flf rest after a 2 (rule 3).
-_CUT = re.compile(rf"{_ZERO_CUT.pattern}|(?<=1)(?=22(?:\Z|{_FLF}))|(?<=2)(?={_FLF})")
+_CUT = re.compile(rf"(?<=0)(?=[^0])|(?<=1)(?=22(?:\Z|{_FLF}))|(?<=2)(?={_FLF})")
 # _CUT decides a cut from the character before it and at most this many
 # after it: rule 2 reads "22" and then an flf prefix, and the longest _FLF
 # reads is the 4 characters of "1222" (or "12" and one more that is not a 2).
@@ -237,12 +235,11 @@ def _cut(t: str) -> list[str]:
 
 
 # The one base-3 piece memo: each piece met -> the ``_cut`` pieces of its
-# step, seeded with the decay chart.  ``k_value`` and base-3 length
-# sequences share it.  It lives as long as the process and grows with the
-# distinct pieces met; ``clear()`` empties it, and each entry is recomputed
-# alike, being a pure function of its key.
+# step.  ``k_value``, base-3 length sequences and the decay chart's oracle
+# share it.  It starts empty, lives as long as the process and grows with
+# the distinct pieces met; ``clear()`` returns it to its import state, and
+# each entry is recomputed alike, being a pure function of its key.
 _children = _Memo(lambda piece: _cut(_step_text(piece, 3)))
-_children.update(particles._CHART_BY_TEXT)
 
 
 def _base3_text(s: DigitString) -> str:
@@ -285,7 +282,7 @@ def split_points(s: DigitString) -> list[int]:
 
 def split_points_conservative(s: DigitString) -> list[int]:
     """Positions where a 0 is followed by a non-0; valid for any string."""
-    return [m.start() for m in _ZERO_CUT.finditer(_base3_text(s))]
+    return list(accumulate(map(len, _zero_pieces(_base3_text(s)))))[:-1]
 
 
 def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:

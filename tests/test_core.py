@@ -39,7 +39,7 @@ from audioactive import (
     step_of_runs,
     token_step,
 )
-from audioactive import _arrays, core, spectral
+from audioactive import _arrays, automata, core, spectral
 from audioactive._arrays import _array_step, _array_to_text, _text_to_array
 from audioactive.core import _orbit_cutter, _step_text
 from audioactive.cosmology import DEFAULT_CAP
@@ -401,6 +401,24 @@ class TestFixedPoints:
     def test_full_set_matches_brute_force(self, base, max_len):
         got = [s.text for s in fixed_point_search(base, max_len, primitive_only=False)]
         assert got == brute_force_fixed(base, max_len)
+
+    def test_fixed_points_are_the_neutrino_compounds(self):
+        # Every fixed string of at most 20 digits is a concatenation of the
+        # neutrinos 22, 11110 and 11112 whose every junction splits.
+        follow = automata.junction_splits()
+        neutrinos = ("22", "11110", "11112")
+        compounds, level = [], [(n, n) for n in neutrinos]
+        while level:  # (compound, its last neutrino), one more neutrino a level
+            compounds += [text for text, _ in level]
+            level = [
+                (text + n, n)
+                for text, last in level
+                for n in neutrinos
+                if n in follow[last] and len(text) + len(n) <= 20
+            ]
+        fixed = [s.text for s in fixed_point_search(3, 20, primitive_only=False)]
+        assert len(fixed) == 87
+        assert sorted(fixed) == sorted(compounds)
 
     def test_composites_are_fixed(self):
         for s in fixed_point_search(3, 12, primitive_only=False):

@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from itertools import product
 
 import pytest
@@ -70,6 +72,16 @@ class TestEnumeration:
                 if "0" not in text[:-1] and within_caps(text, ANCIENT_CAPS)
             ]
             assert list(cosmology._essential_texts(n)) == sorted(brute), n
+
+    def test_ancients_lists_what_verify_counts(self):
+        # ``ancients`` lists _essential_texts; ``verify`` counts the strings
+        # of the essential automaton, and lists those over its cap with
+        # ``difference``, which against a DFA that rejects everything lists
+        # every string the automaton accepts.
+        reject_all = (((0, 0, 0),), (False,))
+        listed = _automata_search.difference(16, automata.essential(), reject_all)
+        for n in range(1, 17):
+            assert listed[n] == list(cosmology._essential_texts(n)), n
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -634,17 +646,16 @@ class TestPieceMemo:
     SEEDS = random_texts(300, 28)
 
     @pytest.fixture(autouse=True)
-    def _reseeded_memo(self):
+    def _cleared_memo(self):
         yield
         splitting._children.clear()
-        splitting._children.update(particles._CHART_BY_TEXT)
 
     def test_entries_are_the_factors_of_each_step(self):
         # Each entry is the step of its piece, fully factored in the
         # splitting domain and cut only after its 0s outside it.
         for text in self.SEEDS:
             k_value(ds(text))
-        assert len(splitting._children) > len(particles._CHART_BY_TEXT)
+        assert len(splitting._children) > len(particles.PARTICLE_TEXTS)
         outside = 0
         for piece, subs in splitting._children.items():
             step = reference_step(piece, 3)
@@ -671,6 +682,12 @@ class TestPieceMemo:
         splitting._children.clear()
         assert not splitting._children
         assert [k_value(ds(text)) for text in self.SEEDS[:50]] == before
+
+    def test_a_fresh_import_starts_empty(self):
+        # so clear() returns the memo to its import state
+        code = "from audioactive import splitting; print(len(splitting._children))"
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
 
 
 class TestSmallWorldConsequence:

@@ -19,9 +19,7 @@ from audioactive import (
     registry_json,
 )
 from audioactive import particles
-from audioactive.core import _step_text
 from audioactive.particles import BOSON_ORDER, FERMION_ORDER, NEUTRINO_ORDER, total_digit_length
-from audioactive.splitting import _factor
 
 import reference_values as ref
 
@@ -92,13 +90,6 @@ class TestDecayChart:
         for rule in decay_chart():
             child = lookandsay_step(rule.parent.digits)
             assert child.text == "".join(p.digits.text for p in rule.products)
-
-    def test_chart_by_text_is_the_factored_step(self):
-        # the table k_value's piece engine starts from
-        assert len(particles._CHART_BY_TEXT) == 24
-        for p in registry():
-            text = p.digits.text
-            assert particles._CHART_BY_TEXT[text] == tuple(_factor(_step_text(text, 3))), p.symbol
 
     def test_chart_derivation_examples(self):
         for sym, expected in (("Sm", ("E", "Su")), ("T", ("E", "B")), ("M", ("E", "U"))):

@@ -19,7 +19,7 @@ from audioactive.cosmology import _essential_texts
 from audioactive import core
 from audioactive.core import _orbit_cutter, _step_text
 from audioactive import _automata_search, automata, particles, splitting
-from audioactive.splitting import _CUT, _CUT_AHEAD, _ZERO_CUT, Decomposition, _factor
+from audioactive.splitting import _CUT, _CUT_AHEAD, Decomposition, _factor
 
 import reference_values as ref
 from oracles import (
@@ -288,7 +288,7 @@ class TestDecompositionOnTexts:
     def test_conservative_mode_is_the_zero_cut_on_every_string_to_length_8(self):
         for text in all_base3_texts(8)[1:]:
             dec = decompose(ds(text), "conservative")
-            assert dec.texts == tuple(_ZERO_CUT.split(text)), text
+            assert dec.texts == tuple(zero_run_pieces(text)), text
             assert_text_views(dec, eager_views(dec.texts))
 
     @pytest.mark.parametrize("mode", ["full", "conservative"])
@@ -328,8 +328,8 @@ class TestDecompositionOnTexts:
     )
     def test_every_view_matches_the_eager_build(self, text, mode):
         dec = decompose(ds(text), mode)
-        cut = _CUT if mode == "full" else _ZERO_CUT
-        assert dec.texts == (tuple(cut.split(text)) if text else ())
+        texts = (_CUT.split(text) if text else []) if mode == "full" else zero_run_pieces(text)
+        assert dec.texts == tuple(texts)
         want = eager_views(dec.texts)
         assert dec.segments == want["segments"]
         assert dec.identified == want["identified"]
