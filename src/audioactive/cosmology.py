@@ -108,13 +108,9 @@ def f_recursive(n: int) -> int:
     if n < 1:
         raise ValueError("defined for n >= 1")
     a, b, c = 2, 4, 8  # f(1), f(2), f(3)
-    if n == 1:
-        return a
-    if n == 2:
-        return b
-    for _ in range(n - 3):
+    for _ in range(n - 1):
         a, b, c = b, c, a + b + c
-    return c
+    return a
 
 
 # ---------------------------------------------------------------------------

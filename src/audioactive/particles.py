@@ -6,6 +6,10 @@ dominate asymptotically; thirteen bosons, most of which are transient; and
 three neutrinos, which are fixed points of the step.  The decay chart maps
 each particle to the one or two particles its step factors into.
 
+All of this is one table, ``_TABLE``: a row per particle, giving its
+symbol, digits, class and the particles of its step, in order.  The
+registry, the three groups and the chart are read off its rows.
+
 Two particle orders are used deliberately: ``REGISTRY_ORDER`` is the
 reading order of the table of particles, while ``MATRIX_ORDER`` is the
 bordering used for the fermion transition matrix.  Keep them straight.
@@ -17,7 +21,7 @@ from collections import Counter
 from enum import Enum
 from functools import cache
 from itertools import islice
-from typing import Collection, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from .core import DigitString, _Record, _piece_counts
 
@@ -40,89 +44,55 @@ class DecayRule(_Record):
     _fields = ("parent", "products")
 
 
-FERMION_ORDER = ("E", "M", "U", "D", "S", "C", "B", "T")
-BOSON_ORDER = ("Ph", "Gl", "Wb", "Zb", "H", "Se", "Sm", "Su", "Sd", "Ss", "Sc", "Sb", "St")
-NEUTRINO_ORDER = ("Ne", "Nm", "Nt")
-REGISTRY_ORDER = FERMION_ORDER + BOSON_ORDER + NEUTRINO_ORDER
-
-# Transition-matrix bordering (differs from the registry reading order).
-MATRIX_ORDER = ("E", "M", "D", "B", "U", "S", "T", "C")
-
-_PARTICLE_DIGITS = {
-    "E": "10",
-    "M": "1110",
-    "U": "110",
-    "D": "2110",
-    "S": "122110",
-    "C": "11222110",
-    "B": "22110",
-    "T": "222110",
-    "Ph": "211",
-    "Gl": "1221",
-    "Wb": "112211",
-    "Zb": "12221",
-    "H": "2",
-    "Se": "12",
-    "Sm": "1112",
-    "Su": "112",
-    "Sd": "2112",
-    "Ss": "122112",
-    "Sc": "11222112",
-    "Sb": "22112",
-    "St": "222112",
-    "Ne": "22",
-    "Nm": "11110",
-    "Nt": "11112",
-}
-
-_DECAY_PRODUCTS = {
-    "E": ("M",),
-    "M": ("E", "U"),
-    "U": ("D",),
-    "D": ("S",),
-    "S": ("C",),
-    "C": ("D", "B"),
-    "B": ("T",),
-    "T": ("E", "B"),
-    "Ph": ("Gl",),
-    "Gl": ("Wb",),
-    "Wb": ("H", "Zb"),
-    "Zb": ("M", "Ph"),
-    "H": ("Se",),
-    "Se": ("Sm",),
-    "Sm": ("E", "Su"),
-    "Su": ("Sd",),
-    "Sd": ("Ss",),
-    "Ss": ("Sc",),
-    "Sc": ("D", "Sb"),
-    "Sb": ("St",),
-    "St": ("E", "Sb"),
-    "Ne": ("Ne",),
-    "Nm": ("Nm",),
-    "Nt": ("Nt",),
-}
-
-
-def _kind_of(symbol: str) -> ParticleClass:
-    if symbol in FERMION_ORDER:
-        return ParticleClass.FERMION
-    if symbol in BOSON_ORDER:
-        return ParticleClass.BOSON
-    return ParticleClass.NEUTRINO
-
-
+# Symbol, digits, class, then the particles of its step; registry order.
+_TABLE = """
+E   10        fermion   M
+M   1110      fermion   E U
+U   110       fermion   D
+D   2110      fermion   S
+S   122110    fermion   C
+C   11222110  fermion   D B
+B   22110     fermion   T
+T   222110    fermion   E B
+Ph  211       boson     Gl
+Gl  1221      boson     Wb
+Wb  112211    boson     H Zb
+Zb  12221     boson     M Ph
+H   2         boson     Se
+Se  12        boson     Sm
+Sm  1112      boson     E Su
+Su  112       boson     Sd
+Sd  2112      boson     Ss
+Ss  122112    boson     Sc
+Sc  11222112  boson     D Sb
+Sb  22112     boson     St
+St  222112    boson     E Sb
+Ne  22        neutrino  Ne
+Nm  11110     neutrino  Nm
+Nt  11112     neutrino  Nt
+"""
+_ROWS = [row.split() for row in _TABLE.strip().splitlines()]
 _PARTICLES = {
-    sym: Particle(sym, DigitString(_PARTICLE_DIGITS[sym], 3), _kind_of(sym))
-    for sym in REGISTRY_ORDER
+    sym: Particle(sym, DigitString(digits, 3), ParticleClass(kind))
+    for sym, digits, kind, *_ in _ROWS
 }
+_DECAY_PRODUCTS = {sym: tuple(products) for sym, _, _, *products in _ROWS}
 _BY_TEXT = {p.digits.text: p for p in _PARTICLES.values()}
 _SYMBOL_BY_TEXT = {text: p.symbol for text, p in _BY_TEXT.items()}
 PARTICLE_TEXTS = frozenset(_BY_TEXT)
 
+REGISTRY_ORDER = tuple(_PARTICLES)
+FERMION_ORDER, BOSON_ORDER, NEUTRINO_ORDER = (
+    tuple(sym for sym, p in _PARTICLES.items() if p.kind is kind) for kind in ParticleClass
+)
+
+# Transition-matrix bordering (differs from the registry reading order).
+MATRIX_ORDER = ("E", "M", "D", "B", "U", "S", "T", "C")
+
 
 def registry() -> tuple[Particle, ...]:
     """The 24 particles in registry reading order."""
-    return tuple(_PARTICLES[sym] for sym in REGISTRY_ORDER)
+    return tuple(_PARTICLES.values())
 
 
 def lookup(symbol: str) -> Particle:
@@ -138,12 +108,25 @@ def identify(s: DigitString | str) -> Particle | None:
     return _BY_TEXT.get(text)
 
 
+def _chart(
+    products_of: Callable[[Particle], Iterable[str]], by: Mapping[str, Particle]
+) -> tuple[DecayRule, ...]:
+    """One rule per particle, in registry order, whose products are the
+    particles that ``by`` maps ``products_of(particle)`` to."""
+    rules = []
+    for parent in _PARTICLES.values():
+        products = []
+        for key in products_of(parent):
+            if key not in by:
+                raise AssertionError(f"decay of {parent.symbol} produced unidentified segment {key!r}")
+            products.append(by[key])
+        rules.append(DecayRule(parent, tuple(products)))
+    return tuple(rules)
+
+
 def decay_chart() -> tuple[DecayRule, ...]:
     """One decay rule per particle, ordered as the registry."""
-    return tuple(
-        DecayRule(_PARTICLES[sym], tuple(_PARTICLES[p] for p in _DECAY_PRODUCTS[sym]))
-        for sym in REGISTRY_ORDER
-    )
+    return _chart(lambda p: _DECAY_PRODUCTS[p.symbol], _PARTICLES)
 
 
 def derive_decay_chart() -> tuple[DecayRule, ...]:
@@ -152,21 +135,12 @@ def derive_decay_chart() -> tuple[DecayRule, ...]:
 
     Acts as the oracle for :func:`decay_chart`: every piece of each
     particle's step must identify as a registry particle, and the derived
-    rules must match the hardcoded ones exactly.  The memo is what
-    ``k_value`` and base-3 growth read, so this checks the very entries
-    they use.
+    rules must match the table's exactly.  The memo is what ``k_value``
+    and base-3 growth read, so this checks the very entries they use.
     """
     from .splitting import _children  # deferred: splitting imports this module
 
-    rules = []
-    for sym in REGISTRY_ORDER:
-        products = []
-        for text in _children[_PARTICLE_DIGITS[sym]]:
-            if text not in _BY_TEXT:
-                raise AssertionError(f"decay of {sym} produced unidentified segment {text!r}")
-            products.append(_BY_TEXT[text])
-        rules.append(DecayRule(_PARTICLES[sym], tuple(products)))
-    return tuple(rules)
+    return _chart(lambda p: _children[p.digits.text], _BY_TEXT)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +154,7 @@ def _registry_sorted(symbols: Collection[str]) -> list[str]:
 
 def multiset(counts: Mapping[str, int] | Iterable[str]) -> dict[str, int]:
     """Normalize symbol counts into a plain dict, validating symbols."""
-    tally = Counter(counts) if not isinstance(counts, Mapping) else Counter(dict(counts))
+    tally = Counter(counts)
     for sym, count in tally.items():
         if sym not in _PARTICLES:
             raise KeyError(f"unknown particle symbol {sym!r}")
@@ -247,10 +221,10 @@ def registry_json() -> list[dict]:
     """Registry and chart as plain data: symbol, digits, class, products."""
     return [
         {
-            "symbol": sym,
-            "digits": _PARTICLE_DIGITS[sym],
-            "class": _PARTICLES[sym].kind.value,
-            "products": list(_DECAY_PRODUCTS[sym]),
+            "symbol": p.symbol,
+            "digits": p.digits.text,
+            "class": p.kind.value,
+            "products": list(_DECAY_PRODUCTS[p.symbol]),
         }
-        for sym in REGISTRY_ORDER
+        for p in _PARTICLES.values()
     ]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 from itertools import groupby, product
 
 
@@ -340,3 +341,97 @@ def power_iteration(entries, tol: float) -> tuple[float, list[float]]:
             return lam, v
         prev = lam
     raise ArithmeticError("power iteration did not converge")
+
+
+# Exact arithmetic in Q(lam), lam the real root of x^3 - x - 1: an element
+# a + b*lam + c*lam^2 is the triple (a, b, c) of Fractions.
+
+def _qlam_mul(u, w):
+    c = [Fraction(0)] * 5
+    for i, x in enumerate(u):
+        for j, y in enumerate(w):
+            c[i + j] += x * y
+    # lam^3 = lam + 1 and lam^4 = lam^2 + lam
+    return (c[0] + c[3], c[1] + c[3] + c[4], c[2] + c[4])
+
+
+def _det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def _qlam_inverse(u):
+    """u^-1 by Cramer's rule on the matrix of multiplication by u, whose
+    columns are u, u*lam and u*lam^2 in the basis 1, lam, lam^2."""
+    cols = [u, _qlam_mul(u, (0, 1, 0)), _qlam_mul(u, (0, 0, 1))]
+    det = _det3(*cols)
+    e = (1, 0, 0)
+    return tuple(
+        Fraction(_det3(*(e if k == j else col for k, col in enumerate(cols)))) / det
+        for j in range(3)
+    )
+
+
+def plastic_interval(width: Fraction) -> tuple[Fraction, Fraction]:
+    """[lo, hi], narrower than ``width``, holding the real root of
+    x^3 - x - 1, by exact bisection of [1, 2]."""
+    lo, hi = Fraction(1), Fraction(2)
+    while hi - lo >= width:
+        mid = (lo + hi) / 2
+        if mid ** 3 - mid - 1 < 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def exact_perron_frequencies(matrix) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """The normalized null vector of (M - lam I), each entry in Q(lam), for
+    an integer matrix M that has lam as a simple eigenvalue: Gauss-Jordan
+    elimination over Q(lam), the one free entry set to 1, then divided by
+    the sum of the entries."""
+    n = len(matrix)
+    rows = [[(Fraction(x), Fraction(-(i == j)), Fraction(0)) for j, x in enumerate(row)]
+            for i, row in enumerate(matrix)]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if any(rows[i][col])), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = _qlam_inverse(rows[r][col])
+        rows[r] = [_qlam_mul(inv, x) for x in rows[r]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != r and any(f):
+                rows[i] = [tuple(a - b for a, b in zip(x, _qlam_mul(f, y)))
+                           for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    (free,) = set(range(n)) - set(pivots)
+    v = [(Fraction(1), Fraction(0), Fraction(0))] * n
+    for r, col in enumerate(pivots):
+        v[col] = tuple(-x for x in rows[r][free])
+    total = tuple(map(sum, zip(*v)))
+    inv = _qlam_inverse(total)
+    return [_qlam_mul(inv, x) for x in v]
+
+
+def qlam_interval(u, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Bounds on a + b*lam + c*lam^2 for every lam in [lo, hi], 0 < lo."""
+    low, high = u[0], u[0]
+    for coeff, (x, y) in zip(u[1:], ((lo, hi), (lo * lo, hi * hi))):
+        low += min(coeff * x, coeff * y)
+        high += max(coeff * x, coeff * y)
+    return low, high
+
+
+def exact_rounding(lo: Fraction, hi: Fraction, decimals: int) -> str | None:
+    """The ``decimals``-place rounding, as printed, shared by every number in
+    [lo, hi] (0 <= lo), or None if a rounding boundary lies in [lo, hi]."""
+    scale = 10 ** decimals
+    k = math.floor(lo * scale + Fraction(1, 2))
+    if k != math.floor(hi * scale + Fraction(1, 2)) or lo * scale + Fraction(1, 2) == k:
+        return None
+    return f"{k // scale}.{k % scale:0{decimals}d}"

@@ -22,7 +22,7 @@ from hashlib import sha256
 
 import pytest
 
-from audioactive import DigitString, cli, iterate
+from audioactive import DigitString, cli, iterate, lookandsay_step
 
 
 def _strings(seed: int, count: int, low: int, high: int) -> list[str]:
@@ -41,6 +41,39 @@ _DECOMPOSE = ["", "0", "1", "22", "2122", "21210", "1001", "2222", "101102110211
 _ITERATE_40 = _iterate("1", 40)
 _KVALUE = _strings(1, 200, 1, 20)
 _GROWTH = ["1", "12000", *_strings(3, 4, 1, 12)]
+
+
+def _long_iterates(seed: int, count: int, digits: int = 300_000) -> list[str]:
+    """The first iterate past ``digits`` of each of ``count`` seeded
+    length-10 essential strings (runs of at most 3, a 0 only at the end),
+    cut after its last 0 below ``digits``: the seeds workload's inputs."""
+    rng = random.Random(seed)
+    texts = []
+    while len(texts) < count:
+        text = "".join(rng.choices("12", k=9)) + rng.choice("012")
+        if any(run in text for run in ("1111", "2222")):
+            continue
+        s = DigitString(text, 3)
+        while len(s) < digits:
+            s = lookandsay_step(s)
+        texts.append(s.text[: s.text.rindex("0", 0, digits) + 1])
+    return texts
+
+
+_STEP_SEEDS = {"2": "1101", "3": "2100", "4": "3312", "10": "9876543210"}
+_LONG_RUN_7 = "12" + "5" * 100_000 + "36"
+_OTHER_GROWTH = [("1", "2", "50"), ("1", "10", "60"), ("31", "4", "49"),
+                 ("".join(random.Random(9).choices("012345678", k=3)), "9", "40"),
+                 (_LONG_RUN_7, "7", "30")]
+_FORMATS = ("text", "csv", "json")
+# Errors whose text the package writes (argparse's varies by Python version).
+_ERRORS = [
+    ["ancients", "--length", "17"], ["decompose", "2222"],
+    ["spectrum", "--table", "charpoly", "--format", "json"], ["growth", "--iters", "5"],
+    ["kvalue", "2222", "--iters", "0"], ["step", "3", "--base", "3"],
+    ["step", "1", "--base", "11"], ["fixedpoints", "--max-len", "0"],
+    ["step", "1,2,", "--tokens"],
+]
 
 RECIPES = {
     "kvalue text, 200 seeded strings of 1-20 digits": [["kvalue", s] for s in _KVALUE],
@@ -73,6 +106,36 @@ RECIPES = {
     "frequencies": [["frequencies", "--format", fmt] for fmt in ("text", "csv", "json")],
     "verify --out, caps 0, 9, 10 and 50":
         [["verify", "--cap", cap, "--out", "{out}"] for cap in ("0", "9", "10", "50")],
+    "step, digit mode in bases 2, 3, 4 and 10": [
+        ["step", seed, "--base", base, "--n", n]
+        for base, long_seed in _STEP_SEEDS.items() for seed in ("", "1", long_seed)
+        for n in ("0", "1", "7")
+    ],
+    "step, token mode": [
+        ["step", seed, "--tokens", "--n", n]
+        for seed in ("1", "1,10,1,5", "0,0,7") for n in ("0", "1", "6")
+    ],
+    "ancients, lengths 1, 7 and 16": [
+        ["ancients", "--length", length, "--format", fmt]
+        for length in ("1", "7", "16") for fmt in _FORMATS
+    ] + [
+        ["ancients", "--length", length, "--count-only", "--format", fmt]
+        for length in ("1", "7", "16") for fmt in ("text", "json")
+    ],
+    "fixedpoints, bases 3, 2 and 10": [
+        ["fixedpoints", "--base", base, "--max-len", max_len, *more, "--format", fmt]
+        for base, max_len in (("3", "16"), ("3", "20"), ("2", "12"), ("10", "10"))
+        for more in ((), ("--all",)) for fmt in _FORMATS
+    ],
+    "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run": [
+        ["growth", "--seed", seed, "--base", base, "--iters", iters, "--format", fmt]
+        for seed, base, iters in _OTHER_GROWTH for fmt in _FORMATS
+    ],
+    "decompose, three seeded iterates cut below 300,000 digits": [
+        ["decompose", text, "--format", fmt] for text in _long_iterates(35, 3)
+        for fmt in ("text", "json")
+    ],
+    "errors the package reports": _ERRORS,
 }
 
 DIGESTS = {
@@ -89,6 +152,13 @@ DIGESTS = {
     "spectrum": "04cd6292d31bda02b86a1e0b09fc90892112447e300b60e5e1fbda21a6646b7a",
     "frequencies": "d2ee21c7ae248b5dd3c77ce38e22527309f6a9ff18b315b1d385c760efb0634a",
     "verify --out, caps 0, 9, 10 and 50": "d0c664b35f7603425cf50bdc31fc45cd2c1c2eeda22443e6c112ff6dba3461f6",
+    "step, digit mode in bases 2, 3, 4 and 10": "8b797dddbb986c997b8998e33e1d4c1933c947b40645716c982bc1d7cf4c8ff8",
+    "step, token mode": "5989c1e17765975352e4b591c4dccf293a92fc273d1c5a06f51bf0076f42df50",
+    "ancients, lengths 1, 7 and 16": "25f7826cc9b5db9120a6395df6807c386e6b71015c5a6bb518bfb3cce09d4590",
+    "fixedpoints, bases 3, 2 and 10": "7bb7b7edbd9c32e67202e1b15e43fd12120fd11f7c6dbba3950c87edb69b8b3c",
+    "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run": "9d02c4425482ca3a5b4de6c87590cba34467f50c7cbd187012dd90d7bd0e16fe",
+    "decompose, three seeded iterates cut below 300,000 digits": "fca665f667513379a6c803f88de0c75705b47964f87aa32053f6bc602b6bd918",
+    "errors the package reports": "f5d9afa6893bb3270304d07df25b11fde370aaaa16383b1d5408f0dc6651b23b",
 }
 
 

@@ -91,6 +91,22 @@ class TestDecayChart:
             child = lookandsay_step(rule.parent.digits)
             assert child.text == "".join(p.digits.text for p in rule.products)
 
+    def test_one_product_chains_end_at_two_products_or_a_neutrino(self):
+        # The step of a compound never loses particles, so on a cycle every
+        # particle has one product; following one-product entries must
+        # then reach a neutrino's self-loop or leave the cycle.
+        products = {r.parent.symbol: tuple(p.symbol for p in r.products) for r in decay_chart()}
+        two = {sym for sym, ps in products.items() if len(ps) == 2}
+        assert all(len(ps) == 1 for sym, ps in products.items() if sym not in two)
+        for sym in products:
+            chain = [sym]
+            while chain[-1] not in two and products[chain[-1]][0] not in chain:
+                chain.append(products[chain[-1]][0])
+            if sym in NEUTRINO_ORDER:
+                assert chain == [sym] and products[sym] == (sym,)
+            else:
+                assert chain[-1] in two, chain
+
     def test_chart_derivation_examples(self):
         for sym, expected in (("Sm", ("E", "Su")), ("T", ("E", "B")), ("M", ("E", "U"))):
             dec = decompose(lookandsay_step(lookup(sym).digits))

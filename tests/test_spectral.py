@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -300,6 +301,22 @@ class TestFrequencies:
         for routine in (dominant_eigenvalue, limiting_frequencies):
             with pytest.raises(ConvergenceError, match="zero vector"):
                 routine(nilpotent)
+
+
+def test_printed_digits_are_the_exact_roundings():
+    """lambda to 9 places and each frequency to 6, as printed, equal the
+    roundings of the exact values: lambda bounded by bisection, each
+    frequency solved over Q(lambda) and bounded on lambda's interval.  No
+    interval may straddle a rounding boundary, or the digit is unproven."""
+    lo, hi = oracles.plastic_interval(Fraction(1, 10**24))
+    exact = [oracles.qlam_interval(f, lo, hi)
+             for f in oracles.exact_perron_frequencies(ref.TRANSITION_MATRIX)]
+    want = [oracles.exact_rounding(lo, hi, 9)] + [oracles.exact_rounding(*f, 6) for f in exact]
+    assert None not in want, want
+    freqs = limiting_frequencies()
+    got = [f"{dominant_eigenvalue(fermion_matrix()):.9f}"]
+    got += [f"{freqs[sym]:.6f}" for sym in ref.MATRIX_ORDER]
+    assert got == want
 
 
 class TestEigenvalues:
