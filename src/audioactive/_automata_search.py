@@ -27,16 +27,17 @@ def _minimal(edges: tuple[tuple[int, ...], ...], accept: tuple[bool, ...]) -> Df
     """The minimal DFA of states 0, 1, ..., where state q goes to
     ``edges[q][d]`` on digit d and accepts when ``accept[q]``.
 
-    The states must be numbered breadth first in digit order from state 0;
-    then so are the blocks, taken in the order of their first states.
+    The alphabet is the digits 0 up to the rows' width.  The states must be
+    numbered breadth first in digit order from state 0; then so are the
+    blocks, taken in the order of their first states.
     """
-    zero, one, two = zip(*edges)
+    columns = tuple(zip(*edges))  # columns[d][q] is edges[q][d]
     block = list(map(int, accept))
     count = len(set(block))
     while True:  # split blocks by their successors' blocks until none splits
         at = block.__getitem__
-        ids: dict[tuple[int, int, int, int], int] = {}
-        keys = zip(block, map(at, zero), map(at, one), map(at, two))
+        ids: dict[tuple[int, ...], int] = {}
+        keys = zip(block, *[map(at, column) for column in columns])
         block = [ids.setdefault(key, len(ids)) for key in keys]
         if len(ids) == count:
             break

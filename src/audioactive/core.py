@@ -15,13 +15,12 @@ pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs.
 
-Length sequences follow a multiset of pieces.  Base 3 cuts and steps
-them as :mod:`audioactive.splitting` does, which owns cutting base-3
-strings into particles, the cut after a 0 among them, and the one base-3
-piece memo.  Every other base cuts at the splits the orbit cutter proves,
-and bases 4..10 start from a frozen table of the pieces every orbit there
-settles into; token mode is counted as a base-10 text from its second
-iterate on.
+Length sequences follow a multiset of pieces, cut at splits by
+:mod:`audioactive.splitting`, which owns every cut rule: after a 0 in
+base 2, Conway's rule in bases 4..10, and base 3's particles, with the one
+base-3 piece memo.  Bases 4..10 start from a frozen table of the pieces
+every orbit there settles into, Conway's 92 common elements; token mode is
+counted as a base-10 text from its second iterate on.
 """
 
 from __future__ import annotations
@@ -494,97 +493,13 @@ def fixed_point_search(
 # two were due, so the lengths part.  The criterion reads only a and R, so a
 # cut inside a piece splits the whole string, and all such cuts hold at once.
 
-_HELD_RUNS = 4  # runs of R held while proving a cut
-_ORBIT_STEPS = 256  # held states of R's orbit, R's own first, searched for a repeat
-
-
-def _orbit_cutter(base: int) -> Callable[[str], list[str]]:
-    """A function cutting texts in ``base`` into pieces at proven splits.
-
-    A cut after a 0 needs no proof: numerals never start with 0.  Any other
-    cut is proven from the leading digits of R's iterates, found by stepping
-    a held state: whether the held text is all of the iterate, and the
-    iterate's first ``_HELD_RUNS`` runs.  A partial state drops its last run
-    (it may continue) before stepping; the runs before it emit an exact
-    prefix, so the leading digit stays exact.  A repeated state proves the
-    whole set of leading digits.  The walk starts from R's own state, whose
-    first digit is never L's last (the cut is at a run boundary), so it
-    changes no answer.  A prefix that runs out, or no repeat among
-    ``_ORBIT_STEPS`` states counting R's own, proves nothing and leaves the
-    cut uncut, which is always sound.  The proofs are memoized for the life
-    of the returned function.
-    """
-    held = _HELD_RUNS
-    # state -> leading digits of it and of every later state, None if unproven
-    future: dict[tuple[bool, str], frozenset[str] | None] = {}
-
-    def step(state: tuple[bool, str]) -> tuple[bool, str] | None:
-        complete, t = state
-        if not complete:
-            t = t.rstrip(t[-1])
-            if not t:
-                return None
-        t = _step_text(t, base)
-        ends = [m.end() for m in islice(_RUN.finditer(t), held + 1)]
-        if len(ends) > held:
-            return False, t[: ends[held - 1]]
-        return complete, t
-
-    def leads(state: tuple[bool, str] | None) -> frozenset[str] | None:
-        path: list[tuple[bool, str]] = []
-        index: dict[tuple[bool, str], int] = {}
-        found = None
-        while state is not None:
-            if state in future:
-                found = future[state]
-                break
-            if state in index:  # a cycle: its states share its leading digits
-                cycle = path[index[state]:]
-                del path[index[state]:]
-                found = frozenset(s[1][0] for s in cycle)
-                for s in cycle:
-                    future[s] = found
-                break
-            if len(path) == _ORBIT_STEPS:
-                break
-            index[state] = len(path)
-            path.append(state)
-            state = step(state)
-        for s in reversed(path):
-            if found is not None:
-                found = found | {s[1][0]}
-            future[s] = found
-        return found
-
-    def cut(text: str) -> list[str]:
-        starts = [m.start() for m in _RUN.finditer(text)] + [len(text)]
-        pieces = []
-        prev = 0
-        for k in range(1, len(starts) - 1):  # the cut before run k
-            p = starts[k]
-            a = text[p - 1]
-            if a != "0":
-                last = min(k + held, len(starts) - 1)
-                got = leads((last == len(starts) - 1, text[p : starts[last]]))
-                if got is None or a in got:
-                    continue
-            pieces.append(text[prev:p])
-            prev = p
-        if text:
-            pieces.append(text[prev:])
-        return pieces
-
-    return cut
-
-
 # The pieces that base-10 "1" holds at steps 61-80, one line each: the piece,
-# then the pieces _orbit_cutter(10) cuts its step into, in order.  90 are
-# Conway's common elements; in the other 4 (1322, 311322, 1113122 and
-# 111213322) the 22 stays glued to what precedes it, a cut that 4 held runs
-# do not prove.  Digits 1-3 in runs of at most 3 step alike in every base
-# from 4 on, and the tests check that _orbit_cutter(b) cuts every entry's
-# step the same way for each b = 4..10.  Kept as text and parsed on first
-# use, so an import that never counts a high base does not build it.
+# then the pieces splitting._cutter(10) cuts its step into, in order.  They
+# are Conway's 92 common elements.  Digits 1-3 in runs of at most 3 step
+# alike in every base from 4 on, and the tests check that splitting._cutter(b)
+# cuts every entry's step the same way for each b = 4..10.  Kept as text and
+# parsed on first use, so an import that never counts a high base does not
+# build it.
 _HIGH_BASE_PIECES = """\
 3 13
 12 1112
@@ -594,9 +509,9 @@ _HIGH_BASE_PIECES = """\
 312 131112
 1112 3112
 1113 3113
-1322 1113 22
 3112 132112
 3113 132113
+11131 311311
 11132 311312
 13211 11131221
 31132 13211312
@@ -607,9 +522,8 @@ _HIGH_BASE_PIECES = """\
 132113 1113122113
 311311 13211321
 311312 1321131112
-311322 132113 22
 311332 132 12 312
-1113122 311311 22
+1112133 3112112 3
 1113222 311332
 1321132 111312211312
 1322112 1113222112
@@ -622,7 +536,6 @@ _HIGH_BASE_PIECES = """\
 13211312 11131221131112
 13211321 11131221131211
 31131112 1321133112
-111213322 3112112 3 22
 123222112 111213322112
 123222113 111213322113
 311311222 1321132 132
@@ -632,7 +545,7 @@ _HIGH_BASE_PIECES = """\
 1113222113 3113322113
 1321122112 11131221222112
 1321131112 11131221133112
-1321133112 1113122 12 32112
+1321133112 11131 22 12 32112
 3113112211 132113212221
 3113322112 132 123222112
 3113322113 132 123222113
@@ -654,8 +567,8 @@ _HIGH_BASE_PIECES = """\
 311322113212221 13211322211312113211
 3113112211322112 13211321222113222112
 3113112221131112 1321132 13221133112
-3113112221133112 1321132 1322 12 32112
-13221133122211332 1113222 12 311322 12 312
+3113112221133112 1321132 13 22 12 32112
+13221133122211332 1113222 12 3113 22 12 312
 111312211312113211 311311222113111221131221
 132112211213322112 111312212221121123222112
 132112211213322113 111312212221121123222113
@@ -663,7 +576,7 @@ _HIGH_BASE_PIECES = """\
 13211321222113222112 11131221131211322113322112
 13211322211312113211 1113122113322113111221131221
 132211331222113112211 1113222 12 311322113212221
-12322211331222113112211 111213322 12 311322113212221
+12322211331222113112211 1112133 22 12 311322113212221
 31131122211311122113222 1321132 13221133122211332
 111312212221121123222112 3113112211322112211213322112
 111312212221121123222113 3113112211322112211213322113
@@ -674,8 +587,8 @@ _HIGH_BASE_PIECES = """\
 1113122113322113111221131221 311311222 12322211331222113112211
 3113112211322112211213322112 1321132122211322212221121123222112
 3113112211322112211213322113 1321132122211322212221121123222113
-13112221133211322112211213322112 11132 1322 12 312211322212221121123222112
-13112221133211322112211213322113 11132 1322 12 312211322212221121123222113
+13112221133211322112211213322112 11132 13 22 12 312211322212221121123222112
+13112221133211322112211213322113 11132 13 22 12 312211322212221121123222113
 1321132122211322212221121123222112 111312211312113221133211322112211213322112
 1321132122211322212221121123222113 111312211312113221133211322112211213322113
 111312211312113221133211322112211213322112 31131122211311122113222 12 312211322212221121123222112
@@ -725,17 +638,18 @@ def _piece_counts(
 def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
     """Length sequence of ``text`` from the piece engine.
 
-    Base 3 cuts and steps its pieces as :mod:`audioactive.splitting` does
-    (``splitting._cut``, and the per-process memo ``splitting._children``).
-    Every other base cuts wherever ``_orbit_cutter`` proves a split, and
-    bases 4-10 start from the frozen table of the pieces every orbit there
+    Every base cuts with ``splitting._cutter(base)``.  Base 3 steps its
+    pieces through the per-process memo ``splitting._children``; bases
+    4-10 start from the frozen table of the pieces every orbit there
     settles into, so only the pieces a seed adds of its own are stepped
     and cut: the transients, and pieces holding a digit above 3.
     """
+    from .splitting import _children, _cutter  # splitting imports core
+
+    cut = _cutter(base)
     if base == 3:
-        from .splitting import _children as children, _cut as cut  # splitting imports core
+        children = _children
     else:
-        cut = _orbit_cutter(base)
         children = _Memo(lambda piece: cut(_step_text(piece, base)))
         if base >= 4:
             children.update(_high_base_table())
@@ -747,12 +661,11 @@ def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
     """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
     Both modes are tracked exactly through a multiset of pieces cut at
-    proven splits: base 3 at those of :mod:`audioactive.splitting`, other
-    bases at those proven from leading-digit orbits (cheap at any depth:
-    only the counts grow, so neither mode has a length budget).  In bases 4..10 the
-    pieces of the frozen table are never stepped or cut: their steps are
-    read from it.  Token mode takes two token steps and counts the rest as
-    a base-10 text.
+    the splits :mod:`audioactive.splitting` proves in the seed's base
+    (cheap at any depth: only the counts grow, so neither mode has a length
+    budget).  In bases 4..10 the pieces of the frozen table are never
+    stepped or cut: their steps are read from it.  Token mode takes two
+    token steps and counts the rest as a base-10 text.
     """
     if iters < 0:
         raise ValueError("iteration count must be non-negative")
@@ -763,9 +676,9 @@ def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
     # value.  So from the second iterate on every count is 1, 2 or 3, and
     # any other token is a value that sits alone between two counts.
     # Writing all such values as one symbol then merges no runs.  That
-    # symbol is 0: it never starts an iterate, so _orbit_cutter cuts after
-    # it without a proof.  The result is a base-10 text whose steps match
-    # the token steps one for one, with equal lengths.
+    # symbol is 0: no numeral is 0, so the base-10 cutter cuts after it.
+    # The result is a base-10 text whose steps match the token steps one
+    # for one, with equal lengths.
     firsts = iterate_tokens(seed, min(iters, 2))
     lengths = [len(t) for t in firsts]
     if iters <= 2:

@@ -67,6 +67,24 @@ exact.  Its per-process memo ``_children`` maps each piece to the cut of
 its step.  It starts empty and fills on lookup, particles included;
 ``cosmology.k_value``, base-3 length sequences (``core.length_sequence``)
 and ``particles.derive_decay_chart`` all read it.
+
+``_cutter`` gives the piece engine its cutter in every base.  Base 2 cuts
+after its 0s, which are all its splits, since every base-2 numeral starts
+with 1.  Bases 4..10 cut by Conway's Splitting Theorem (J. H. Conway,
+"The weird and wonderful chemistry of audioactive decay", 1987), written
+as one regular expression, ``_rule``, on texts with no run of 4, and cut
+any other text after its 0s.  Call 0 and the digits from 4 up inert.  The
+rule rests on the inert-digit lemma: from base 4 on, the step maps
+strings whose runs are at most 3 to such strings, alike in every base,
+and its numerals there are 1-3, so no iterate of R ever leads with an
+inert digit and every cut after one is a split.  The step also keeps
+inert digits isolated between numerals, so which inert digit stands where
+changes no leading digit in 1-3; the tests prove every cut ``_rule``
+makes at every length over the digits 0-4 in base 5, which covers bases
+4..10.  The rule is sound but not complete: a split before three equal
+inert digits, or before ``22`` and three equal inert digits, stays uncut.
+On every string of up to 7 digits over 0-4 with no run of 4, these are
+the only splits an orbit search proves and the rule leaves.
 """
 
 from __future__ import annotations
@@ -74,12 +92,14 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain
 from typing import Callable, Literal
 
 from . import particles
-from .core import DigitString, SplitDomainError, _Memo, _Record, _splittable, _step_text
+from .core import (
+    _DIGIT_CHARS, DigitString, SplitDomainError, _Memo, _Record, _splittable, _step_text,
+)
 
 SplitMode = Literal["full", "conservative"]
 
@@ -232,6 +252,53 @@ def _cut(t: str) -> list[str]:
     """``t`` cut at every split it is proven to have: ``_factor`` in the
     splitting domain, ``_zero_pieces`` outside it."""
     return _factor(t) if _splittable(t) else _zero_pieces(t)
+
+
+@cache
+def _rule() -> re.Pattern:
+    """Every split Conway's rule makes in a text with no run of 4, in every
+    base 4..10; compiled on first use.
+
+    n stands for an inert digit, 0 or one from 4 up.  The rule cuts after
+    an n, before another digit; after a 2, before an flf prefix; and after
+    a 1 or 3, before ``22`` and then the end or an flf prefix.  The flf
+    prefixes are ``3`` then the end, ``111`` not followed by 1, an n not
+    followed by the same n, ``1x`` (x not 1) not followed by x, and ``3y``
+    (y not 3) not followed by ``yy``.  One pattern serves every base: a
+    digit the base lacks never occurs.  Like ``_CUT``, it reads the digit
+    before a cut and at most ``_CUT_AHEAD`` after it.
+    """
+    inert = "0456789"
+    lone = "|".join(f"{n}(?!{n})" for n in inert)
+    one = "|".join(f"{x}(?!{x})" for x in _DIGIT_CHARS if x != "1")
+    three = "|".join(f"{y}(?!{y}{y})" for y in _DIGIT_CHARS if y != "3")
+    flf = rf"3\Z|111(?!1)|{lone}|1(?:{one})|3(?:{three})"
+    after = "|".join(f"(?<={n})[^{n}]" for n in inert)
+    # the end follows 22 as an flf prefix; (?!\Z) keeps out a cut at the end
+    return re.compile(rf"(?!\Z)(?={after}|(?:(?<=2)|(?<=[13])22)(?:\Z|{flf}))")
+
+
+def _cutter(base: int) -> Callable[[str], list[str]]:
+    """The function that cuts base-``base`` texts at proven splits.
+
+    Base 2 cuts after every 0 (``_zero_pieces``): every base-2 numeral
+    starts with 1, so these are all its splits.  Base 3 is ``_cut``.  Bases
+    4..10 cut by ``_rule()`` a text with no run of 4, and cut any other
+    text after its 0s alone, as ``_cut`` does outside its domain.
+    """
+    if base == 2:
+        return _zero_pieces
+    if base == 3:
+        return _cut
+    split = _rule().split
+    fours = [d * 4 for d in _DIGIT_CHARS[:base]]
+
+    def cut(t: str) -> list[str]:
+        if any(run in t for run in fours):
+            return _zero_pieces(t)
+        return split(t) if t else []
+
+    return cut
 
 
 # The one base-3 piece memo: each piece met -> the ``_cut`` pieces of its

@@ -39,11 +39,12 @@ from audioactive import (
     step_of_runs,
     token_step,
 )
-from audioactive import _arrays, automata, core, spectral
+from audioactive import _arrays, automata, core, spectral, splitting
 from audioactive._arrays import _array_step, _array_to_text, _text_to_array
-from audioactive.core import _orbit_cutter, _step_text
+from audioactive.core import _step_text
 from audioactive.cosmology import DEFAULT_CAP
 
+from orbit_oracle import orbit_cutter
 from oracles import (
     ANCIENT_CAPS,
     RUN_BOUNDED_CAPS,
@@ -466,43 +467,46 @@ class TestLengthSequence:
             assert got == want, (base, seed[:40])
 
     def test_base3_cuts_with_splitting_alone(self, monkeypatch):
-        # base 3 cuts its pieces as splitting does, and never asks the orbit
-        # cutter, which every other base still uses
-        real = core._orbit_cutter
-
-        def refuse(base):
-            assert base != 3, "base 3 asked the orbit cutter"
-            return real(base)
-
+        # every base asks splitting for its cutter; base 3's is splitting's
+        # own _cut, stepped through its memo, and base 2's the cut after 0s
+        assert splitting._cutter(3) is splitting._cut
+        assert splitting._cutter(2) is splitting._zero_pieces
+        asked = []
+        real = splitting._cutter
+        monkeypatch.setattr(splitting, "_cutter", lambda base: asked.append(base) or real(base))
         seeds = ["1", "12000", "2", "1111011112", "20221110"]
         want = [_array_lengths(seed, 3, steps=40) for seed in seeds]
-        monkeypatch.setattr(core, "_orbit_cutter", refuse)
+        splitting._children.clear()
         for seed, lengths in zip(seeds, want):
             assert length_sequence(ds(seed, 3), len(lengths) - 1) == lengths, seed
             est = spectral.empirical_growth(ds(seed, 3), len(lengths) - 1)
             assert est.lengths == tuple(lengths), seed
+            assert set(splitting._cut(seed)) <= set(splitting._children), seed
         assert length_sequence(ds("1", 2), 12) == [len(s) for s in iterate(ds("1", 2), 12)]
+        assert set(asked) == {2, 3}
 
     def test_unproven_cuts_stay_uncut(self, monkeypatch):
-        # one held run exhausts every partial state and one orbit step finds
-        # no cycle: the cutter proves less and the lengths must not change.
-        # Base 3 cuts with splitting, not the orbit cutter, so its cases run
-        # splitting's cutter, which the weakening leaves alone.
+        # a cutter that proves fewer cuts must not change the lengths: the
+        # rule's cuts with the frozen table, without it (so bases 4-10 cut
+        # every piece they meet, not only the transients), and cuts after 0s
+        # alone in every base, base 3's memo included
         cases = [
-            (base, seed, len(_array_lengths(seed, base, stop=10_000)) - 1)
+            (base, seed, _array_lengths(seed, base, stop=10_000))
             for base, seed in _length_seeds()
             if len(seed) < 100
         ]
-        want = [length_sequence(ds(seed, base), steps) for base, seed, steps in cases]
-        monkeypatch.setattr(core, "_HELD_RUNS", 1)
-        monkeypatch.setattr(core, "_ORBIT_STEPS", 1)
-        assert [length_sequence(ds(seed, base), steps) for base, seed, steps in cases] == want
-        # bases 4-10 take their settled pieces from the frozen table, so the
-        # weak cutter meets only transients there; emptied, it meets them all
+
+        def assert_lengths():
+            for base, seed, want in cases:
+                assert length_sequence(ds(seed, base), len(want) - 1) == want, (base, seed)
+
+        assert_lengths()
         monkeypatch.setattr(core, "_high_base_table", lambda: {})
-        high = [(case, lengths) for case, lengths in zip(cases, want) if case[0] >= 4]
-        for (base, seed, steps), lengths in high:
-            assert length_sequence(ds(seed, base), steps) == lengths, (base, seed)
+        assert_lengths()
+        zeros = splitting._zero_pieces
+        monkeypatch.setattr(splitting, "_cutter", lambda base: zeros)
+        monkeypatch.setattr(splitting, "_children", core._Memo(lambda p: zeros(_step_text(p, 3))))
+        assert_lengths()
 
     # Values of 10 and more, runs of 10 and more, zeros, more than 7 distinct
     # values other than 1-3, and the empty seed.
@@ -557,7 +561,10 @@ def _length_seeds():
 
 
 class TestOrbitCutter:
-    """Every cut the orbit cutter proves in bases 4..10 is a split."""
+    """Every cut the orbit cutter and Conway's rule make in bases 4..10 is a
+    split, checked by stepping."""
+
+    CUTTERS = (orbit_cutter, splitting._cutter)
 
     @staticmethod
     def assert_splits(cut, text, base, steps=12):
@@ -577,45 +584,49 @@ class TestOrbitCutter:
         return len(pieces) - 1
 
     def test_iterates_of_one(self):
-        for base in range(4, 11):
-            cut = _orbit_cutter(base)
-            for text in iterate(ds("1", base), 14)[1:]:
-                self.assert_splits(cut, text.text, base)
-            assert len(cut(iterate(ds("1", base), 14)[-1].text)) > 5, base
+        for cutter in self.CUTTERS:
+            for base in range(4, 11):
+                cut = cutter(base)
+                for text in iterate(ds("1", base), 14)[1:]:
+                    self.assert_splits(cut, text.text, base)
+                assert len(cut(iterate(ds("1", base), 14)[-1].text)) > 5, base
 
     def test_random_seeds(self):
-        rng = random.Random(404)
-        cuts = 0
-        for base in range(4, 11):
-            cut = _orbit_cutter(base)
-            alphabet = "0123456789"[:base]
-            for _ in range(40):
-                text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
-                cuts += self.assert_splits(cut, text, base)
-        assert cuts > 1000  # the sample genuinely exercises orbit cuts
+        for cutter in self.CUTTERS:
+            rng = random.Random(404)
+            cuts = 0
+            for base in range(4, 11):
+                cut = cutter(base)
+                alphabet = "0123456789"[:base]
+                for _ in range(40):
+                    text = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 24)))
+                    cuts += self.assert_splits(cut, text, base)
+            assert cuts > 1000  # the sample genuinely exercises the cuts
 
     def test_long_run(self):
-        rng = random.Random(405)
-        for base in range(4, 11):
-            cut = _orbit_cutter(base)
-            alphabet = "0123456789"[:base]
-            d = rng.choice(alphabet[1:])
-            others = alphabet.replace(d, "")
-            noise = "".join(rng.choice(others) for _ in range(30))
-            text = noise + d * (10**5 + rng.randrange(1000)) + noise[::-1]
-            assert self.assert_splits(cut, text, base) > 0, base
+        for cutter in self.CUTTERS:
+            rng = random.Random(405)
+            for base in range(4, 11):
+                cut = cutter(base)
+                alphabet = "0123456789"[:base]
+                d = rng.choice(alphabet[1:])
+                others = alphabet.replace(d, "")
+                noise = "".join(rng.choice(others) for _ in range(30))
+                text = noise + d * (10**5 + rng.randrange(1000)) + noise[::-1]
+                assert self.assert_splits(cut, text, base) > 0, base
 
     def test_empty_and_single_runs(self):
-        cut = _orbit_cutter(10)
-        assert cut("") == []
-        assert cut("7") == ["7"]
-        assert cut("0123") == ["0", "12", "3"]  # 3's iterates lead with 1 or 3
-        assert cut("22") == ["22"]
+        for cutter in self.CUTTERS:
+            cut = cutter(10)
+            assert cut("") == []
+            assert cut("7") == ["7"]
+            assert cut("0123") == ["0", "12", "3"]  # 3's iterates lead with 1 or 3
+            assert cut("22") == ["22"]
 
 
 def _held_pieces(seed, base, steps):
     """The pieces the engine holds at ``steps`` from ``seed``, without a table."""
-    cut = _orbit_cutter(base)
+    cut = splitting._cutter(base)
     counts = core._piece_counts(cut(seed), core._Memo(lambda piece: cut(_step_text(piece, base))))
     return set().union(*islice(counts, steps.start, steps.stop))
 
@@ -624,18 +635,17 @@ class TestHighBaseTable:
     """The frozen pieces of bases 4..10 and the pieces of their steps."""
 
     TABLE = core._high_base_table()
-    GLUED = {"1322": "13", "311322": "3113", "1113122": "11131", "111213322": "1112133"}
 
     def test_entries_are_the_cutters_pieces_in_every_base(self):
         for base in range(4, 11):
-            cut = _orbit_cutter(base)
+            cut = splitting._cutter(base)
             for piece, subs in self.TABLE.items():
                 assert tuple(cut(_step_text(piece, base))) == subs, (base, piece)
                 assert "".join(subs) == reference_step(piece, base), (base, piece)
 
     def test_keys_are_the_late_pieces_of_one_in_base_10(self):
         assert set(self.TABLE) == _held_pieces("1", 10, range(61, 81))
-        assert len(self.TABLE) == 94
+        assert len(self.TABLE) == 92
         assert {sub for subs in self.TABLE.values() for sub in subs} <= set(self.TABLE)
 
     def test_late_pieces_of_other_seeds_are_keys(self):
@@ -649,13 +659,14 @@ class TestHighBaseTable:
                 low = {p for p in _held_pieces(seed, base, range(51, 61)) if set(p) <= set("123")}
                 assert low <= set(self.TABLE), (base, seed, low - set(self.TABLE))
 
-    def test_four_entries_glue_a_22_that_six_held_runs_cut(self, monkeypatch):
-        # the other 90 are Conway's common elements, which have no split
-        monkeypatch.setattr(core, "_HELD_RUNS", 6)
+    def test_six_held_runs_prove_the_same_cuts(self):
+        # the entries are Conway's common elements: the orbit cutter with six
+        # held runs splits none of them, and cuts each one's step as the rule
         for base in (4, 10):
-            cut = _orbit_cutter(base)
-            split = {piece: cut(piece) for piece in self.TABLE if cut(piece) != [piece]}
-            assert split == {piece: [head, "22"] for piece, head in self.GLUED.items()}
+            cut = orbit_cutter(base, held=6)
+            assert {piece for piece in self.TABLE if cut(piece) != [piece]} == set()
+            for piece, subs in self.TABLE.items():
+                assert tuple(cut(_step_text(piece, base))) == subs, (base, piece)
 
 
 def _eye(scale):

@@ -1,7 +1,8 @@
 """Byte-identity corpus: every recipe's commands give the output they gave.
 
-Each recipe names a list of command lines, built from a short rule rather
-than committed whole (an input may be thousands of digits).  The test runs
+Each recipe builds a list of command lines from a short rule when it
+runs, rather than committing them whole (an input may be thousands of
+digits) or building them when the module is collected.  The test runs
 each command in process through ``cli.main`` with ``COLUMNS=80`` and
 digests, in turn, its argv, exit code, stdout, stderr and the file it
 writes to ``{out}``.  The corpus guards against regressions; it is not an
@@ -19,6 +20,7 @@ import contextlib
 import io
 import random
 from hashlib import sha256
+from typing import Callable
 
 import pytest
 
@@ -31,16 +33,17 @@ def _strings(seed: int, count: int, low: int, high: int) -> list[str]:
     return ["".join(rng.choices("012", k=rng.randint(low, high))) for _ in range(count)]
 
 
-def _iterate(seed: str, n: int) -> str:
-    return iterate(DigitString(seed, 3), n)[-1].text
-
-
-# Short strings in and outside the splitting domain, and iterate 40 of 1.
+# Short strings in and outside the splitting domain.
 _DECOMPOSE = ["", "0", "1", "22", "2122", "21210", "1001", "2222", "101102110211",
               "10222112102221121110", "022211202221120", "1111", "11110", "111111"]
-_ITERATE_40 = _iterate("1", 40)
-_KVALUE = _strings(1, 200, 1, 20)
-_GROWTH = ["1", "12000", *_strings(3, 4, 1, 12)]
+
+
+def _kvalue_seeds() -> list[str]:
+    return _strings(1, 200, 1, 20)
+
+
+def _growth_seeds() -> list[str]:
+    return ["1", "12000", *_strings(3, 4, 1, 12)]
 
 
 def _long_iterates(seed: int, count: int, digits: int = 300_000) -> list[str]:
@@ -60,11 +63,26 @@ def _long_iterates(seed: int, count: int, digits: int = 300_000) -> list[str]:
     return texts
 
 
+def _other_growth() -> list[tuple[str, str, str]]:
+    return [("1", "2", "50"), ("1", "10", "60"), ("31", "4", "49"),
+            ("".join(random.Random(9).choices("012345678", k=3)), "9", "40"),
+            ("12" + "5" * 100_000 + "36", "7", "30")]
+
+
+def _middle_bases() -> list[tuple[str, str, str]]:
+    """Seed 1 and a seeded 3-digit seed in each of bases 5, 6 and 8."""
+    rng = random.Random(36)
+    return [(seed, str(base), iters) for base in (5, 6, 8)
+            for seed, iters in (("1", "50"), ("".join(rng.choices("0123456789"[:base], k=3)), "40"))]
+
+
+def _growth(runs: list[tuple[str, str, str]]) -> list[list[str]]:
+    """``growth`` of each (seed, base, iters) in every output format."""
+    return [["growth", "--seed", seed, "--base", base, "--iters", iters, "--format", fmt]
+            for seed, base, iters in runs for fmt in _FORMATS]
+
+
 _STEP_SEEDS = {"2": "1101", "3": "2100", "4": "3312", "10": "9876543210"}
-_LONG_RUN_7 = "12" + "5" * 100_000 + "36"
-_OTHER_GROWTH = [("1", "2", "50"), ("1", "10", "60"), ("31", "4", "49"),
-                 ("".join(random.Random(9).choices("012345678", k=3)), "9", "40"),
-                 (_LONG_RUN_7, "7", "30")]
 _FORMATS = ("text", "csv", "json")
 # Errors whose text the package writes (argparse's varies by Python version).
 _ERRORS = [
@@ -75,67 +93,72 @@ _ERRORS = [
     ["step", "1,2,", "--tokens"],
 ]
 
-RECIPES = {
-    "kvalue text, 200 seeded strings of 1-20 digits": [["kvalue", s] for s in _KVALUE],
+# Each recipe builds its command lines when it runs, so collecting the
+# module builds no input.
+RECIPES: dict[str, Callable[[], list[list[str]]]] = {
+    "kvalue text, 200 seeded strings of 1-20 digits":
+        lambda: [["kvalue", s] for s in _kvalue_seeds()],
     "kvalue json, 200 seeded strings of 1-20 digits":
-        [["kvalue", s, "--format", "json"] for s in _KVALUE],
-    "kvalue, short cap": [["kvalue", s, "--iters", "3"] for s in _KVALUE[:40]],
+        lambda: [["kvalue", s, "--format", "json"] for s in _kvalue_seeds()],
+    "kvalue, short cap": lambda: [["kvalue", s, "--iters", "3"] for s in _kvalue_seeds()[:40]],
     "growth base 3 from 1, 12000 and 4 seeded seeds, text":
-        [["growth", "--seed", s, "--base", "3", "--iters", "40"] for s in _GROWTH],
-    "growth base 3, csv and json": [
+        lambda: [["growth", "--seed", s, "--base", "3", "--iters", "40"] for s in _growth_seeds()],
+    "growth base 3, csv and json": lambda: [
         ["growth", "--seed", s, "--base", "3", "--iters", "30", "--format", fmt]
-        for s in _GROWTH for fmt in ("csv", "json")
+        for s in _growth_seeds() for fmt in ("csv", "json")
     ],
-    "growth base 3 from 1, 60 iterates": [["growth", "--seed", "1", "--base", "3"]],
-    "decompose full, short strings": [
+    "growth base 3 from 1, 60 iterates": lambda: [["growth", "--seed", "1", "--base", "3"]],
+    "decompose full, short strings": lambda: [
         ["decompose", s, "--format", fmt] for s in _DECOMPOSE for fmt in ("text", "json")
     ],
-    "decompose conservative, short strings": [
+    "decompose conservative, short strings": lambda: [
         ["decompose", s, "--mode", "conservative", "--format", fmt]
         for s in _DECOMPOSE for fmt in ("text", "json")
     ],
-    "decompose, iterate 40 of 1": [
-        ["decompose", _ITERATE_40, "--mode", mode, "--format", fmt]
+    "decompose, iterate 40 of 1": lambda: [
+        ["decompose", iterate(DigitString("1", 3), 40)[-1].text, "--mode", mode, "--format", fmt]
         for mode in ("full", "conservative") for fmt in ("text", "json")
     ],
-    "particles": [["particles", "--format", fmt] for fmt in ("text", "json")],
-    "spectrum": [
+    "particles": lambda: [["particles", "--format", fmt] for fmt in ("text", "json")],
+    "spectrum": lambda: [
         ["spectrum", "--format", "text"], ["spectrum", "--format", "json"],
         ["spectrum", "--table", "charpoly"], ["spectrum", "--table", "eigenvalues"],
     ],
-    "frequencies": [["frequencies", "--format", fmt] for fmt in ("text", "csv", "json")],
+    "frequencies": lambda: [["frequencies", "--format", fmt] for fmt in ("text", "csv", "json")],
     "verify --out, caps 0, 9, 10 and 50":
-        [["verify", "--cap", cap, "--out", "{out}"] for cap in ("0", "9", "10", "50")],
-    "step, digit mode in bases 2, 3, 4 and 10": [
+        lambda: [["verify", "--cap", cap, "--out", "{out}"] for cap in ("0", "9", "10", "50")],
+    "step, digit mode in bases 2, 3, 4 and 10": lambda: [
         ["step", seed, "--base", base, "--n", n]
         for base, long_seed in _STEP_SEEDS.items() for seed in ("", "1", long_seed)
         for n in ("0", "1", "7")
     ],
-    "step, token mode": [
+    "step, token mode": lambda: [
         ["step", seed, "--tokens", "--n", n]
         for seed in ("1", "1,10,1,5", "0,0,7") for n in ("0", "1", "6")
     ],
-    "ancients, lengths 1, 7 and 16": [
+    "ancients, lengths 1, 7 and 16": lambda: [
         ["ancients", "--length", length, "--format", fmt]
         for length in ("1", "7", "16") for fmt in _FORMATS
     ] + [
         ["ancients", "--length", length, "--count-only", "--format", fmt]
         for length in ("1", "7", "16") for fmt in ("text", "json")
     ],
-    "fixedpoints, bases 3, 2 and 10": [
+    "fixedpoints, bases 3, 2 and 10": lambda: [
         ["fixedpoints", "--base", base, "--max-len", max_len, *more, "--format", fmt]
         for base, max_len in (("3", "16"), ("3", "20"), ("2", "12"), ("10", "10"))
         for more in ((), ("--all",)) for fmt in _FORMATS
     ],
-    "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run": [
-        ["growth", "--seed", seed, "--base", base, "--iters", iters, "--format", fmt]
-        for seed, base, iters in _OTHER_GROWTH for fmt in _FORMATS
-    ],
-    "decompose, three seeded iterates cut below 300,000 digits": [
+    "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run":
+        lambda: _growth(_other_growth()),
+    "decompose, three seeded iterates cut below 300,000 digits": lambda: [
         ["decompose", text, "--format", fmt] for text in _long_iterates(35, 3)
         for fmt in ("text", "json")
     ],
-    "errors the package reports": _ERRORS,
+    "errors the package reports": lambda: _ERRORS,
+    "growth in bases 5, 6 and 8": lambda: _growth(_middle_bases()),
+    "growth base 10 from 116, a digit above 3": lambda: _growth([("116", "10", "51")]),
+    "growth base 4, a 100,000-digit long run":
+        lambda: _growth([("13" + "2" * 100_417 + "01", "4", "45")]),
 }
 
 DIGESTS = {
@@ -159,6 +182,9 @@ DIGESTS = {
     "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run": "9d02c4425482ca3a5b4de6c87590cba34467f50c7cbd187012dd90d7bd0e16fe",
     "decompose, three seeded iterates cut below 300,000 digits": "fca665f667513379a6c803f88de0c75705b47964f87aa32053f6bc602b6bd918",
     "errors the package reports": "f5d9afa6893bb3270304d07df25b11fde370aaaa16383b1d5408f0dc6651b23b",
+    "growth in bases 5, 6 and 8": "a4964cc10044cc2c46e21404f9036c5b371118cd9119b36005fffd50802689b6",
+    "growth base 10 from 116, a digit above 3": "e78074c1ea5074283b6ebc8108b0183aca46f4ca022e58a0c9ed137490edaa5c",
+    "growth base 4, a 100,000-digit long run": "d16f2f2439c93344377627a5dd568b70f014cf9955195f43422e2857c4db978a",
 }
 
 
@@ -181,7 +207,7 @@ def digest(argvs: list[list[str]], out_path) -> str:
 @pytest.mark.parametrize("name", RECIPES)
 def test_output_is_unchanged(monkeypatch, tmp_path, name):
     monkeypatch.setenv("COLUMNS", "80")
-    assert digest(RECIPES[name], tmp_path / "out.csv") == DIGESTS[name]
+    assert digest(RECIPES[name](), tmp_path / "out.csv") == DIGESTS[name]
 
 
 if __name__ == "__main__":
@@ -192,4 +218,4 @@ if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         for name, argvs in RECIPES.items():
-            print(f'    "{name}": "{digest(argvs, Path(tmp) / "out.csv")}",')
+            print(f'    "{name}": "{digest(argvs(), Path(tmp) / "out.csv")}",')

@@ -1,6 +1,6 @@
 import json
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,12 +16,12 @@ from audioactive import (
     split_points_conservative,
 )
 from audioactive.cosmology import _essential_texts
-from audioactive import core
-from audioactive.core import _orbit_cutter, _step_text
+from audioactive.core import _step_text
 from audioactive import _automata_search, automata, particles, splitting
 from audioactive.splitting import _CUT, _CUT_AHEAD, Decomposition, _factor
 
 import reference_values as ref
+from orbit_oracle import orbit_cutter
 from oracles import (
     all_base3_texts,
     all_split_domain_texts,
@@ -421,9 +421,8 @@ class TestOrbitCertificate:
     cutter proves every cut the rules make, and no other.  A string not
     starting with 2 is flf exactly when a 2 before it splits off."""
 
-    def test_every_in_domain_string_to_length_11(self, monkeypatch):
-        monkeypatch.setattr(core, "_HELD_RUNS", 8)
-        cut = _orbit_cutter(3)
+    def test_every_in_domain_string_to_length_11(self):
+        cut = orbit_cutter(3, held=8)
         for text in all_split_domain_texts(11):
             cuts = list(accumulate(len(piece) for piece in cut(text)))[:-1]
             assert cuts == split_points(ds(text)), text
@@ -431,11 +430,10 @@ class TestOrbitCertificate:
                 assert (cut("2" + text)[0] == "2") == is_flf(ds(text)), text
 
     @pytest.mark.parametrize("held", [1, 2, 3, 4, 5])
-    def test_fewer_held_runs_prove_only_splits(self, monkeypatch, held):
+    def test_fewer_held_runs_prove_only_splits(self, held):
         # with few held runs most states are partial; a cut they prove must
         # still be one of the rules' splits
-        monkeypatch.setattr(core, "_HELD_RUNS", held)
-        cut = _orbit_cutter(3)
+        cut = orbit_cutter(3, held=held)
         for text in all_split_domain_texts(9):
             cuts = list(accumulate(len(piece) for piece in cut(text)))[:-1]
             assert set(cuts) <= set(split_points(ds(text))), (held, text)
@@ -444,11 +442,12 @@ class TestOrbitCertificate:
 def led_by(a, m):
     """The strings ``m`` accepts that start with the digit ``a``."""
     delta, accept = m
+    width = len(delta[0])
 
     def moves(q):
         if q == "start":
-            return False, tuple(delta[0][d] if str(d) == a else None for d in range(3))
-        return q is not None and accept[q], ((None,) * 3 if q is None else delta[q])
+            return False, tuple(delta[0][d] if str(d) == a else None for d in range(width))
+        return q is not None and accept[q], ((None,) * width if q is None else delta[q])
 
     return _automata_search._minimal(*automata._explore("start", moves))
 
@@ -460,21 +459,24 @@ def union(a, b):
     return _automata_search._minimal(*automata._explore((0, 0), moves))
 
 
-def led_by_after_steps(a):
+def led_by_after_steps(a, pre=_automata_search.pre, every=automata.ANY):
     """G_a: the domain strings some iterate R_n, n >= 1, of which leads with a.
 
     The union of pre^n(domain strings led by a) over n >= 1 stops growing at
     the first preimage that adds nothing: pre is monotone and distributes
-    over union, so no later one adds anything either.
+    over union, so no later one adds anything either.  ``every`` is the DFA
+    of all strings over pre's digits, so that ``pre(every)`` is its domain;
+    the defaults are base 3's.  Minimal DFAs are equal exactly when their
+    languages are, so a union equal to ``grown`` added nothing.
     """
-    dom = _automata_search.pre(automata.ANY)
-    layer = grown = _automata_search.pre(led_by(a, dom))
-    for n in range(2, 10):
-        layer = _automata_search.pre(layer)
-        if _automata_search.witness(layer, grown) is None:
+    dom = pre(every)
+    layer = grown = pre(led_by(a, dom))
+    for n in range(2, 16):
+        layer = pre(layer)
+        if union(grown, layer) == grown:
             return grown, n
         grown = union(grown, layer)
-    raise AssertionError(f"no fixed point for {a} within 9 preimages")
+    raise AssertionError(f"no fixed point for {a} within 15 preimages")
 
 
 class TestSplitRulesAtEveryLength:
@@ -502,6 +504,95 @@ class TestSplitRulesAtEveryLength:
                 if nxt[0] != dead and (node or c != a) and nxt not in path:
                     path[nxt] = path[p, node, q] + c
                     queue.append(nxt)
+
+
+ANY_5 = (((0,) * 5,), (True,))  # every string over the digits 0-4
+
+
+def pre_5(m):
+    """pre(m) in base 5: the strings over 0-4 with no run of 4 whose step
+    ``m`` accepts.  In every base from 4 on, a run of k <= 3 copies of d
+    steps to the two digits k and d."""
+    delta, accept = m
+
+    def moves(state):
+        if state is None:  # a run of 4: dead
+            return False, (None,) * 5
+        d, k, q = state  # k copies of d open (none when k is 0), m in state q before them
+        closed = delta[delta[q][k]][d] if k else q
+        return accept[closed], tuple(
+            ((d, k + 1, q) if k < 3 else None) if c == d else (c, 1, closed) for c in range(5)
+        )
+
+    return _automata_search._minimal(*automata._explore((-1, 0, 0), moves))
+
+
+class TestConwayRuleAtEveryLength:
+    """At every length, in every base 4..10, ``splitting._rule`` cuts a + R
+    at position 1 only where no iterate R_n, n >= 1, leads with a, for every
+    nonempty R with R[0] != a and a + R without a run of 4.
+
+    The lemma: from base 4 on, the step maps strings whose runs are at most
+    3 to such strings, alike in every base, and its numerals there are 1-3.
+    So no R_n leads with an inert digit n (0, or one from 4 up), and every
+    cut after an n is a split.  The step also leaves inert digits isolated
+    between numerals, so renaming R's inert runs, 0 and 4 in turn along
+    each stretch of adjacent ones, keeps R's runs and changes no leading
+    digit in 1-3 of any R_n.  The rule reads inert digits only for being
+    inert and for equal neighbours, so it decides alike on the renamed
+    string, and the proof over the digits 0-4 in base 5 covers every base
+    4..10.  As in ``TestSplitRulesAtEveryLength``, G_a is built with pre in
+    base 5, and the rule is read through a trie of R's first _CUT_AHEAD + 2
+    digits, longer than it looks.
+    """
+
+    @pytest.mark.parametrize("a", "01234")
+    def test_every_cut_is_outside_the_orbit_criterion(self, a):
+        g, _ = led_by_after_steps(a, pre_5, ANY_5)
+        dom = pre_5(ANY_5)
+        (dd, da), (gd, ga) = dom, g
+        dead = next(p for p, (row, ok) in enumerate(zip(dd, da)) if not ok and set(row) == {p})
+        # the pairs (domain state, G_a state) from which some continuation
+        # ends in both: some R through such a pair is in G_a
+        pairs = [(p, q) for p in range(len(dd)) for q in range(len(gd))]
+        back = {pq: [] for pq in pairs}
+        for p, q in pairs:
+            for nxt in zip(dd[p], gd[q]):
+                back[nxt].append((p, q))
+        led = [(p, q) for p, q in pairs if da[p] and ga[q]]
+        reach = set(led)
+        for pq in led:  # grows while it is read
+            for prev in back[pq]:
+                if prev not in reach:
+                    reach.add(prev)
+                    led.append(prev)
+        rule = splitting._rule()
+        depth = _CUT_AHEAD + 2
+        cuts = 0
+        # R's trie nodes, R[0] != a, with a + R in the domain so far: a node
+        # shorter than depth is R itself, and one at depth any R it starts
+        nodes = [("", dd[0][int(a)], 0)]
+        for node, p, q in nodes:  # grows while it is read
+            if node and rule.match(a + node, 1):
+                cuts += 1
+                assert not ((p, q) in reach if len(node) == depth else da[p] and ga[q]), a + node
+            if len(node) < depth:
+                for d, c in enumerate("01234"):
+                    if dd[p][d] != dead and (node or c != a):
+                        nodes.append((node + c, dd[p][d], gd[q][d]))
+        assert cuts > 1000, cuts
+
+    @pytest.mark.parametrize("base, digits, top", [(5, "01234", 6), (10, "012358", 5)])
+    def test_cuts_are_the_orbit_cutters(self, base, digits, top):
+        # every string over ``digits`` of up to ``top`` of them, runs of 4
+        # included: the cutter cuts only where the orbit cutter with eight
+        # held runs proves a split
+        rule_cut, orbit_cut = splitting._cutter(base), orbit_cutter(base, held=8)
+        for n in range(1, top + 1):
+            for text in map("".join, product(digits, repeat=n)):
+                got = list(accumulate(map(len, rule_cut(text))))[:-1]
+                proven = list(accumulate(map(len, orbit_cut(text))))[:-1]
+                assert set(got) <= set(proven), text
 
 
 class TestPredicates:
