@@ -23,7 +23,6 @@ from .core import (
     iterate_tokens,
     length_sequence,
     lookandsay_step,
-    max_run_length,
     runs,
     step_of_runs,
     token_step,
@@ -46,9 +45,7 @@ from .splitting import (
     decompose,
     is_common,
     is_flf,
-    is_irreducible,
     split_points,
-    split_points_conservative,
 )
 from .cosmology import (
     CosmologyReport,
@@ -71,7 +68,6 @@ from .spectral import (
     empirical_growth,
     fermion_matrix,
     limiting_frequencies,
-    matrix_from_chart,
     polynomial_division,
     primitivity_power,
 )
@@ -138,7 +134,6 @@ __all__ = [
     "is_ancient",
     "is_common",
     "is_flf",
-    "is_irreducible",
     "is_run_bounded",
     "iterate",
     "iterate_tokens",
@@ -149,8 +144,6 @@ __all__ = [
     "limiting_frequencies",
     "lookandsay_step",
     "lookup",
-    "matrix_from_chart",
-    "max_run_length",
     "polynomial_division",
     "primitivity_power",
     "registry",
@@ -159,7 +152,6 @@ __all__ = [
     "selfdesc_sequence",
     "selfdesc_step",
     "split_points",
-    "split_points_conservative",
     "step_of_runs",
     "token_step",
     "verify_cosmological",

@@ -177,19 +177,6 @@ class DigitString(_Record):
     def parse(cls, text: str, base: int = 3) -> "DigitString":
         return cls(text, base)
 
-    @classmethod
-    def from_digits(cls, digits: Iterable[int], base: int = 3) -> "DigitString":
-        _check_base(base)
-        chars = []
-        for pos, d in enumerate(digits):
-            if d not in range(base):
-                raise InvalidDigitError(
-                    f"digit {str(d)!r} at position {pos} is not valid in base {base}",
-                    position=pos,
-                )
-            chars.append(_DIGIT_CHARS[d])
-        return cls._valid("".join(chars), base)
-
     @property
     def digits(self) -> tuple[int, ...]:
         return tuple(int(ch) for ch in self.text)
@@ -261,13 +248,9 @@ _RUN = re.compile(r"0+|1+|2+|3+|4+|5+|6+|7+|8+|9+")  # each match is one maximal
 
 
 def runs(s: DigitString) -> list[Run]:
-    """Run decomposition of ``s``; concatenating the runs reproduces it."""
+    """The paper's runs of ``s``, the maximal blocks the look-and-say step
+    reads; concatenating them reproduces ``s``."""
     return [Run(int(run[0]), len(run)) for run in _RUN.findall(s.text)]
-
-
-def max_run_length(s: DigitString) -> int:
-    """Length of the longest run, 0 for the empty string."""
-    return max(map(len, _RUN.findall(s.text)), default=0)
 
 
 def _numeral(n: int, base: int) -> str:
@@ -322,7 +305,9 @@ def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> Di
     Accepts (digit, length) pairs so that inputs with very long runs never
     have to be materialized; the result is small (a run of 10**6 ones emits
     a dozen digits).  Adjacent pairs may share a digit; lengths must fit in
-    a signed 64-bit integer.
+    a signed 64-bit integer.  No command steps runs: this serves
+    ``TestRunBoundContraction`` (acceptance criterion 10), which steps
+    runs of up to 10**6 digits.
     """
     _check_base(base)
     merged: list[tuple[int, int]] = []
@@ -401,13 +386,15 @@ def _require_base3(s: DigitString) -> None:
 
 
 def is_run_bounded(s: DigitString) -> bool:
-    """Base-3 run bounds: 0-runs <= 1, 1-runs <= 4, 2-runs <= 3."""
+    """The paper's run-bounded strings: base 3 with 0-runs <= 1, 1-runs
+    <= 4 and 2-runs <= 3, the bounds its run-bound contraction reaches."""
     _require_base3(s)
     return _avoids(s.text, _RUN_BOUNDED)
 
 
 def is_ancient(s: DigitString) -> bool:
-    """Run-bounded with no run of length 4 or more (so 1-runs <= 3 as well)."""
+    """The paper's ancient strings: run-bounded with no run of length 4 or
+    more (so 1-runs <= 3 as well)."""
     _require_base3(s)
     return _avoids(s.text, _ANCIENT)
 

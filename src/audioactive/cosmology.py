@@ -76,7 +76,8 @@ def _essential_texts(length: int) -> list[str]:
 
 
 def enumerate_essential_ancient(length: int) -> Iterator[DigitString]:
-    """Stream the essential ancient strings of a given length, sorted."""
+    """Stream the paper's essential ancient strings (the module docstring
+    states them) of a given length, sorted."""
     for text in _essential_texts(length):
         yield DigitString._valid(text, 3)  # built from 0, 1 and 2 only
 
@@ -86,7 +87,8 @@ def _comb0(m: int, j: int) -> int:
 
 
 def f_closed(n: int) -> int:
-    """Closed-form count of zero-free essential ancient strings of length n.
+    """The paper's closed form for f(n), the number of zero-free essential
+    ancient strings of length n.
 
     Counts length-n strings over {1, 2} with all runs of length <= 3 as a
     double binomial sum over the number of runs k, subtracting (by
@@ -104,7 +106,8 @@ def f_closed(n: int) -> int:
 
 
 def f_recursive(n: int) -> int:
-    """Same count via f(n) = f(n-1) + f(n-2) + f(n-3), f(1..3) = 2, 4, 8."""
+    """The paper's recurrence for the same count f(n): f(n) = f(n-1) +
+    f(n-2) + f(n-3), f(1..3) = 2, 4, 8."""
     if n < 1:
         raise ValueError("defined for n >= 1")
     a, b, c = 2, 4, 8  # f(1), f(2), f(3)

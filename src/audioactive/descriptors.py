@@ -70,7 +70,8 @@ def counting_step(d: CountDescriptor) -> CountDescriptor:
 
 
 def counting_sequence(d: CountDescriptor, n: int) -> list[CountDescriptor]:
-    """The first ``n`` counting steps from ``d`` (n+1 entries, ``d`` first)."""
+    """The paper's counting description, each digit present after its
+    count, iterated: ``n`` steps from ``d`` (n+1 entries, ``d`` first)."""
     return _iterates(d, counting_step, n)
 
 
@@ -105,5 +106,7 @@ def selfdesc_step(v: FrequencyVector) -> FrequencyVector:
 
 
 def selfdesc_sequence(v: FrequencyVector, n: int) -> list[FrequencyVector]:
-    """The first ``n`` self-description steps from ``v`` (n+1 entries)."""
+    """The paper's self-descriptive sequence T_1, T_2, ... (the count of
+    every digit, zeros kept as placeholders): ``n`` steps from ``v`` (n+1
+    entries)."""
     return _iterates(v, selfdesc_step, n)

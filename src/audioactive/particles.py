@@ -168,7 +168,10 @@ def evolve(ms: Mapping[str, int], n: int = 1) -> dict[str, int]:
 
     The chart drives the piece engine, ``core._piece_counts``.  Counts are
     exact Python integers; fermion counts grow beyond 64 bits after a
-    couple of hundred steps.
+    couple of hundred steps.  No command evolves a multiset: this is the
+    reference ``TestLimitSets.test_matches_evolved_counts`` checks
+    ``limit_sets`` against, and ``TestFermionSaturation`` (acceptance
+    criterion 10) evolves each fermion.
     """
     if n < 0:
         raise ValueError("step count must be non-negative")
@@ -206,11 +209,6 @@ def _limits(support: frozenset[str]) -> tuple[frozenset[str], frozenset[str]]:
     rows = map(_phase_table().__getitem__, support)
     phases = [frozenset().union(*phase) for phase in zip(*rows)] or [frozenset()]
     return frozenset.union(*phases), frozenset.intersection(*phases)
-
-
-def total_digit_length(ms: Mapping[str, int]) -> int:
-    """Total number of digits carried by a particle multiset."""
-    return sum(len(_PARTICLES[sym].digits) * count for sym, count in multiset(ms).items())
 
 
 # ---------------------------------------------------------------------------

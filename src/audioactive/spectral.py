@@ -53,44 +53,20 @@ class TransitionMatrix(_Record):
     def size(self) -> int:
         return len(self.order)
 
-    def entry(self, produced: str, parent: str) -> int:
-        return self.entries[self.order.index(produced)][self.order.index(parent)]
-
-    def column(self, parent: str) -> tuple[int, ...]:
-        j = self.order.index(parent)
-        return tuple(row[j] for row in self.entries)
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.size))
-
 
 def fermion_matrix() -> TransitionMatrix:
-    """The 8x8 fermion transition matrix, tallied from the decay chart."""
-    return matrix_from_chart()
+    """The 8x8 fermion transition matrix, tallied from the decay chart.
 
-
-def matrix_from_chart(rules: Sequence[particles.DecayRule] | None = None) -> TransitionMatrix:
-    """Tally a transition matrix from decay rules restricted to fermions.
-
-    Entry (i, j) counts fermion i among the products of fermion j; the
-    default rules are the particle decay chart.  Rules for non-fermion
-    parents are ignored; a fermion rule with a non-fermion product is a
-    contract error.
+    Entry (i, j) counts fermion i among the products of fermion j.
+    Fermions decay only into fermions, and the other rules are skipped.
     """
-    if rules is None:
-        rules = particles.decay_chart()
     n = len(MATRIX_ORDER)
     grid = [[0] * n for _ in range(n)]
-    for rule in rules:
-        if rule.parent.kind is not particles.ParticleClass.FERMION:
-            continue
-        j = MATRIX_ORDER.index(rule.parent.symbol)
-        for product in rule.products:
-            if product.kind is not particles.ParticleClass.FERMION:
-                raise ValueError(
-                    f"fermion {rule.parent.symbol} lists non-fermion product {product.symbol}"
-                )
-            grid[MATRIX_ORDER.index(product.symbol)][j] += 1
+    for rule in particles.decay_chart():
+        if rule.parent.kind is particles.ParticleClass.FERMION:
+            j = MATRIX_ORDER.index(rule.parent.symbol)
+            for product in rule.products:
+                grid[MATRIX_ORDER.index(product.symbol)][j] += 1
     return TransitionMatrix(tuple(tuple(row) for row in grid))
 
 

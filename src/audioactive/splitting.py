@@ -93,7 +93,7 @@ import json
 import re
 from collections import Counter
 from functools import cache, cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from typing import Callable, Literal
 
 from . import particles
@@ -334,7 +334,8 @@ def _outside_domain(s: DigitString) -> SplitDomainError:
 # ---------------------------------------------------------------------------
 
 def is_flf(s: DigitString) -> bool:
-    """Forever-leading-2-free test (syntactic), gated on the splitting domain.
+    """The paper's forever-leading-2-free test: no iterate of ``s`` begins
+    with 2.  Decided syntactically, and gated on the splitting domain.
 
     Outside the domain the pattern is wrong (a leading run of six 1s steps
     to 201...), so such strings raise :class:`SplitDomainError`.
@@ -343,13 +344,9 @@ def is_flf(s: DigitString) -> bool:
 
 
 def split_points(s: DigitString) -> list[int]:
-    """Valid split positions of ``s`` (ascending), gated on the full domain."""
+    """The paper's splits of ``s``: the cut positions of the split
+    characterization (module docstring), ascending, gated on the domain."""
     return [m.start() for m in _CUT.finditer(_require_domain(s))]
-
-
-def split_points_conservative(s: DigitString) -> list[int]:
-    """Positions where a 0 is followed by a non-0; valid for any string."""
-    return list(accumulate(map(len, _zero_pieces(_base3_text(s)))))[:-1]
 
 
 def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
@@ -383,11 +380,7 @@ def decompose(s: DigitString, mode: SplitMode = "full") -> Decomposition:
     return Decomposition(tuple(chunks), table, tuple(_factor(tail)))
 
 
-def is_irreducible(s: DigitString) -> bool:
-    """True when ``s`` has no valid split position."""
-    return not split_points(s)
-
-
 def is_common(s: DigitString) -> bool:
-    """True when every irreducible segment of ``s`` is a registry particle."""
+    """The paper's common strings: every irreducible segment of ``s`` is
+    one of the 24 registry particles."""
     return decompose(s, "full").is_common

@@ -11,9 +11,7 @@ from audioactive import (
     decompose,
     is_common,
     is_flf,
-    is_irreducible,
     split_points,
-    split_points_conservative,
 )
 from audioactive.cosmology import _essential_texts
 from audioactive.core import _step_text
@@ -41,6 +39,11 @@ SYMBOL_OF = {digits: sym for sym, (digits, _) in ref.PARTICLE_TABLE.items()}
 
 def ds(text):
     return DigitString(text, 3)
+
+
+def conservative_cuts(text):
+    """Cut positions of ``text``'s conservative pieces."""
+    return list(accumulate(map(len, decompose(ds(text), "conservative").texts)))[:-1]
 
 
 @st.composite
@@ -123,9 +126,9 @@ class TestSplitPoints:
         assert split_points(ds("1022110")) == [2]
 
     def test_conservative_examples(self):
-        assert split_points_conservative(ds("1012211")) == [2]
-        assert split_points_conservative(ds("22")) == []
-        assert split_points_conservative(ds("101102110211")) == [2, 5, 9]
+        assert conservative_cuts("1012211") == [2]
+        assert conservative_cuts("22") == []
+        assert conservative_cuts("101102110211") == [2, 5, 9]
 
     def test_domain_gate(self):
         with pytest.raises(SplitDomainError):
@@ -142,7 +145,7 @@ class TestSplitPoints:
     @given(ancient_texts())
     @settings(max_examples=150)
     def test_conservative_subset_of_full(self, text):
-        assert set(split_points_conservative(ds(text))) <= set(split_points(ds(text)))
+        assert set(conservative_cuts(text)) <= set(split_points(ds(text)))
 
 
 class TestDecompose:
@@ -227,13 +230,13 @@ class TestExhaustiveAgainstOracle:
             assert gated is not in_split_domain(text), text
             if not gated:
                 assert cuts == cut_positions(text), text
-            assert split_points_conservative(s) == zero_run_cuts(text), text
+            assert conservative_cuts(text) == zero_run_cuts(text), text
             segments = decompose(s, "conservative").segments
             assert [seg.text for seg in segments] == zero_run_pieces(text), text
 
     def test_empty_string(self):
         assert split_points(ds("")) == []
-        assert split_points_conservative(ds("")) == []
+        assert conservative_cuts("") == []
         assert decompose(ds(""), "conservative").segments == ()
 
 
@@ -604,7 +607,7 @@ class TestPredicates:
         assert split_points(ds(text)) == [6, 12]
         dec = decompose(ds(text))
         assert [s.text for s in dec.segments] == ["111222", "111222", "1110"]
-        assert not is_irreducible(ds(text))
+        assert split_points(ds(text))
         left, right, whole = text[:6], text[6:], text
         for _ in range(20):
             left = _step_text(left, 3)
@@ -613,7 +616,7 @@ class TestPredicates:
             assert whole == left + right
 
     def test_segments_of_it_are_irreducible(self):
-        assert is_irreducible(ds("111222"))
+        assert split_points(ds("111222")) == []
 
     def test_is_common_examples(self):
         assert not is_common(ds("1012211"))
