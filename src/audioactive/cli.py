@@ -72,23 +72,29 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_verify(args) -> int:
     if not args.out:
-        return _verify(args.cap, sys.stdout, sys.stderr)
-    try:  # before the count, so a bad path costs nothing
-        fh = open(args.out, "w", encoding="utf-8")
+        return _verify(args.cap, sys.stdout.write, sys.stderr)
+    # Proved writable before the count, so a bad path costs nothing, but
+    # only for appending, so an input error leaves the file as it was.
+    try:
+        open(args.out, "a", encoding="utf-8").close()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with fh:
-        return _verify(args.cap, fh, sys.stdout)
+
+    def write_csv(table: str) -> None:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(table)
+
+    return _verify(args.cap, write_csv, sys.stdout)
 
 
-def _verify(cap: int, csv_stream, verdict_stream) -> int:
+def _verify(cap: int, write_csv, verdict_stream) -> int:
     report = cosmology.verify_cosmological(cap=cap)
     over = Counter(map(len, report.failures))
     for n in report.table.lengths:
         count = report.table.row_total(n) + over[n]
         print(f"verify: length {n} ({count} strings)", file=sys.stderr)
-    csv_stream.write(report.table.to_csv())
+    write_csv(report.table.to_csv())
     if report.verified:
         print(
             f"VERIFIED max_iterations={report.max_iterations} strings={report.total_strings}",

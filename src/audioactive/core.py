@@ -15,12 +15,11 @@ pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs.
 
-Length sequences follow a multiset of pieces, cut at splits by
-:mod:`audioactive.splitting`, which owns every cut rule: after a 0 in
-base 2, Conway's rule in bases 4..10, and base 3's particles, with the one
-base-3 piece memo.  Bases 4..10 start from a frozen table of the pieces
-every orbit there settles into, Conway's 92 common elements; token mode is
-counted as a base-10 text from its second iterate on.
+Length sequences of digit strings follow a multiset of pieces, cut at
+splits by :mod:`audioactive.splitting`, which owns every cut rule: after a
+0 in base 2, Conway's rule in bases 4..10, and base 3's particles, with
+the one base-3 piece memo.  Bases 4..10 start from a frozen table of the
+pieces every orbit there settles into, Conway's 92 common elements.
 """
 
 from __future__ import annotations
@@ -76,10 +75,10 @@ class _Record:
     """An immutable value: the attributes that ``_fields`` names are set once,
     in ``__init__``, and compared, hashed and shown as one tuple.
 
-    The constructor takes the fields by position, then by keyword, and the
-    rest from ``_defaults``; a missing field, an unknown keyword, a field
-    given twice or too many positions raise :class:`TypeError`.  A subclass
-    that checks its arguments does so first, then calls this constructor.
+    The constructor takes the fields by position, then by keyword; a
+    missing field, an unknown keyword, a field given twice or too many
+    positions raise :class:`TypeError`.  A subclass that checks its
+    arguments does so first, then calls this constructor.
 
     It takes the place of the standard library's frozen data classes, whose
     module loads ``inspect`` and ``ast`` and whose decorators build their
@@ -90,7 +89,6 @@ class _Record:
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: Mapping[str, object] = {}
 
     def __init__(self, *values, **named):
         fields = self._fields
@@ -99,12 +97,9 @@ class _Record:
         for name, value in zip(fields, values):
             _set(self, name, value)
         for name in fields[len(values):]:
-            if name in named:
-                _set(self, name, named.pop(name))
-            elif name in self._defaults:
-                _set(self, name, self._defaults[name])
-            else:
+            if name not in named:
                 raise TypeError(f"{type(self).__name__}() missing field {name!r}")
+            _set(self, name, named.pop(name))
         for name in named:
             problem = "got two values for" if name in fields else "has no"
             raise TypeError(f"{type(self).__name__}() {problem} field {name!r}")
@@ -138,7 +133,8 @@ class DigitString(_Record):
     """Finite string over the digit alphabet {0, ..., base-1}.
 
     The canonical serialization is ``text`` itself: one character per digit,
-    no separators.  ``parse(render(s)) == s`` for every valid string.
+    no separators.  ``DigitString(s.text, s.base) == s`` for every valid
+    string.
     """
 
     _fields = ("text", "base")
@@ -173,25 +169,11 @@ class DigitString(_Record):
         _set(obj, "base", base)
         return obj
 
-    @classmethod
-    def parse(cls, text: str, base: int = 3) -> "DigitString":
-        return cls(text, base)
-
-    @property
-    def digits(self) -> tuple[int, ...]:
-        return tuple(int(ch) for ch in self.text)
-
-    def render(self) -> str:
-        return self.text
-
     def __str__(self) -> str:
         return self.text
 
     def __len__(self) -> int:
         return len(self.text)
-
-    def __iter__(self) -> Iterator[int]:
-        return (int(ch) for ch in self.text)
 
 
 class Run(_Record):
@@ -299,7 +281,7 @@ def lookandsay_step(s: DigitString) -> DigitString:
     return DigitString._valid(_step_text(s.text, s.base), s.base)
 
 
-def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> DigitString:
+def step_of_runs(run_list: Iterable[tuple[int, int]], base: int = 3) -> DigitString:
     """Describing step applied to a run-length encoded string.
 
     Accepts (digit, length) pairs so that inputs with very long runs never
@@ -311,8 +293,7 @@ def step_of_runs(run_list: Iterable[tuple[int, int] | Run], base: int = 3) -> Di
     """
     _check_base(base)
     merged: list[tuple[int, int]] = []
-    for item in run_list:
-        d, n = (item.digit, item.length) if isinstance(item, Run) else item
+    for d, n in run_list:
         if not 0 <= d < base:
             raise InvalidDigitError(f"digit {d} is not valid in base {base}")
         if not 1 <= n <= _MAX_RUN:
@@ -403,8 +384,13 @@ def is_ancient(s: DigitString) -> bool:
 # Fixed points
 # ---------------------------------------------------------------------------
 
+# The most prefixes one fixed-point search visits (base 3 needs 2,589 for
+# max_len 32); the CLI's --max-len can ask for far more.
+_SEARCH_BUDGET = 10**5
+
+
 def fixed_point_search(
-    base: int, max_len: int, budget: int = 10**5, primitive_only: bool = True
+    base: int, max_len: int, *, primitive_only: bool = True
 ) -> list[DigitString]:
     """Exhaustive search for non-empty strings fixed by the step, sorted.
 
@@ -421,9 +407,8 @@ def fixed_point_search(
     text must agree on their common length.  That prefix test prunes the
     space down to a handful of candidates while still visiting every fixed
     string, because a genuine fixed point satisfies the prefix invariant at
-    each of its runs.  ``budget`` caps the number of prefixes the search
-    visits (base 3 needs 2,589 for ``max_len`` 32); :class:`SearchBudgetError`
-    is raised as soon as it is passed.
+    each of its runs.  :class:`SearchBudgetError` is raised as soon as the
+    search visits more than ``_SEARCH_BUDGET`` prefixes.
     """
     _check_base(base)
     if max_len < 1:
@@ -435,8 +420,8 @@ def fixed_point_search(
     def extend(cur: str, emitted: str, last: str) -> None:
         nonlocal visited
         visited += 1
-        if visited > budget:
-            raise SearchBudgetError(f"search visited more than {budget} prefixes")
+        if visited > _SEARCH_BUDGET:
+            raise SearchBudgetError(f"search visited more than {_SEARCH_BUDGET} prefixes")
         if cur and cur == emitted:
             found.append(cur)
         room = max_len - len(cur)
@@ -622,17 +607,22 @@ def _piece_counts(
         counts = nxt
 
 
-def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
-    """Length sequence of ``text`` from the piece engine.
+def length_sequence(seed: DigitString, iters: int) -> list[int]:
+    """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
 
-    Every base cuts with ``splitting._cutter(base)``.  Base 3 steps its
-    pieces through the per-process memo ``splitting._children``; bases
-    4-10 start from the frozen table of the pieces every orbit there
+    Tracked exactly through a multiset of pieces, cut with
+    ``splitting._cutter(seed.base)`` at the splits it proves (cheap at any
+    depth: only the counts grow, so there is no length budget).  Base 3
+    steps its pieces through the per-process memo ``splitting._children``;
+    bases 4-10 start from the frozen table of the pieces every orbit there
     settles into, so only the pieces a seed adds of its own are stepped
     and cut: the transients, and pieces holding a digit above 3.
     """
+    if iters < 0:
+        raise ValueError("iteration count must be non-negative")
     from .splitting import _children, _cutter  # splitting imports core
 
+    base = seed.base
     cut = _cutter(base)
     if base == 3:
         children = _children
@@ -640,35 +630,5 @@ def _piece_lengths(text: str, base: int, iters: int) -> list[int]:
         children = _Memo(lambda piece: cut(_step_text(piece, base)))
         if base >= 4:
             children.update(_high_base_table())
-    counts = islice(_piece_counts(cut(text), children), iters + 1)
+    counts = islice(_piece_counts(cut(seed.text), children), iters + 1)
     return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]
-
-
-def length_sequence(seed: DigitString | TokenString, iters: int) -> list[int]:
-    """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
-
-    Both modes are tracked exactly through a multiset of pieces cut at
-    the splits :mod:`audioactive.splitting` proves in the seed's base
-    (cheap at any depth: only the counts grow, so neither mode has a length
-    budget).  In bases 4..10 the pieces of the frozen table are never
-    stepped or cut: their steps are read from it.  Token mode takes two
-    token steps and counts the rest as a base-10 text.
-    """
-    if iters < 0:
-        raise ValueError("iteration count must be non-negative")
-    if not isinstance(seed, TokenString):
-        return _piece_lengths(seed.text, seed.base, iters)
-    # From the first iterate on no run is longer than 3: a run of four equal
-    # tokens would need two neighbouring (count, value) pairs with the same
-    # value.  So from the second iterate on every count is 1, 2 or 3, and
-    # any other token is a value that sits alone between two counts.
-    # Writing all such values as one symbol then merges no runs.  That
-    # symbol is 0: no numeral is 0, so the base-10 cutter cuts after it.
-    # The result is a base-10 text whose steps match the token steps one
-    # for one, with equal lengths.
-    firsts = iterate_tokens(seed, min(iters, 2))
-    lengths = [len(t) for t in firsts]
-    if iters <= 2:
-        return lengths
-    text = "".join(_DIGIT_CHARS[t] if 1 <= t <= 3 else "0" for t in firsts[2].tokens)
-    return lengths[:2] + _piece_lengths(text, 10, iters - 2)

@@ -144,7 +144,6 @@ class DecayTable(_Record):
     of ``cells`` per entry of ``lengths``, one cell per time 0..``cap``."""
 
     _fields = ("cells", "lengths", "cap")
-    _defaults = {"cap": DEFAULT_CAP}
 
     def row(self, length: int) -> tuple[int, ...]:
         return self.cells[self.lengths.index(length)]
@@ -162,16 +161,6 @@ class DecayTable(_Record):
         for length, row in zip(self.lengths, self.cells):
             lines.append(f"{length}," + ",".join(map(str, row)) + f",{sum(row)}")
         return "\n".join(lines) + "\n"
-
-    def to_json(self) -> dict:
-        return {
-            "cap": self.cap,
-            "rows": [
-                {"length": length, "iterations": list(row), "total": sum(row)}
-                for length, row in zip(self.lengths, self.cells)
-            ],
-            "total_strings": self.total_strings,
-        }
 
 
 class CosmologyReport(_Record):

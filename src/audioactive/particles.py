@@ -102,10 +102,9 @@ def lookup(symbol: str) -> Particle:
         raise KeyError(f"unknown particle symbol {symbol!r}") from None
 
 
-def identify(s: DigitString | str) -> Particle | None:
+def identify(s: DigitString) -> Particle | None:
     """The particle whose digits equal ``s``, or None."""
-    text = s.text if isinstance(s, DigitString) else s
-    return _BY_TEXT.get(text)
+    return _BY_TEXT.get(s.text)
 
 
 def _chart(

@@ -24,7 +24,7 @@ from operator import mul
 from typing import Sequence
 
 from . import particles
-from .core import ConvergenceError, DigitString, TokenString, _Record, length_sequence
+from .core import ConvergenceError, DigitString, _Record, length_sequence
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 
@@ -226,8 +226,8 @@ def limiting_frequencies(m: TransitionMatrix | None = None) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 class GrowthEstimate(_Record):
-    """Observed length growth of an iterated seed, kept as its text; its
-    ``base`` is ``None`` in token mode."""
+    """Observed length growth of an iterated seed, kept as its text and
+    base."""
 
     _fields = ("seed", "base", "lengths", "ratios", "estimate")
 
@@ -241,14 +241,14 @@ class GrowthEstimate(_Record):
         }
 
 
-def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstimate:
+def empirical_growth(seed: DigitString, iters: int) -> GrowthEstimate:
     """Iterate a seed and estimate the length growth rate.
 
     The estimate is the geometric mean of the final quarter of the
     consecutive length ratios, which discards the transient.  Lengths come
-    from :func:`length_sequence` (a multiset of split pieces in both
-    modes).  Raises :class:`ValueError` when the length ratio over that
-    quarter passes the float range.
+    from :func:`length_sequence` (a multiset of split pieces).  Raises
+    :class:`ValueError` when the length ratio over that quarter passes the
+    float range.
     """
     if iters < 10:
         raise ValueError("need at least 10 iterations for a meaningful estimate")
@@ -261,8 +261,7 @@ def empirical_growth(seed: DigitString | TokenString, iters: int) -> GrowthEstim
         estimate = (lengths[-1] / lengths[-1 - tail]) ** (1.0 / tail)
     except OverflowError:
         raise ValueError(f"{iters} iterations are too many for a float estimate") from None
-    text, base = (seed.render(), None) if isinstance(seed, TokenString) else (seed.text, seed.base)
-    return GrowthEstimate(text, base, tuple(lengths), ratios, float(estimate))
+    return GrowthEstimate(seed.text, seed.base, tuple(lengths), ratios, float(estimate))
 
 
 # ---------------------------------------------------------------------------

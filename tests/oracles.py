@@ -38,16 +38,6 @@ def reference_iterates(text: str, base: int, n: int) -> list[str]:
     return out
 
 
-def reference_token_lengths(tokens: tuple[int, ...], n: int) -> list[int]:
-    """Lengths of ``tokens`` and its first ``n`` token-mode steps, each
-    maximal run becoming the tokens (count, value)."""
-    lengths = [len(tokens)]
-    for _ in range(n):
-        tokens = tuple(x for value, group in groupby(tokens) for x in (len(list(group)), value))
-        lengths.append(len(tokens))
-    return lengths
-
-
 def brute_force_fixed(base: int, max_len: int) -> list[str]:
     """Every fixed string up to max_len by direct enumeration (small spaces)."""
     alphabet = "0123456789"[:base]

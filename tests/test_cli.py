@@ -129,6 +129,23 @@ class TestVerify:
         assert err == "error: cap must be non-negative\n"
         assert out == ""
 
+    def test_input_error_leaves_an_existing_out_file_alone(self, capsys, tmp_path):
+        path = tmp_path / "table.csv"
+        old = b"keep\n" + bytes(range(256)) * 40  # longer than the table
+        path.write_bytes(old)
+        code, out, err = run(capsys, "verify", "--out", str(path), "--cap", "-1")
+        assert (code, out, err) == (2, "", "error: cap must be non-negative\n")
+        assert path.read_bytes() == old
+        # a run that succeeds replaces the whole file with the table
+        assert run(capsys, "verify", "--out", str(path))[0] == 0
+        assert path.read_text() == run(capsys, "verify")[1]
+
+    def test_out_to_a_device_exits_0(self, capsys):
+        # The table is written with "w" once it is ready, which any writable
+        # path takes; truncating a device or pipe in place would fail.
+        code, out, _ = run(capsys, "verify", "--out", os.devnull)
+        assert (code, out) == (0, "VERIFIED max_iterations=10 strings=71775\n")
+
 
 # ``verify --cap N --out FILE``: exit code and sha256 of stdout and of the
 # CSV, recorded from the class count that preceded the automata.  Stderr,
@@ -627,16 +644,6 @@ class TestNumpyStaysUnloaded:
         *_, (_, code, numpy, out) = fresh_cli([["spectrum", "--table", "eigenvalues"]])
         assert (code, numpy) == (0, True)
         assert out.splitlines()[1].startswith("1.324717957")
-
-    def test_token_mode_runs_without_numpy(self):
-        estimate, numpy = fresh_python(
-            "import sys\n"
-            "from audioactive import TokenString, empirical_growth\n"
-            "est = empirical_growth(TokenString((1,)), 40)\n"
-            "print(est.estimate, 'numpy' in sys.modules)\n"
-        ).split()
-        assert abs(float(estimate) - ref.HIGH_BASE_GROWTH) < 0.02
-        assert numpy == "False"
 
 
 class TestDataclassesStayUnloaded:

@@ -188,14 +188,6 @@ class TestVerification:
         assert len(lines) == 17
         assert lines[7] == "7,17,33,5,18,14,8,5,18,14,3,1,136"
 
-    def test_json_mirrors_csv(self, verification):
-        report, _ = verification
-        data = report.table.to_json()
-        assert data["total_strings"] == ref.TOTAL_STRINGS
-        row7 = next(r for r in data["rows"] if r["length"] == 7)
-        assert tuple(row7["iterations"]) == ref.DECAY_TABLE_ROWS[7]
-        assert row7["total"] == 136
-
     def test_eight_slowest_length7(self):
         got = {s.text for s in enumerate_essential_ancient(7) if iterations_to_common(s) == 5}
         assert got == ref.LENGTH7_FIVE_ITERATIONS

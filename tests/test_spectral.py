@@ -9,7 +9,6 @@ from audioactive import (
     ConvergenceError,
     DigitString,
     GROWTH_POLYNOMIAL,
-    TokenString,
     TransitionMatrix,
     characteristic_polynomial,
     dominant_eigenvalue,
@@ -349,11 +348,6 @@ class TestGrowth:
         est = empirical_growth(DigitString("22", 3), 20)
         assert set(est.ratios) == {1.0}
         assert est.estimate == 1.0
-
-    def test_token_mode(self):
-        est = empirical_growth(TokenString((1,)), 40)
-        assert est.base is None
-        assert abs(est.estimate - ref.HIGH_BASE_GROWTH) < 0.02
 
     def test_growth_agrees_with_spectrum(self):
         est = empirical_growth(DigitString("10", 3), 60)
