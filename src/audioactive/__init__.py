@@ -12,7 +12,6 @@ from .core import (
     ConvergenceError,
     DigitString,
     InvalidDigitError,
-    Run,
     SearchBudgetError,
     SplitDomainError,
     TokenString,
@@ -110,7 +109,6 @@ __all__ = [
     "KValueReport",
     "Particle",
     "ParticleClass",
-    "Run",
     "SearchBudgetError",
     "SplitDomainError",
     "TokenString",

@@ -38,10 +38,6 @@ class AudioactiveError(Exception):
 class InvalidDigitError(AudioactiveError, ValueError):
     """A digit is outside the allowed alphabet for its base."""
 
-    def __init__(self, message: str, position: int | None = None):
-        super().__init__(message)
-        self.position = position
-
 
 class SplitDomainError(AudioactiveError, ValueError):
     """Full splitting was requested outside its proven domain."""
@@ -62,7 +58,7 @@ _MAX_RUN = 2**63 - 1
 
 def _check_base(base: int) -> None:
     if not 2 <= base <= 10:
-        raise ValueError(f"digit mode supports bases 2..10, got {base}; use token mode instead")
+        raise ValueError(f"digit mode supports bases 2..10, got {base}")
 
 
 @cache
@@ -151,8 +147,7 @@ class DigitString(_Record):
             pos = _valid_prefix(base).match(text).end()
             if pos != len(text):
                 raise InvalidDigitError(
-                    f"digit {text[pos]!r} at position {pos} is not valid in base {base}",
-                    position=pos,
+                    f"digit {text[pos]!r} at position {pos} is not valid in base {base}"
                 )
         _set(self, "text", text)
         _set(self, "base", base)
@@ -169,23 +164,8 @@ class DigitString(_Record):
         _set(obj, "base", base)
         return obj
 
-    def __str__(self) -> str:
-        return self.text
-
     def __len__(self) -> int:
         return len(self.text)
-
-
-class Run(_Record):
-    """A maximal block of one repeated digit."""
-
-    _fields = ("digit", "length")
-
-    def __init__(self, digit: int, length: int):
-        if length < 1:
-            raise ValueError("run length must be positive")
-        _set(self, "digit", digit)
-        _set(self, "length", length)
 
 
 class TokenString(_Record):
@@ -215,12 +195,6 @@ class TokenString(_Record):
     def render(self) -> str:
         return ",".join(str(t) for t in self.tokens)
 
-    def __str__(self) -> str:
-        return self.render()
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
 
 # ---------------------------------------------------------------------------
 # Runs and numerals
@@ -229,10 +203,12 @@ class TokenString(_Record):
 _RUN = re.compile(r"0+|1+|2+|3+|4+|5+|6+|7+|8+|9+")  # each match is one maximal run
 
 
-def runs(s: DigitString) -> list[Run]:
+def runs(s: DigitString) -> list[tuple[int, int]]:
     """The paper's runs of ``s``, the maximal blocks the look-and-say step
-    reads; concatenating them reproduces ``s``."""
-    return [Run(int(run[0]), len(run)) for run in _RUN.findall(s.text)]
+    reads, as ``(digit, length)`` pairs; ``d`` repeated ``n`` times for each
+    pair in turn reproduces ``s``, and ``step_of_runs(runs(s), s.base) ==
+    lookandsay_step(s)``."""
+    return [(int(run[0]), len(run)) for run in _RUN.findall(s.text)]
 
 
 def _numeral(n: int, base: int) -> str:
@@ -284,12 +260,12 @@ def lookandsay_step(s: DigitString) -> DigitString:
 def step_of_runs(run_list: Iterable[tuple[int, int]], base: int = 3) -> DigitString:
     """Describing step applied to a run-length encoded string.
 
-    Accepts (digit, length) pairs so that inputs with very long runs never
-    have to be materialized; the result is small (a run of 10**6 ones emits
-    a dozen digits).  Adjacent pairs may share a digit; lengths must fit in
-    a signed 64-bit integer.  No command steps runs: this serves
-    ``TestRunBoundContraction`` (acceptance criterion 10), which steps
-    runs of up to 10**6 digits.
+    Accepts (digit, length) pairs, the form :func:`runs` returns, so that
+    inputs with very long runs never have to be materialized; the result is
+    small (a run of 10**6 ones emits a dozen digits).  Adjacent pairs may
+    share a digit; lengths must fit in a signed 64-bit integer.  No command
+    steps runs: this serves ``TestRunBoundContraction`` (acceptance
+    criterion 10), which steps runs of up to 10**6 digits.
     """
     _check_base(base)
     merged: list[tuple[int, int]] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .core import DigitString, _Record, _iterates
+from .core import _Record, _iterates
 
 
 def _digit_tally(text: str) -> Counter:
@@ -53,15 +53,12 @@ class CountDescriptor(_Record):
         super().__init__(pairs)
 
     @classmethod
-    def describe(cls, text: str | DigitString) -> "CountDescriptor":
-        tally = _digit_tally(str(text))
+    def describe(cls, text: str) -> "CountDescriptor":
+        tally = _digit_tally(text)
         return cls(tuple((tally[d], d) for d in sorted(tally)))
 
     def render(self) -> str:
         return "".join(f"{count}{digit}" for count, digit in self.pairs)
-
-    def __str__(self) -> str:
-        return self.render()
 
 
 def counting_step(d: CountDescriptor) -> CountDescriptor:
@@ -87,13 +84,10 @@ class FrequencyVector(_Record):
         super().__init__(counts)
 
     @classmethod
-    def describe(cls, text: str | DigitString, size: int | None = None) -> "FrequencyVector":
-        tally = _digit_tally(str(text))
+    def describe(cls, text: str, size: int | None = None) -> "FrequencyVector":
+        tally = _digit_tally(text)
         width = max(size or 0, max(tally) + 1 if tally else 0)
         return cls(tuple(tally.get(d, 0) for d in range(width)))
-
-    def __str__(self) -> str:
-        return ",".join(str(c) for c in self.counts)
 
 
 def selfdesc_step(v: FrequencyVector) -> FrequencyVector:

@@ -56,10 +56,9 @@ longest 2-run the domain allows, and a longer marker such as ``0222112``
 leaves 1-8 chunks, all distinct, so nothing repeats.  Its dotted, symbol
 and JSON texts render each distinct segment once and join each distinct
 chunk once, so a call joins only the chunk sequence; the views that list
-every segment (texts, ``DigitString`` and ``Particle`` objects) are built
-only on first read.  Conservative mode cuts with ``_zero_pieces`` (rule 1
-alone, which this module owns) and keeps each piece as a chunk that is its
-own segment.
+every segment (texts and ``DigitString`` objects) are built only on first
+read.  Conservative mode cuts with ``_zero_pieces`` (rule 1 alone, which
+this module owns) and keeps each piece as a chunk that is its own segment.
 
 This module owns the one base-3 cutter of the piece engine, ``_cut``:
 ``_factor`` in the domain and ``_zero_pieces`` outside it, every cut
@@ -115,10 +114,10 @@ class Decomposition(_Record):
     it; in conservative mode each zero piece is a chunk that is its own
     single segment.
 
-    ``texts``, ``segments`` and ``identified`` list every segment and are
-    built on first read.  ``render``, ``particle_names``, ``json_parts``,
-    ``is_common`` and ``multiset`` work from the table, once per distinct
-    chunk and segment, and build none of them.
+    ``texts`` and ``segments`` list every segment and are built on first
+    read.  ``render``, ``particle_names``, ``json_parts``, ``is_common`` and
+    ``multiset`` work from the table, once per distinct chunk and segment,
+    and build neither.
     """
 
     _fields = ("bodies", "table", "tail")
@@ -135,10 +134,6 @@ class Decomposition(_Record):
         # one frozen object per distinct text, shared by its repeats
         made = {t: DigitString._valid(t, 3) for t in set(self.texts)}
         return tuple(map(made.__getitem__, self.texts))
-
-    @cached_property
-    def identified(self) -> tuple[particles.Particle | None, ...]:
-        return tuple(map(particles._BY_TEXT.get, self.texts))
 
     def _join(self, sep: str, show: Callable[[str], str] | None = None) -> str:
         """``sep.join(map(show, self.texts))``, or of the texts themselves
@@ -177,15 +172,11 @@ class Decomposition(_Record):
                 tally[symbol[seg]] += count
         return particles.multiset(tally)
 
-    def to_json(self) -> dict:
-        return {
-            "segments": list(self.texts),
-            "particles": list(map(particles._SYMBOL_BY_TEXT.get, self.texts)),
-            "common": self.is_common,
-        }
-
     def json_parts(self) -> tuple[str, ...]:
-        """``json.dumps(self.to_json())`` in parts that concatenate to it.
+        """The JSON object ``{"segments": texts, "particles": symbols,
+        "common": is_common}``, written as ``json.dumps`` writes it, in parts
+        that concatenate to it; a segment with no particle has symbol
+        ``null``.
 
         Writing the parts in turn never holds the whole text at once.  A
         segment's JSON string is its digits in quotes, so the segment list is

@@ -219,6 +219,14 @@ class TestFixedpoints:
         assert out == "22\n"
 
 
+@pytest.mark.parametrize("command", ["growth", "fixedpoints"])
+def test_base_11_is_named_without_a_mode_hint(capsys, command):
+    # neither command has a token mode to point to
+    assert run(capsys, command, "--base", "11") == (
+        2, "", "error: digit mode supports bases 2..10, got 11\n"
+    )
+
+
 class TestSpectrumAndFrequencies:
     def test_spectrum_text(self, capsys):
         code, out, _ = run(capsys, "spectrum")

@@ -181,7 +181,7 @@ DIGESTS = {
     "fixedpoints, bases 3, 2 and 10": "7bb7b7edbd9c32e67202e1b15e43fd12120fd11f7c6dbba3950c87edb69b8b3c",
     "growth outside base 3: bases 2, 10, 4, 9 and a base-7 long run": "9d02c4425482ca3a5b4de6c87590cba34467f50c7cbd187012dd90d7bd0e16fe",
     "decompose, three seeded iterates cut below 300,000 digits": "fca665f667513379a6c803f88de0c75705b47964f87aa32053f6bc602b6bd918",
-    "errors the package reports": "f5d9afa6893bb3270304d07df25b11fde370aaaa16383b1d5408f0dc6651b23b",
+    "errors the package reports": "32d543dfc4fd2d20af2726e1e062966795860fe36c5aada2bfa21b494bec4690",
     "growth in bases 5, 6 and 8": "a4964cc10044cc2c46e21404f9036c5b371118cd9119b36005fffd50802689b6",
     "growth base 10 from 116, a digit above 3": "e78074c1ea5074283b6ebc8108b0183aca46f4ca022e58a0c9ed137490edaa5c",
     "growth base 4, a 100,000-digit long run": "d16f2f2439c93344377627a5dd568b70f014cf9955195f43422e2857c4db978a",

@@ -110,7 +110,7 @@ class TestDecayChart:
     def test_chart_derivation_examples(self):
         for sym, expected in (("Sm", ("E", "Su")), ("T", ("E", "B")), ("M", ("E", "U"))):
             dec = decompose(lookandsay_step(lookup(sym).digits))
-            assert tuple(p.symbol for p in dec.identified) == expected
+            assert tuple(identify(seg).symbol for seg in dec.segments) == expected
 
 
 class TestEvolve:

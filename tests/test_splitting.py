@@ -185,21 +185,21 @@ class TestDecompose:
 
     def test_is_common_kept_out_of_equality(self):
         # computed once and stored on the instance, but not a field; the
-        # same holds for the lazy segments and particles
+        # same holds for the lazy segments
         dec = decompose(ds("1012211"))
         assert not dec.is_common and not dec.is_common
-        dec.segments, dec.identified
+        dec.segments
         fresh = decompose(ds("1012211"))
         assert dec == fresh and hash(dec) == hash(fresh)
         assert dec == Decomposition(("1",), {"1": ("10",)}, ("12211",))
-        assert dec.to_json() == fresh.to_json()
+        assert dec.json_parts() == fresh.json_parts()
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             decompose(ds("22"), "fast")
 
     def test_json(self):
-        data = decompose(ds("22")).to_json()
+        data = json.loads("".join(decompose(ds("22")).json_parts()))
         assert data == {"segments": ["22"], "particles": ["Ne"], "common": True}
 
     def test_multiset(self):
@@ -242,7 +242,7 @@ class TestExhaustiveAgainstOracle:
 
 def assert_text_views(dec, want):
     """The views joined from the body table equal the eager build."""
-    assert "".join(dec.json_parts()) == json.dumps(want["to_json"])
+    assert "".join(dec.json_parts()) == json.dumps(want["json"])
     assert dec.render() == want["render"]
     assert dec.particle_names() == want["particle_names"]
 
@@ -255,12 +255,11 @@ def eager_views(texts):
     common = all(p is not None for p in identified)
     return {
         "segments": segments,
-        "identified": identified,
         "render": ".".join(seg.text for seg in segments),
         "particle_names": ".".join(p.symbol if p else "?" for p in identified),
         "is_common": common,
         "multiset": particles.multiset([p.symbol for p in identified]) if common else None,
-        "to_json": {
+        "json": {
             "segments": [seg.text for seg in segments],
             "particles": [p.symbol if p else None for p in identified],
             "common": common,
@@ -335,10 +334,8 @@ class TestDecompositionOnTexts:
         assert dec.texts == tuple(texts)
         want = eager_views(dec.texts)
         assert dec.segments == want["segments"]
-        assert dec.identified == want["identified"]
         assert_text_views(dec, want)
         assert dec.is_common is want["is_common"]
-        assert dec.to_json() == want["to_json"]
         if want["is_common"]:
             assert dec.multiset() == want["multiset"]
         else:
@@ -385,7 +382,7 @@ class TestDecompositionOnTexts:
         dec.particle_names()
         assert dec.is_common
         dec.multiset()
-        assert not {"texts", "segments", "identified"} & dec.__dict__.keys()
+        assert not {"texts", "segments"} & dec.__dict__.keys()
         assert calls == []
         # reading the segments builds one object per distinct text
         assert dec.segments[0].text == dec.texts[0]
@@ -415,7 +412,8 @@ class TestFactorAgainstRecursiveDefinition:
         want = recursive_factor(text, PARTICLE_TEXTS)
         dec = decompose(ds(text))
         assert [seg.text for seg in dec.segments] == want
-        assert [p.symbol if p else None for p in dec.identified] == [SYMBOL_OF.get(x) for x in want]
+        symbols = [p.symbol if p else None for p in map(particles.identify, dec.segments)]
+        assert symbols == [SYMBOL_OF.get(x) for x in want]
 
 
 class TestOrbitCertificate:
