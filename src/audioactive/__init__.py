@@ -20,7 +20,6 @@ from .core import (
     is_run_bounded,
     iterate,
     iterate_tokens,
-    length_sequence,
     lookandsay_step,
     runs,
     step_of_runs,
@@ -31,7 +30,6 @@ from .particles import (
     Particle,
     ParticleClass,
     decay_chart,
-    derive_decay_chart,
     evolve,
     identify,
     limit_sets,
@@ -42,8 +40,10 @@ from .particles import (
 from .splitting import (
     Decomposition,
     decompose,
+    derive_decay_chart,
     is_common,
     is_flf,
+    length_sequence,
     split_points,
 )
 from .cosmology import (

@@ -71,7 +71,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.out:
+    if args.out is None:
         return _verify(args.cap, sys.stdout.write, sys.stderr)
     # Proved writable before the count, so a bad path costs nothing, but
     # only for appending, so an input error leaves the file as it was.

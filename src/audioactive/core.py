@@ -15,11 +15,12 @@ pattern.  The numpy engine in :mod:`audioactive._arrays` is imported on
 first use and takes only the inputs where arrays pay: digit texts of at
 least 4096 digits and 64 runs.
 
-Length sequences of digit strings follow a multiset of pieces, cut at
-splits by :mod:`audioactive.splitting`, which owns every cut rule: after a
-0 in base 2, Conway's rule in bases 4..10, and base 3's particles, with
-the one base-3 piece memo.  Bases 4..10 start from a frozen table of the
-pieces every orbit there settles into, Conway's 92 common elements.
+The piece engine, ``_piece_counts``, follows a text as the multiset of
+its pieces: every iterate is the iterates of its pieces side by side, so
+only the counts grow.  It is given the pieces of each piece's step.
+:mod:`audioactive.splitting` gives it those of digit strings, with the cut
+rules and the piece memos of every base, and owns ``length_sequence``;
+:mod:`audioactive.particles` gives it the decay chart.
 """
 
 from __future__ import annotations
@@ -71,10 +72,9 @@ class _Record:
     """An immutable value: the attributes that ``_fields`` names are set once,
     in ``__init__``, and compared, hashed and shown as one tuple.
 
-    The constructor takes the fields by position, then by keyword; a
-    missing field, an unknown keyword, a field given twice or too many
-    positions raise :class:`TypeError`.  A subclass that checks its
-    arguments does so first, then calls this constructor.
+    The constructor takes the fields by position, one value each; any
+    other number of values raises :class:`TypeError`.  A subclass that
+    checks its arguments does so first, then calls this constructor.
 
     It takes the place of the standard library's frozen data classes, whose
     module loads ``inspect`` and ``ast`` and whose decorators build their
@@ -86,19 +86,12 @@ class _Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values, **named):
+    def __init__(self, *values):
         fields = self._fields
-        if len(values) > len(fields):
+        if len(values) != len(fields):
             raise TypeError(f"{type(self).__name__}() takes {len(fields)} fields, got {len(values)}")
         for name, value in zip(fields, values):
             _set(self, name, value)
-        for name in fields[len(values):]:
-            if name not in named:
-                raise TypeError(f"{type(self).__name__}() missing field {name!r}")
-            _set(self, name, named.pop(name))
-        for name in named:
-            problem = "got two values for" if name in fields else "has no"
-            raise TypeError(f"{type(self).__name__}() {problem} field {name!r}")
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -431,135 +424,8 @@ def fixed_point_search(
 
 
 # ---------------------------------------------------------------------------
-# Length sequences through exact split pieces
+# The piece engine
 # ---------------------------------------------------------------------------
-#
-# A cut L.R at a run boundary is a split (every iterate of L.R is the iterate
-# of L followed by that of R) exactly when no iterate R_n, n >= 1, starts with
-# L's last digit a.  Every L_n ends in a, and while no merge happens
-# step(L_n R_n) = L_{n+1} R_{n+1}; the first merge emits one numeral where
-# two were due, so the lengths part.  The criterion reads only a and R, so a
-# cut inside a piece splits the whole string, and all such cuts hold at once.
-
-# The pieces that base-10 "1" holds at steps 61-80, one line each: the piece,
-# then the pieces splitting._cutter(10) cuts its step into, in order.  They
-# are Conway's 92 common elements.  Digits 1-3 in runs of at most 3 step
-# alike in every base from 4 on, and the tests check that splitting._cutter(b)
-# cuts every entry's step the same way for each b = 4..10.  Kept as text and
-# parsed on first use, so an import that never counts a high base does not
-# build it.
-_HIGH_BASE_PIECES = """\
-3 13
-12 1112
-13 1113
-22 22
-132 111312
-312 131112
-1112 3112
-1113 3113
-3112 132112
-3113 132113
-11131 311311
-11132 311312
-13211 11131221
-31132 13211312
-32112 13122112
-111312 31131112
-131112 11133112
-132112 1113122112
-132113 1113122113
-311311 13211321
-311312 1321131112
-311332 132 12 312
-1112133 3112112 3
-1113222 311332
-1321132 111312211312
-1322112 1113222112
-1322113 1113222113
-3112112 1321122112
-3112221 132 13211
-11131221 3113112211
-11133112 312 32112
-13122112 111311222112
-13211312 11131221131112
-13211321 11131221131211
-31131112 1321133112
-123222112 111213322112
-123222113 111213322113
-311311222 1321132 132
-1113122112 311311222112
-1113122113 311311222113
-1113222112 3113322112
-1113222113 3113322113
-1321122112 11131221222112
-1321131112 11131221133112
-1321133112 11131 22 12 32112
-3113112211 132113212221
-3113322112 132 123222112
-3113322113 132 123222113
-13221133112 1113222 12 32112
-111213322112 31121123222112
-111213322113 31121123222113
-111311222112 31132 1322112
-111312211312 3113112221131112
-132113212221 111312211312113211
-311311222112 1321132 1322112
-311311222113 1321132 1322113
-1322113312211 1113222 12 3112221
-11131221131112 3113112221133112
-11131221131211 311311222113111221
-11131221133112 311311222 12 32112
-11131221222112 3113112211322112
-31121123222112 132112211213322112
-31121123222113 132112211213322113
-311322113212221 13211322211312113211
-3113112211322112 13211321222113222112
-3113112221131112 1321132 13221133112
-3113112221133112 1321132 13 22 12 32112
-13221133122211332 1113222 12 3113 22 12 312
-111312211312113211 311311222113111221131221
-132112211213322112 111312212221121123222112
-132112211213322113 111312212221121123222113
-311311222113111221 1321132 1322113312211
-13211321222113222112 11131221131211322113322112
-13211322211312113211 1113122113322113111221131221
-132211331222113112211 1113222 12 311322113212221
-12322211331222113112211 1112133 22 12 311322113212221
-31131122211311122113222 1321132 13221133122211332
-111312212221121123222112 3113112211322112211213322112
-111312212221121123222113 3113112211322112211213322113
-311311222113111221131221 1321132 132211331222113112211
-11131221131211322113322112 31131122211311122113222 123222112
-312211322212221121123222112 13112221133211322112211213322112
-312211322212221121123222113 13112221133211322112211213322113
-1113122113322113111221131221 311311222 12322211331222113112211
-3113112211322112211213322112 1321132122211322212221121123222112
-3113112211322112211213322113 1321132122211322212221121123222113
-13112221133211322112211213322112 11132 13 22 12 312211322212221121123222112
-13112221133211322112211213322113 11132 13 22 12 312211322212221121123222113
-1321132122211322212221121123222112 111312211312113221133211322112211213322112
-1321132122211322212221121123222113 111312211312113221133211322112211213322113
-111312211312113221133211322112211213322112 31131122211311122113222 12 312211322212221121123222112
-111312211312113221133211322112211213322113 31131122211311122113222 12 312211322212221121123222113
-"""
-
-
-@cache
-def _high_base_table() -> dict[str, tuple[str, ...]]:
-    """The frozen pieces of bases 4-10, each mapped to the pieces of its step."""
-    return {line[0]: tuple(line[1:]) for line in map(str.split, _HIGH_BASE_PIECES.splitlines())}
-
-
-class _Memo(dict):
-    """``func`` of each key, computed on the key's first lookup."""
-
-    def __init__(self, func: Callable):
-        self.func = func
-
-    def __missing__(self, key):
-        self[key] = value = self.func(key)
-        return value
-
 
 def _piece_counts(
     pieces: Iterable[str] | Mapping[str, int], children: Mapping[str, Sequence[str]]
@@ -570,8 +436,9 @@ def _piece_counts(
     The piece engine: every iterate is the iterates of its pieces side by
     side, so only the counts grow.  ``pieces`` may also be a mapping of
     each piece to its count.  ``children[piece]`` is the pieces of the
-    piece's step, in order, cut as the first pieces were; a ``_Memo``
-    steps and cuts each distinct piece on its first lookup.
+    piece's step, in order, cut as the first pieces were: a piece memo of
+    ``splitting._children``, which steps and cuts each distinct piece on
+    its first lookup, or the decay chart's products.
     """
     counts = dict(Counter(pieces))
     while True:
@@ -581,30 +448,3 @@ def _piece_counts(
             for sub in children[piece]:
                 nxt[sub] = nxt.get(sub, 0) + count
         counts = nxt
-
-
-def length_sequence(seed: DigitString, iters: int) -> list[int]:
-    """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
-
-    Tracked exactly through a multiset of pieces, cut with
-    ``splitting._cutter(seed.base)`` at the splits it proves (cheap at any
-    depth: only the counts grow, so there is no length budget).  Base 3
-    steps its pieces through the per-process memo ``splitting._children``;
-    bases 4-10 start from the frozen table of the pieces every orbit there
-    settles into, so only the pieces a seed adds of its own are stepped
-    and cut: the transients, and pieces holding a digit above 3.
-    """
-    if iters < 0:
-        raise ValueError("iteration count must be non-negative")
-    from .splitting import _children, _cutter  # splitting imports core
-
-    base = seed.base
-    cut = _cutter(base)
-    if base == 3:
-        children = _children
-    else:
-        children = _Memo(lambda piece: cut(_step_text(piece, base)))
-        if base >= 4:
-            children.update(_high_base_table())
-    counts = islice(_piece_counts(cut(seed.text), children), iters + 1)
-    return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]

@@ -30,8 +30,8 @@ such strings.
 :func:`automata.decay_languages` checks its shipped languages once per
 process; it never searches for them.
 
-``k_value`` follows a seed's pieces, cut by ``splitting._cut`` and stepped
-through the memo ``splitting._children`` that base-3 growth shares.
+``k_value`` follows a seed's pieces through ``splitting._pieces`` in base
+3: cut by ``splitting._cut``, stepped through the memo base-3 growth shares.
 """
 
 from __future__ import annotations
@@ -40,14 +40,8 @@ from math import comb
 from typing import Iterator
 
 from . import particles
-from .core import (
-    AudioactiveError,
-    ConvergenceError,
-    DigitString,
-    _Record,
-    _piece_counts,
-)
-from .splitting import _children, _cut, _require_domain
+from .core import AudioactiveError, ConvergenceError, DigitString, _Record
+from .splitting import _pieces, _require_domain
 
 MAX_ESSENTIAL_LENGTH = 16
 DEFAULT_CAP = 10
@@ -255,9 +249,9 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
     """Iterate ``s`` until fully common, then measure its long-run support.
 
     The iterates are followed as multisets of their pieces, never as whole
-    texts: the seed is cut by ``splitting._cut`` and each piece's step is
-    read from the shared memo ``splitting._children``, which steps and cuts
-    each piece, particles included, on its first lookup in the process.
+    texts: ``splitting._pieces`` cuts the seed by ``splitting._cut`` and
+    reads each piece's step from the shared memo ``splitting._children[3]``,
+    which steps and cuts each piece, particles included, once per process.
     A piece outside the splitting domain is cut only after its 0s, and one
     of those pieces then holds what the domain forbids, so it is no
     particle: the first iterate that is all particles, and its multiset,
@@ -271,7 +265,7 @@ def k_value(s: DigitString, max_iter: int = 64) -> KValueReport:
         raise ValueError("seed must be non-empty")
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    for iterations, pieces in zip(range(max_iter + 1), _piece_counts(_cut(s.text), _children)):
+    for iterations, pieces in zip(range(max_iter + 1), _pieces(s.text, 3)):
         if particles.PARTICLE_TEXTS.issuperset(pieces):
             break
     else:

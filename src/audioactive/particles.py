@@ -8,7 +8,8 @@ each particle to the one or two particles its step factors into.
 
 All of this is one table, ``_TABLE``: a row per particle, giving its
 symbol, digits, class and the particles of its step, in order.  The
-registry, the three groups and the chart are read off its rows.
+registry, the three groups and the chart are read off its rows.  The
+chart's oracle, ``splitting.derive_decay_chart``, lives with the memo it reads.
 
 Two particle orders are used deliberately: ``REGISTRY_ORDER`` is the
 reading order of the table of particles, while ``MATRIX_ORDER`` is the
@@ -126,20 +127,6 @@ def _chart(
 def decay_chart() -> tuple[DecayRule, ...]:
     """One decay rule per particle, ordered as the registry."""
     return _chart(lambda p: _DECAY_PRODUCTS[p.symbol], _PARTICLES)
-
-
-def derive_decay_chart() -> tuple[DecayRule, ...]:
-    """Recompute the chart from each particle's entry in the base-3 piece
-    memo, ``splitting._children``: its step, cut at every split.
-
-    Acts as the oracle for :func:`decay_chart`: every piece of each
-    particle's step must identify as a registry particle, and the derived
-    rules must match the table's exactly.  The memo is what ``k_value``
-    and base-3 growth read, so this checks the very entries they use.
-    """
-    from .splitting import _children  # deferred: splitting imports this module
-
-    return _chart(lambda p: _children[p.digits.text], _BY_TEXT)
 
 
 # ---------------------------------------------------------------------------

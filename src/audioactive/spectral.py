@@ -24,7 +24,8 @@ from operator import mul
 from typing import Sequence
 
 from . import particles
-from .core import ConvergenceError, DigitString, _Record, length_sequence
+from .core import ConvergenceError, DigitString, _Record
+from .splitting import length_sequence
 
 MATRIX_ORDER = particles.MATRIX_ORDER
 

@@ -1,4 +1,5 @@
-"""Splitting base-3 strings into independently evolving segments.
+"""Splitting base-3 strings into independently evolving segments, and the
+piece engine's cuts and memos in every base.
 
 A cut L.R is a *split* when every future iterate of the whole equals the
 concatenation of the iterates of L and R taken separately.  Splits are
@@ -60,12 +61,14 @@ every segment (texts and ``DigitString`` objects) are built only on first
 read.  Conservative mode cuts with ``_zero_pieces`` (rule 1 alone, which
 this module owns) and keeps each piece as a chunk that is its own segment.
 
-This module owns the one base-3 cutter of the piece engine, ``_cut``:
-``_factor`` in the domain and ``_zero_pieces`` outside it, every cut
-exact.  Its per-process memo ``_children`` maps each piece to the cut of
-its step.  It starts empty and fills on lookup, particles included;
-``cosmology.k_value``, base-3 length sequences (``core.length_sequence``)
-and ``particles.derive_decay_chart`` all read it.
+This module owns the cuts and memos of the piece engine, and so
+``length_sequence`` and ``derive_decay_chart``.  Its base-3 cutter is
+``_cut``: ``_factor`` in the domain and ``_zero_pieces`` outside it.
+``_children`` holds a piece memo per base (each piece -> the cut of its
+step), made on the base's first lookup and filled on lookup, particles
+included; one ``_children.clear()`` resets every base.  ``_pieces(text,
+base)`` is the engine's one entry; ``length_sequence`` and ``k_value``
+call it.
 
 ``_cutter`` gives the piece engine its cutter in every base.  Base 2 cuts
 after its 0s, which are all its splits, since every base-2 numeral starts
@@ -92,12 +95,12 @@ import json
 import re
 from collections import Counter
 from functools import cache, cached_property
-from itertools import chain
-from typing import Callable, Literal
+from itertools import chain, islice
+from typing import Callable, Iterator, Literal
 
 from . import particles
 from .core import (
-    _DIGIT_CHARS, DigitString, SplitDomainError, _Memo, _Record, _splittable, _step_text,
+    _DIGIT_CHARS, DigitString, SplitDomainError, _piece_counts, _Record, _splittable, _step_text,
 )
 
 SplitMode = Literal["full", "conservative"]
@@ -292,14 +295,6 @@ def _cutter(base: int) -> Callable[[str], list[str]]:
     return cut
 
 
-# The one base-3 piece memo: each piece met -> the ``_cut`` pieces of its
-# step.  ``k_value``, base-3 length sequences and the decay chart's oracle
-# share it.  It starts empty, lives as long as the process and grows with
-# the distinct pieces met; ``clear()`` returns it to its import state, and
-# each entry is recomputed alike, being a pure function of its key.
-_children = _Memo(lambda piece: _cut(_step_text(piece, 3)))
-
-
 def _base3_text(s: DigitString) -> str:
     if s.base != 3:
         raise SplitDomainError(f"splitting is defined for base 3 only, got base {s.base}")
@@ -318,6 +313,160 @@ def _outside_domain(s: DigitString) -> SplitDomainError:
         "(no 00, 11111 or 2222, and no final 1111); "
         "use conservative mode"
     )
+
+
+# ---------------------------------------------------------------------------
+# The piece engine's cuts and memos
+# ---------------------------------------------------------------------------
+#
+# A cut L.R at a run boundary is a split (every iterate of L.R is the iterate
+# of L followed by that of R) exactly when no iterate R_n, n >= 1, starts with
+# L's last digit a.  Every L_n ends in a, and while no merge happens
+# step(L_n R_n) = L_{n+1} R_{n+1}; the first merge emits one numeral where
+# two were due, so the lengths part.  The criterion reads only a and R, so a
+# cut inside a piece splits the whole string, and all such cuts hold at once.
+
+# The pieces that base-10 "1" holds at steps 61-80, one line each: the piece,
+# then the pieces _cutter(10) cuts its step into, in order.  They are
+# Conway's 92 common elements.  Digits 1-3 in runs of at most 3 step alike
+# in every base from 4 on, and the tests check that _cutter(b) cuts every
+# entry's step the same way for each b = 4..10.  Kept as text and parsed
+# when a high base's memo is made, so an import that never counts a high
+# base does not build it.
+_HIGH_BASE_PIECES = """\
+3 13
+12 1112
+13 1113
+22 22
+132 111312
+312 131112
+1112 3112
+1113 3113
+3112 132112
+3113 132113
+11131 311311
+11132 311312
+13211 11131221
+31132 13211312
+32112 13122112
+111312 31131112
+131112 11133112
+132112 1113122112
+132113 1113122113
+311311 13211321
+311312 1321131112
+311332 132 12 312
+1112133 3112112 3
+1113222 311332
+1321132 111312211312
+1322112 1113222112
+1322113 1113222113
+3112112 1321122112
+3112221 132 13211
+11131221 3113112211
+11133112 312 32112
+13122112 111311222112
+13211312 11131221131112
+13211321 11131221131211
+31131112 1321133112
+123222112 111213322112
+123222113 111213322113
+311311222 1321132 132
+1113122112 311311222112
+1113122113 311311222113
+1113222112 3113322112
+1113222113 3113322113
+1321122112 11131221222112
+1321131112 11131221133112
+1321133112 11131 22 12 32112
+3113112211 132113212221
+3113322112 132 123222112
+3113322113 132 123222113
+13221133112 1113222 12 32112
+111213322112 31121123222112
+111213322113 31121123222113
+111311222112 31132 1322112
+111312211312 3113112221131112
+132113212221 111312211312113211
+311311222112 1321132 1322112
+311311222113 1321132 1322113
+1322113312211 1113222 12 3112221
+11131221131112 3113112221133112
+11131221131211 311311222113111221
+11131221133112 311311222 12 32112
+11131221222112 3113112211322112
+31121123222112 132112211213322112
+31121123222113 132112211213322113
+311322113212221 13211322211312113211
+3113112211322112 13211321222113222112
+3113112221131112 1321132 13221133112
+3113112221133112 1321132 13 22 12 32112
+13221133122211332 1113222 12 3113 22 12 312
+111312211312113211 311311222113111221131221
+132112211213322112 111312212221121123222112
+132112211213322113 111312212221121123222113
+311311222113111221 1321132 1322113312211
+13211321222113222112 11131221131211322113322112
+13211322211312113211 1113122113322113111221131221
+132211331222113112211 1113222 12 311322113212221
+12322211331222113112211 1112133 22 12 311322113212221
+31131122211311122113222 1321132 13221133122211332
+111312212221121123222112 3113112211322112211213322112
+111312212221121123222113 3113112211322112211213322113
+311311222113111221131221 1321132 132211331222113112211
+11131221131211322113322112 31131122211311122113222 123222112
+312211322212221121123222112 13112221133211322112211213322112
+312211322212221121123222113 13112221133211322112211213322113
+1113122113322113111221131221 311311222 12322211331222113112211
+3113112211322112211213322112 1321132122211322212221121123222112
+3113112211322112211213322113 1321132122211322212221121123222113
+13112221133211322112211213322112 11132 13 22 12 312211322212221121123222112
+13112221133211322112211213322113 11132 13 22 12 312211322212221121123222113
+1321132122211322212221121123222112 111312211312113221133211322112211213322112
+1321132122211322212221121123222113 111312211312113221133211322112211213322113
+111312211312113221133211322112211213322112 31131122211311122113222 12 312211322212221121123222112
+111312211312113221133211322112211213322113 31131122211311122113222 12 312211322212221121123222113
+"""
+
+
+def _high_base_table() -> dict[str, tuple[str, ...]]:
+    """The frozen pieces of bases 4-10, each mapped to the pieces of its step."""
+    return {line[0]: tuple(line[1:]) for line in map(str.split, _HIGH_BASE_PIECES.splitlines())}
+
+
+class _Memo(dict):
+    """``func`` of each key, computed on the key's first lookup."""
+
+    def __init__(self, func: Callable):
+        self.func = func
+
+    def __missing__(self, key):
+        self[key] = value = self.func(key)
+        return value
+
+
+def _base_children(base: int) -> _Memo:
+    """A new piece memo of ``base``: each piece met -> the ``_cutter(base)``
+    pieces of its step.  From base 4 up it starts from the frozen table."""
+    cut = _cutter(base)
+    children = _Memo(lambda piece: cut(_step_text(piece, base)))
+    if base >= 4:
+        children.update(_high_base_table())
+    return children
+
+
+# The piece memos, one per base, each made on its base's first lookup.
+# ``k_value``, ``length_sequence`` and ``derive_decay_chart`` share them.
+# They start empty, live as long as the process and grow with the distinct
+# pieces met; ``clear()`` returns every base to its import state, and each
+# entry is recomputed alike, being a pure function of its key.
+_children = _Memo(_base_children)
+
+
+def _pieces(text: str, base: int) -> Iterator[dict[str, int]]:
+    """The piece multisets of ``text`` and of its iterates in ``base``,
+    without end: ``text`` cut by ``_cutter(base)``, stepped by its memo."""
+    return _piece_counts(_cutter(base)(text), _children[base])
 
 
 # ---------------------------------------------------------------------------
@@ -375,3 +524,31 @@ def is_common(s: DigitString) -> bool:
     """The paper's common strings: every irreducible segment of ``s`` is
     one of the 24 registry particles."""
     return decompose(s, "full").is_common
+
+
+def length_sequence(seed: DigitString, iters: int) -> list[int]:
+    """Lengths of the first ``iters`` iterates (iters+1 entries, seed first).
+
+    Tracked exactly through a multiset of pieces, cut with
+    ``_cutter(seed.base)`` at the splits it proves and stepped through the
+    base's memo in ``_children`` (cheap at any depth: only the counts
+    grow, so there is no length budget).  The memos of bases 4-10 start
+    from the frozen table of the pieces every orbit there settles into, so
+    only the pieces a seed adds of its own are stepped and cut: the
+    transients, and pieces holding a digit above 3.
+    """
+    if iters < 0:
+        raise ValueError("iteration count must be non-negative")
+    counts = islice(_pieces(seed.text, seed.base), iters + 1)
+    return [sum([len(p) * c for p, c in pieces.items()]) for pieces in counts]
+
+
+def derive_decay_chart() -> tuple[particles.DecayRule, ...]:
+    """Recompute the chart from each particle's entry in the base-3 piece
+    memo, ``_children[3]``: its step, cut at every split.
+
+    The oracle of :func:`particles.decay_chart`: every product must be a
+    particle, and the rules must match the table's.  ``k_value`` and
+    base-3 growth read these very entries.
+    """
+    return particles._chart(lambda p: _children[3][p.digits.text], particles._BY_TEXT)

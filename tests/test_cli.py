@@ -123,6 +123,17 @@ class TestVerify:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(path) in err
 
+    @pytest.mark.parametrize("argv", [("--out", ""), ("--out=",)])
+    def test_empty_out_path_exits_2_before_counting(self, capsys, monkeypatch, argv):
+        # an empty path names no file: it is not a request for stdout
+        def count(**_):
+            raise AssertionError("counted before opening the output file")
+
+        monkeypatch.setattr(audioactive.cosmology, "verify_cosmological", count)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_negative_cap_exits_2(self, capsys):
         code, out, err = run(capsys, "verify", "--cap", "-1")
         assert code == 2

@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib.util
 import pickle
@@ -463,7 +464,7 @@ class TestLengthSequence:
             assert length_sequence(ds(seed, 3), len(lengths) - 1) == lengths, seed
             est = spectral.empirical_growth(ds(seed, 3), len(lengths) - 1)
             assert est.lengths == tuple(lengths), seed
-            assert set(splitting._cut(seed)) <= set(splitting._children), seed
+            assert set(splitting._cut(seed)) <= set(splitting._children[3]), seed
         assert length_sequence(ds("1", 2), 12) == [len(s) for s in iterate(ds("1", 2), 12)]
         assert set(asked) == {2, 3}
 
@@ -471,7 +472,8 @@ class TestLengthSequence:
         # a cutter that proves fewer cuts must not change the lengths: the
         # rule's cuts with the frozen table, without it (so bases 4-10 cut
         # every piece they meet, not only the transients), and cuts after 0s
-        # alone in every base, base 3's memo included
+        # alone in every base, base 3's memo included; each run after the
+        # first patches in fresh memos, made as the real ones are
         cases = [
             (base, seed, _array_lengths(seed, base, stop=10_000))
             for base, seed in _length_seeds()
@@ -483,11 +485,12 @@ class TestLengthSequence:
                 assert length_sequence(ds(seed, base), len(want) - 1) == want, (base, seed)
 
         assert_lengths()
-        monkeypatch.setattr(core, "_high_base_table", lambda: {})
+        monkeypatch.setattr(splitting, "_high_base_table", lambda: {})
+        monkeypatch.setattr(splitting, "_children", splitting._Memo(splitting._base_children))
         assert_lengths()
         zeros = splitting._zero_pieces
         monkeypatch.setattr(splitting, "_cutter", lambda base: zeros)
-        monkeypatch.setattr(splitting, "_children", core._Memo(lambda p: zeros(_step_text(p, 3))))
+        monkeypatch.setattr(splitting, "_children", splitting._Memo(splitting._base_children))
         assert_lengths()
 
 
@@ -581,14 +584,15 @@ class TestOrbitCutter:
 def _held_pieces(seed, base, steps):
     """The pieces the engine holds at ``steps`` from ``seed``, without a table."""
     cut = splitting._cutter(base)
-    counts = core._piece_counts(cut(seed), core._Memo(lambda piece: cut(_step_text(piece, base))))
+    children = splitting._Memo(lambda piece: cut(_step_text(piece, base)))
+    counts = core._piece_counts(cut(seed), children)
     return set().union(*islice(counts, steps.start, steps.stop))
 
 
 class TestHighBaseTable:
     """The frozen pieces of bases 4..10 and the pieces of their steps."""
 
-    TABLE = core._high_base_table()
+    TABLE = splitting._high_base_table()
 
     def test_entries_are_the_cutters_pieces_in_every_base(self):
         for base in range(4, 11):
@@ -627,67 +631,51 @@ def _eye(scale):
     return tuple(tuple(scale * (i == j) for j in range(8)) for i in range(8))
 
 
-# (class, keyword arguments built afresh per call, defaults they leave out,
-#  one field with a different value)
+# (class, positional arguments built afresh per call, the defaults of the
+#  fields they leave out, one field with a different value)
 _VALUES = [
-    (DigitString, lambda: dict(text="1211"), {"base": 3}, ("text", "2")),
-    (TokenString, lambda: dict(tokens=(1, 10)), {}, ("tokens", (1,))),
+    (DigitString, lambda: ("1211",), {"base": 3}, ("text", "2")),
+    (TokenString, lambda: ((1, 10),), {}, ("tokens", (1,))),
     (
         Particle,
-        lambda: dict(symbol="E", digits=DigitString("10"), kind=ParticleClass.FERMION),
+        lambda: ("E", DigitString("10"), ParticleClass.FERMION),
         {},
         ("kind", ParticleClass.BOSON),
     ),
-    (DecayRule, lambda: dict(parent=lookup("U"), products=(lookup("D"),)), {}, ("products", ())),
-    (
-        Decomposition,
-        lambda: dict(bodies=("1",), table={"1": ("10",)}, tail=("12211",)),
-        {},
-        ("tail", ()),
-    ),
-    (
-        DecayTable,
-        lambda: dict(cells=((1, 2),), lengths=(1,), cap=DEFAULT_CAP),
-        {},
-        ("lengths", (2,)),
-    ),
+    (DecayRule, lambda: (lookup("U"), (lookup("D"),)), {}, ("products", ())),
+    (Decomposition, lambda: (("1",), {"1": ("10",)}, ("12211",)), {}, ("tail", ())),
+    (DecayTable, lambda: (((1, 2),), (1,), DEFAULT_CAP), {}, ("lengths", (2,))),
     (
         CosmologyReport,
-        lambda: dict(
-            table=DecayTable(((3,),), (1,), 0), verified=True, max_iterations=0, failures=()
-        ),
+        lambda: (DecayTable(((3,),), (1,), 0), True, 0, ()),
         {},
         ("failures", ("21221",)),
     ),
     (
         KValueReport,
-        lambda: dict(
-            seed=DigitString("10"),
-            iterations=0,
-            counts=(("E", 1),),
-            limsup=frozenset({"E"}),
-            liminf=frozenset({"E"}),
-            stabilized=True,
-            k=1,
+        lambda: (
+            DigitString("10"), 0, (("E", 1),), frozenset({"E"}), frozenset({"E"}), True, 1
         ),
         {},
         ("k", (1, 2)),
     ),
-    (
-        TransitionMatrix,
-        lambda: dict(entries=_eye(1)),
-        {"order": spectral.MATRIX_ORDER},
-        ("entries", _eye(2)),
-    ),
+    (TransitionMatrix, lambda: (_eye(1),), {"order": spectral.MATRIX_ORDER}, ("entries", _eye(2))),
     (
         GrowthEstimate,
-        lambda: dict(seed="1", base=3, lengths=(1, 2, 2), ratios=(2.0, 1.0), estimate=1.0),
+        lambda: ("1", 3, (1, 2, 2), (2.0, 1.0), 1.0),
         {},
         ("base", 10),
     ),
-    (CountDescriptor, lambda: dict(pairs=((2, 1), (1, 2))), {}, ("pairs", ((1, 1),))),
-    (FrequencyVector, lambda: dict(counts=(0, 2)), {}, ("counts", (1, 2))),
+    (CountDescriptor, lambda: (((2, 1), (1, 2)),), {}, ("pairs", ((1, 1),))),
+    (FrequencyVector, lambda: ((0, 2),), {}, ("counts", (1, 2))),
 ]
+
+
+def _with(cls, values, name, value):
+    """``cls`` built from ``values`` with field ``name`` set to ``value``."""
+    values = list(values)
+    values[cls._fields.index(name)] = value
+    return cls(*values)
 
 
 class TestValueSemantics:
@@ -698,12 +686,12 @@ class TestValueSemantics:
         "cls, make, defaults, changed", _VALUES, ids=[case[0].__name__ for case in _VALUES]
     )
     def test_value_class(self, cls, make, defaults, changed):
-        value, twin = cls(**make()), cls(**make())
+        value, twin = cls(*make()), cls(*make())
         assert value == twin and not value != twin
         assert hash(value) == hash(twin)
         name, other = changed
-        assert value != cls(**{**make(), name: other})
-        assert value != type("Sub", (cls,), {})(**make())  # equal fields, other class
+        assert value != _with(cls, make(), name, other)
+        assert value != type("Sub", (cls,), {})(*make())  # equal fields, other class
         for field, default in defaults.items():
             assert getattr(value, field) == default
         before = getattr(value, name)
@@ -720,19 +708,15 @@ class TestValueSemantics:
         "cls, make, defaults, changed", _VALUES, ids=[case[0].__name__ for case in _VALUES]
     )
     def test_construction(self, cls, make, defaults, changed):
-        full = {**defaults, **make()}
-        values = [full[name] for name in cls._fields]
-        assert cls(*values) == cls(**make())
-        required = [name for name in cls._fields if name not in defaults]
-        calls = [((), {k: v for k, v in full.items() if k != name}) for name in required]
-        calls += [  # above: each required field left out
-            ((), {**make(), "nosuch": 1}),  # an unknown keyword
-            (values[:1], make()),  # the first field by position and by keyword
-            ((*values, values[0]), {}),  # one position too many
-        ]
-        for args, named in calls:
+        required = make()
+        assert cls._fields == cls._fields[: len(required)] + tuple(defaults)
+        values = [*required, *defaults.values()]
+        assert cls(*values) == cls(*required)
+        calls = [required[:n] for n in range(len(required))]  # a required field left out
+        calls.append((*values, values[0]))  # one position too many
+        for args in calls:
             with pytest.raises(TypeError, match=cls.__name__):
-                cls(*args, **named)
+                cls(*args)
 
     def test_every_record_class_has_a_case(self):
         classes = [case[0] for case in _VALUES]
@@ -782,3 +766,60 @@ def test_every_benchmarked_name_resolves():
     pairs.append((cosmology, "enumerate_essential_ancient"))
     for module, name in pairs:
         assert callable(getattr(module, name)), (module.__name__, name)
+
+
+def _package_imports():
+    """Each module of the package -> (the package modules it imports at
+    any depth, those it imports inside a function)."""
+    src = Path(audioactive.__file__).parent
+    modules = {path.stem for path in src.glob("*.py")}
+
+    def targets(node):
+        """The package modules an import statement loads."""
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            base = ".".join(filter(None, ["audioactive" if node.level else "", node.module]))
+            names = [base] if node.module else [f"{base}.{alias.name}" for alias in node.names]
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "audioactive":
+                yield parts[1] if parts[1:] and parts[1] in modules else "__init__"
+
+    graph = {}
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found, deferred = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found.update(targets(node))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    if isinstance(node, (ast.Import, ast.ImportFrom)):
+                        deferred.update(targets(node))
+        graph[path.stem] = (found - {path.stem}, deferred)
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    # No module imports one that imports it, directly or through others,
+    # counting imports inside functions; the deferred ones all point down.
+    graph = _package_imports()
+    assert "splitting" in graph["cosmology"][0] and "automata" in graph["cosmology"][1]
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join([*path[path.index(module):], module])
+        if module in done:
+            return
+        path.append(module)
+        for target in sorted(graph[module][0]):
+            visit(target)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+    deferred = set().union(*(later for _, later in graph.values()))
+    assert deferred == {"automata", "_automata_search", "_arrays", "descriptors"}

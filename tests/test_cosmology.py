@@ -17,6 +17,7 @@ from audioactive import (
     iterate,
     iterations_to_common,
     k_value,
+    length_sequence,
     verify_cosmological,
 )
 from audioactive import SplitDomainError, _automata_search, automata, cosmology, particles, splitting
@@ -632,8 +633,9 @@ def random_texts(count, seed):
 
 
 class TestPieceMemo:
-    """k_value steps and cuts each piece once per process, in
-    ``splitting._children``; what the memo holds changes no answer."""
+    """k_value and length_sequence step and cut each piece once per
+    process, in the base's memo in ``splitting._children``; what the memos
+    hold changes no answer."""
 
     SEEDS = random_texts(300, 28)
 
@@ -647,9 +649,9 @@ class TestPieceMemo:
         # splitting domain and cut only after its 0s outside it.
         for text in self.SEEDS:
             k_value(ds(text))
-        assert len(splitting._children) > len(particles.PARTICLE_TEXTS)
+        assert len(splitting._children[3]) > len(particles.PARTICLE_TEXTS)
         outside = 0
-        for piece, subs in splitting._children.items():
+        for piece, subs in splitting._children[3].items():
             step = reference_step(piece, 3)
             if in_split_domain(step):
                 assert list(subs) == splitting._factor(step), piece
@@ -675,11 +677,58 @@ class TestPieceMemo:
         assert not splitting._children
         assert [k_value(ds(text)) for text in self.SEEDS[:50]] == before
 
+    def test_a_second_growth_steps_no_piece(self, monkeypatch):
+        # bases 2 and 10 keep their memos for the process, as base 3 does
+        splitting._children.clear()
+        steps = []
+        real = splitting._step_text
+
+        def counted(text, base):
+            steps.append(base)
+            return real(text, base)
+
+        monkeypatch.setattr(splitting, "_step_text", counted)
+        for base, seed, iters in ((10, "1", 60), (2, "1", 50), (10, "31", 40), (2, "1101", 30)):
+            first = length_sequence(DigitString(seed, base), iters)
+            stepped = len(steps)
+            assert length_sequence(DigitString(seed, base), iters) == first, (base, seed)
+            assert len(steps) == stepped, (base, seed)
+        assert set(steps) == {2, 10}  # the first calls did step pieces
+
+    def test_clear_empties_every_base(self):
+        for base in range(2, 11):
+            length_sequence(DigitString("1", base), 20)
+        k_value(ds("1201"))
+        assert sorted(splitting._children) == list(range(2, 11))
+        assert all(splitting._children.values())
+        splitting._children.clear()
+        assert not splitting._children
+        # the next lookup makes a base's memo afresh: the table alone from base 4 up
+        assert not splitting._children[2] and not splitting._children[3]
+        assert splitting._children[10] == splitting._high_base_table()
+
     def test_a_fresh_import_starts_empty(self):
-        # so clear() returns the memo to its import state
-        code = "from audioactive import splitting; print(len(splitting._children))"
+        # so clear() returns every memo to its import state; a second
+        # growth in bases 2, 3 and 10 steps no piece, and clear() empties
+        # every base
+        code = """if True:
+            from audioactive import DigitString, k_value, length_sequence, splitting
+            print(len(splitting._children))
+            calls = []
+            real = splitting._step_text
+            splitting._step_text = lambda text, base: calls.append(base) or real(text, base)
+            for base in (10, 2, 3):
+                first = length_sequence(DigitString("1", base), 50)
+                stepped = len(calls)
+                assert length_sequence(DigitString("1", base), 50) == first
+                assert len(calls) == stepped
+            k_value(DigitString("1201", 3))
+            print(sorted(splitting._children), sorted(set(calls)))
+            splitting._children.clear()
+            print(len(splitting._children))
+        """
         run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
-        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n", "")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "0\n[2, 3, 10] [2, 3, 10]\n0\n", "")
 
 
 class TestSmallWorldConsequence:
